@@ -3,9 +3,13 @@
 ``solve_milp`` is a plain LP-based branch and bound: most-fractional
 branching (ties to the lowest column), best-bound node selection with
 depth-first plunging until the first incumbent, and no cuts or presolve.
-Every incumbent is re-solved with its binaries pinned to exact 0/1 and must
-pass the model evaluator before it is accepted, so reported solutions are
-integral to machine precision, not merely within the rounding tolerance.
+The root LP is solved cold; every other node LP re-optimises from its
+parent's optimal basis by dual simplex (each open node carries that basis,
+not a tableau) and falls back to a cold two-phase solve under the same
+certificate.  Every incumbent is re-solved, warm from its node's basis,
+with its binaries pinned to exact 0/1 and must pass the model evaluator
+before it is accepted, so reported solutions are integral to machine
+precision, not merely within the rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
@@ -101,16 +105,16 @@ class _Search:
 
     def _open_bound(self) -> float:
         best = self.heap[0][0] if self.heap else np.inf
-        for est, _seq, _lo, _up in self.stack:
+        for est, *_node in self.stack:
             best = min(best, est)
         return best
 
     def _global_bound(self) -> float:
         return min(self.incumbent_obj, self.lowest_pruned, self._open_bound())
 
-    def _push(self, est: float, lo, up):
+    def _push(self, est: float, lo, up, basis):
         self.seq += 1
-        node = (est, self.seq, lo, up)
+        node = (est, self.seq, lo, up, basis)
         if self.incumbent is None:
             self.stack.append(node)
         else:
@@ -127,13 +131,13 @@ class _Search:
 
     # -- incumbent handling ----------------------------------------------------
 
-    def _try_incumbent(self, lo, up, x):
+    def _try_incumbent(self, lo, up, x, basis):
         """Pin binaries to the rounded values, re-solve, accept if it checks out."""
         plo, pup = lo.copy(), up.copy()
         for col in self.bins:
             r = float(round(x[col]))
             plo[col] = pup[col] = r
-        polished = self.dense.solve(plo, pup)
+        polished = self.dense.solve(plo, pup, basis=basis)
         candidate = None
         if polished.status == "optimal":
             candidate = [float(v) for v in polished.x]
@@ -169,7 +173,6 @@ class _Search:
         self.nodes = 1
         self._branch_or_bound(self.dense.lo, self.dense.up, root)
 
-        limit_msg = ""
         while self.heap or self.stack:
             if time.monotonic() - self.started > self.params.time_limit:
                 return self._stopped(TIME_LIMIT, nondeterministic=True,
@@ -183,13 +186,13 @@ class _Search:
                     return self._stopped(GAP_LIMIT, nondeterministic=False,
                                          message="gap target reached")
             if self.incumbent is None and self.stack:
-                est, _seq, lo, up = self.stack.pop()
+                est, _seq, lo, up, basis = self.stack.pop()
             else:
-                est, _seq, lo, up = heapq.heappop(self.heap)
+                est, _seq, lo, up, basis = heapq.heappop(self.heap)
             if est >= self._cutoff():
                 self.lowest_pruned = min(self.lowest_pruned, est)
                 continue
-            outcome = self.dense.solve(lo, up)
+            outcome = self.dense.solve(lo, up, basis=basis)
             self.nodes += 1
             if outcome.status == "infeasible":
                 continue
@@ -199,7 +202,7 @@ class _Search:
 
         if self.incumbent is None:
             return SolveOutcome(INFEASIBLE, None, None, None, None,
-                                nodes=self.nodes, message=limit_msg)
+                                nodes=self.nodes, message="")
         bound = min(self.incumbent_obj, self.lowest_pruned)
         return SolveOutcome(
             OPTIMAL, self.incumbent, self.incumbent_obj, bound,
@@ -219,19 +222,20 @@ class _Search:
                 frac_col = col
                 frac_best = frac
         if frac_col < 0:
-            self._try_incumbent(lo, up, x)
+            self._try_incumbent(lo, up, x, outcome.basis)
             return
         down_lo, down_up = lo.copy(), up.copy()
         up_lo, up_up = lo.copy(), up.copy()
         down_up[frac_col] = 0.0
         up_lo[frac_col] = 1.0
         # push the plunge branch last so depth-first picks it first
+        est, basis = outcome.objective, outcome.basis
         if x[frac_col] >= 0.5:
-            self._push(outcome.objective, down_lo, down_up)
-            self._push(outcome.objective, up_lo, up_up)
+            self._push(est, down_lo, down_up, basis)
+            self._push(est, up_lo, up_up, basis)
         else:
-            self._push(outcome.objective, up_lo, up_up)
-            self._push(outcome.objective, down_lo, down_up)
+            self._push(est, up_lo, up_up, basis)
+            self._push(est, down_lo, down_up, basis)
 
     def _stopped(self, status, nondeterministic, message) -> SolveOutcome:
         bound = self._global_bound()

@@ -9,7 +9,7 @@ share between concurrent model builds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class CaseError(ValueError):
@@ -451,10 +451,3 @@ def validate_case(case: Case) -> ValidationReport:
                 )
     return report
 
-
-def with_scaled_candidate_costs(case: Case, scale: float) -> Case:
-    """Copy of the case with every candidate capital cost multiplied by ``scale``."""
-    return replace(
-        case,
-        candidates=tuple(replace(j, capital_cost=j.capital_cost * scale) for j in case.candidates),
-    )

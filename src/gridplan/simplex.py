@@ -1,23 +1,31 @@
-"""Bounded-variable primal simplex for the planning LPs.
+"""Bounded-variable simplex for the planning LPs.
 
 Solves continuous relaxations and fixed-binary subproblems.  The method is a
-two-phase tableau simplex over general variable bounds:
+tableau simplex over general variable bounds:
 
 * every row gets a slack (``<=`` rows a nonnegative one, ``>=`` rows a
   nonpositive one, ``=`` rows a slack fixed at zero), giving an equality
   system ``[A | I] z = b`` with box bounds on ``z``;
-* the initial basis is the slack set where the slack can absorb the row
-  residual, and a unit-cost artificial elsewhere (phase 1 minimizes the
-  artificial total);
+* a cold solve is two-phase: the initial basis is the slack set where the
+  slack can absorb the row residual, and a unit-cost artificial elsewhere
+  (phase 1 minimizes the artificial total);
 * pricing is Dantzig's rule with ties broken by lowest column index, and a
   Bland fallback kicks in after a stall, so runs are deterministic and
   cycling-free;
+* a warm solve starts from the optimal basis of a related LP (a branch and
+  bound parent, whose child differs only in variable bounds).  That basis
+  is still dual feasible, so a bounded dual simplex re-optimises it: the
+  leaving row is the largest primal infeasibility, the entering column the
+  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|).  When
+  the start cannot be used (an artificial or singular basis, reduced costs
+  that are not dual feasible, an infeasible child, the iteration limit, or
+  a result that fails the checks below) the LP is solved cold instead;
 * before any outcome is reported, duals are recomputed from a fresh
   factorization of the basis: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
   combination whose implied bound contradicts the variable box.  Anything
   that fails these checks is reported as ``failure``, never as a wrong
-  ``optimal``.
+  ``optimal``.  Warm and cold solves pass the same checks.
 
 Robustness is favored over speed; the target problems are small, and the
 tableau is refreshed from original data whenever drift is detected.
@@ -50,12 +58,28 @@ _STALL_LIMIT = 200
 _REFRESH_EVERY = 700
 
 
+@dataclass(frozen=True)
+class Basis:
+    """Start point for a warm solve: the final basis of an optimal LP.
+
+    ``columns`` lists the basic column of each row; ``status`` holds the
+    basic/nonbasic marker of every structural and slack column.  Columns
+    past the slacks are phase-1 artificials, which a warm solve refuses.
+    """
+
+    columns: np.ndarray
+    status: np.ndarray
+
+
 @dataclass
 class LpOutcome:
     """Result of one LP solve.
 
     ``x`` and ``objective`` are set when ``status`` is ``optimal``;
-    ``dual_bound`` is the certifying lower bound from the final duals.
+    ``dual_bound`` is the certifying lower bound from the final duals, and
+    ``basis`` the final basis, to warm-start LPs that differ only in bounds.
+    ``iterations`` counts every pivot and bound flip, including those of a
+    warm attempt that ended in a cold solve.
     """
 
     status: str
@@ -64,6 +88,7 @@ class LpOutcome:
     dual_bound: float | None = None
     iterations: int = 0
     message: str = ""
+    basis: Basis | None = None
 
 
 class DenseLp:
@@ -102,10 +127,20 @@ class DenseLp:
             c[col] = coef
         return cls(a, senses, b, lo, up, c, model.objective_offset)
 
-    def solve(self, lo=None, up=None, tol: float = _FEAS_TOL) -> LpOutcome:
+    def solve(self, lo=None, up=None, basis: Basis | None = None,
+              tol: float = _FEAS_TOL) -> LpOutcome:
+        """Solve with bounds ``lo``/``up``, warm from ``basis`` when given."""
         lo = self.lo if lo is None else np.asarray(lo, dtype=float)
         up = self.up if up is None else np.asarray(up, dtype=float)
-        return _Simplex(self, lo, up, tol).run()
+        if basis is None:
+            return _Simplex(self, lo, up, tol).run()
+        warm = _Simplex(self, lo, up, tol)
+        outcome = warm.run_warm(basis)
+        if outcome is not None:
+            return outcome
+        outcome = _Simplex(self, lo, up, tol).run()
+        outcome.iterations += warm.iterations
+        return outcome
 
 
 def solve_lp(model: Milp, tol: float = _FEAS_TOL) -> LpOutcome:
@@ -153,66 +188,57 @@ class _Simplex:
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
 
-        self.status = np.empty(n + m, dtype=np.int8)
-        self.x = np.zeros(n + m)
-        for j in range(n + m):
-            lj, uj = self.lo[j], self.up[j]
-            if lj == uj:
-                self.status[j], self.x[j] = _FIXED, lj
-            elif np.isfinite(lj):
-                self.status[j], self.x[j] = _AT_LO, lj
-            elif np.isfinite(uj):
-                self.status[j], self.x[j] = _AT_UP, uj
-            else:
-                self.status[j], self.x[j] = _FREE, 0.0
-
+        self._place_nonbasic(np.isfinite(self.up) & ~np.isfinite(self.lo))
         self.art_cols: list[int] = []
         self.iterations = 0
+
+    def _place_nonbasic(self, at_up):
+        """Put every column at a bound: the upper one where ``at_up``, else
+        the lower one, or zero when free; equal bounds make it fixed."""
+        has_lo = np.isfinite(self.lo)
+        status = np.where(at_up, _AT_UP, np.where(has_lo, _AT_LO, _FREE))
+        status[self.lo == self.up] = _FIXED
+        self.status = status.astype(np.int8)
+        self.x = np.where(at_up, self.up, np.where(has_lo, self.lo, 0.0))
 
     # -- setup -------------------------------------------------------------
 
     def _install_start_basis(self):
         """Slack basis where the residual fits, artificials elsewhere."""
         n, m = self.n, self.m
+        slacks = np.arange(n, n + m)
         resid = self.b - self.a_all[:, :n] @ self.x[:n]
-        basis = np.empty(m, dtype=np.int64)
-        art_sign = {}
-        for i in range(m):
-            sc = n + i
-            r = resid[i]
-            if self.lo[sc] - 1e-12 <= r <= self.up[sc] + 1e-12:
-                basis[i] = sc
-                self.status[sc] = _BASIC
-                self.x[sc] = r
-            else:
-                anchor = self.lo[sc] if r < self.lo[sc] else self.up[sc]
-                self.x[sc] = anchor
-                if self.lo[sc] == self.up[sc]:
-                    self.status[sc] = _FIXED
-                else:
-                    self.status[sc] = _AT_LO if anchor == self.lo[sc] else _AT_UP
-                rho = r - anchor
-                col = self.a_all.shape[1]
-                sign = 1.0 if rho >= 0 else -1.0
-                self.a_all = np.hstack([self.a_all, np.zeros((m, 1))])
-                self.a_all[i, col] = sign
-                self.lo = np.append(self.lo, 0.0)
-                self.up = np.append(self.up, np.inf)
-                self.x = np.append(self.x, abs(rho))
-                self.status = np.append(self.status, _BASIC)
-                art_sign[i] = sign
-                basis[i] = col
-                self.art_cols.append(col)
-        self.basis = basis
-        self.cost2 = np.concatenate([self.cost2, np.zeros(len(self.art_cols))])
+        slo, sup = self.lo[slacks], self.up[slacks]
+        fits = (slo - 1e-12 <= resid) & (resid <= sup + 1e-12)
+        self.x[slacks[fits]] = resid[fits]
+        self.status[slacks[fits]] = _BASIC
+
+        rows = np.nonzero(~fits)[0]
+        anchor = np.where(resid[rows] < slo[rows], slo[rows], sup[rows])
+        self.x[slacks[rows]] = anchor
+        self.status[slacks[rows]] = np.where(
+            slo[rows] == sup[rows], _FIXED,
+            np.where(anchor == slo[rows], _AT_LO, _AT_UP),
+        )
+        rho = resid[rows] - anchor
+        signs = np.where(rho >= 0, 1.0, -1.0)
+        k = rows.size
+        self.art_cols = list(range(n + m, n + m + k))
+        artificials = np.zeros((m, k))
+        artificials[rows, np.arange(k)] = signs
+        self.a_all = np.hstack([self.a_all, artificials])
+        self.lo = np.concatenate([self.lo, np.zeros(k)])
+        self.up = np.concatenate([self.up, np.full(k, np.inf)])
+        self.x = np.concatenate([self.x, np.abs(rho)])
+        self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
+        self.basis = slacks.astype(np.int64)
+        self.basis[rows] = self.art_cols
+        self.cost2 = np.concatenate([self.cost2, np.zeros(k)])
         self.cost1 = np.zeros_like(self.cost2)
-        for col in self.art_cols:
-            self.cost1[col] = 1.0
+        self.cost1[n + m:] = 1.0
         # initial inverse-basis action is a row sign flip at artificial rows
         self.tableau = self.a_all.copy()
-        for i, sign in art_sign.items():
-            if sign < 0:
-                self.tableau[i] *= -1.0
+        self.tableau[rows[signs < 0]] *= -1.0
 
     # -- linear algebra helpers ---------------------------------------------
 
@@ -368,6 +394,10 @@ class _Simplex:
             self.status[leaving] = _FIXED
             self.x[leaving] = 0.0
 
+        self._exchange(r, q)
+
+    def _exchange(self, r, q):
+        """Make column ``q`` basic in row ``r``: rank-1 tableau and drow update."""
         piv = self.tableau[r, q]
         self.tableau[r] /= piv
         col = self.tableau[:, q].copy()
@@ -413,7 +443,87 @@ class _Simplex:
                 if stall >= _STALL_LIMIT:
                     bland = True
 
+    def _dual_loop(self, max_iter):
+        """Bounded dual simplex from a dual-feasible basis.
+
+        Returns ``OPTIMAL`` once the basic values are within their bounds,
+        ``INFEASIBLE`` for a dual-unbounded row (no column can repair it),
+        and ``FAILURE`` at the iteration limit.
+        """
+        while True:
+            xb = self.x[self.basis]
+            below = self.lo[self.basis] - xb
+            above = xb - self.up[self.basis]
+            infeas = np.maximum(below, above)
+            if not self.m or infeas.max() <= self.feas_tol:
+                return OPTIMAL
+            r = int(np.argmax(infeas))
+            if self.iterations >= max_iter:
+                return FAILURE
+            rise = below[r] > above[r]      # leaving variable moves up to lo
+            alpha = self.tableau[r]
+            sa = alpha if rise else -alpha
+            stat = self.status
+            can_inc = (stat == _AT_LO) | (stat == _FREE)
+            can_dec = (stat == _AT_UP) | (stat == _FREE)
+            cand = np.nonzero((can_inc & (sa < -_PIV_TOL)) | (can_dec & (sa > _PIV_TOL)))[0]
+            if cand.size == 0:
+                return INFEASIBLE
+            ratios = np.abs(self.drow[cand]) / np.abs(alpha[cand])
+            near = cand[ratios <= ratios.min() + 1e-12]
+            q = int(near[np.argmax(np.abs(alpha[near]))])
+
+            leaving = int(self.basis[r])
+            target = self.lo[leaving] if rise else self.up[leaving]
+            theta = (xb[r] - target) / alpha[q]
+            self.x[self.basis] -= theta * self.tableau[:, q]
+            self.x[q] += theta
+            self.x[leaving] = target
+            if self.lo[leaving] == self.up[leaving]:
+                self.status[leaving] = _FIXED
+            else:
+                self.status[leaving] = _AT_LO if rise else _AT_UP
+            self._exchange(r, q)
+            self.iterations += 1
+            if self.iterations % _REFRESH_EVERY == 0:
+                if not self._refresh():
+                    return FAILURE
+                self.drow = self.cost2 - self.cost2[self.basis] @ self.tableau
+
     # -- orchestration -------------------------------------------------------
+
+    def run_warm(self, start: Basis) -> LpOutcome | None:
+        """Re-optimise from ``start`` by dual simplex; None means solve cold.
+
+        Nonbasic columns sit at the bound their reduced cost calls for
+        (boxed ties keep the start's side), so the start is dual feasible
+        whenever the reduced costs of one-sided and free columns allow it.
+        """
+        n, m = self.n, self.m
+        cols = np.asarray(start.columns, dtype=np.int64)
+        if (cols.shape != (m,) or start.status.shape != (n + m,)
+                or np.any((cols < 0) | (cols >= n + m))):
+            return None
+        self.basis = cols.copy()
+        y, d = self._exact_duals(self.cost2)
+        if y is None:
+            return None
+
+        tol = self.opt_tol
+        boxed_up = (d < -tol) | ((start.status == _AT_UP) & (d <= tol))
+        self._place_nonbasic(np.isfinite(self.up) & (~np.isfinite(self.lo) | boxed_up))
+        self.status[cols] = _BASIC
+        if self._optimality_violation(d) > self.opt_tol or not self._refresh():
+            return None
+
+        self.drow = d
+        max_iter = 50 * (m + self.a_all.shape[1]) + 10_000
+        if self._dual_loop(max_iter) != OPTIMAL:
+            return None
+        if self._run_phase(self.cost2, phase=2, max_iter=max_iter) is not None:
+            return None
+        outcome = self._finish_optimal()
+        return outcome if outcome.status == OPTIMAL else None
 
     def run(self) -> LpOutcome:
         self._install_start_basis()
@@ -495,6 +605,7 @@ class _Simplex:
             objective=objective,
             dual_bound=bound_scaled * self.sigma + self.problem.c0,
             iterations=self.iterations,
+            basis=Basis(self.basis.copy(), self.status[: self.n + self.m].copy()),
         )
 
     def _certify_infeasible(self) -> LpOutcome:

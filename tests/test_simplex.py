@@ -1,4 +1,5 @@
-"""LP engine: hand-checked optima, certificates, and scipy cross-checks."""
+"""LP engine: hand-checked optima, certificates, scipy cross-checks, and
+warm starts from a related LP's basis."""
 
 import math
 
@@ -6,12 +7,16 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import ALL_CASES
+from gridplan.builder import Variant, build_milp
 from gridplan.milp import CONTINUOUS, EQ, GE, LE, new_model
 from gridplan.simplex import (
     FAILURE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
+    DenseLp,
     solve_lp,
 )
 
@@ -226,3 +231,77 @@ def test_random_lps_agree_with_scipy():
         statuses[ours.status] = statuses.get(ours.status, 0) + 1
     # the seed must exercise every outcome, or the test is weaker than it looks
     assert min(statuses[OPTIMAL], statuses[INFEASIBLE], statuses[UNBOUNDED]) >= 3
+
+
+# -- warm starts ------------------------------------------------------------------
+
+
+def _branch_children(dense, root, bins):
+    """Bounds of the two children on the root's most fractional binary."""
+    frac = [abs(root.x[c] - round(root.x[c])) for c in bins]
+    col = bins[int(np.argmax(frac))]
+    down_up, up_lo = dense.up.copy(), dense.lo.copy()
+    down_up[col] = 0.0
+    up_lo[col] = 1.0
+    return [(dense.lo, down_up), (up_lo, dense.up)]
+
+
+def test_warm_children_match_cold_on_bundle(bundled):
+    warm_pivots = cold_pivots = 0
+    for name in ALL_CASES:
+        for variant in Variant:
+            model, _index = build_milp(bundled(name), variant)
+            dense = DenseLp.from_milp(model)
+            root = dense.solve()
+            assert root.status == OPTIMAL and root.basis is not None
+            for lo, up in _branch_children(dense, root, model.binary_columns()):
+                warm = dense.solve(lo, up, basis=root.basis)
+                cold = dense.solve(lo, up)
+                label = (name, variant.value)
+                assert warm.status == cold.status, label
+                warm_pivots += warm.iterations
+                cold_pivots += cold.iterations
+                if cold.status != OPTIMAL:
+                    continue
+                scale = abs(cold.objective)
+                assert abs(warm.objective - cold.objective) <= 1e-9 * scale, label
+                assert abs(warm.objective - warm.dual_bound) <= 1e-6 * (1.0 + scale), label
+    # re-optimising a child takes a few dual pivots, not a fresh two-phase solve
+    assert 5 * warm_pivots <= cold_pivots
+
+
+def test_warm_start_into_infeasible_child_is_certified():
+    # min 2x + y  s.t.  x + y >= 1.5,  x, y in [0, 1]: the root has x = 0.5,
+    # and the child x <= 0 cannot reach the row
+    m = _model([(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.5)],
+               [(0, 2.0), (1, 1.0)])
+    dense = DenseLp.from_milp(m)
+    root = dense.solve()
+    assert root.status == OPTIMAL
+    assert root.x[0] == pytest.approx(0.5, abs=1e-9)
+    up = dense.up.copy()
+    up[0] = 0.0
+    child = dense.solve(dense.lo, up, basis=root.basis)
+    assert child.status == INFEASIBLE
+    assert child.message.startswith("certified infeasible")
+
+
+@pytest.mark.parametrize("defect", ["repeated column", "artificial column", "short"])
+def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    root = dense.solve()
+    lo, up = _branch_children(dense, root, model.binary_columns())[0]
+    cold = dense.solve(lo, up)
+    cols = root.basis.columns.copy()
+    if defect == "repeated column":         # a singular basis matrix
+        cols[1] = cols[0]
+    elif defect == "artificial column":
+        cols[0] = sum(dense.a.shape)
+    else:
+        cols = cols[:-1]
+    warm = dense.solve(lo, up, basis=Basis(cols, root.basis.status))
+    assert cold.status == warm.status == OPTIMAL
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.x, cold.x)
+    assert warm.iterations == cold.iterations
