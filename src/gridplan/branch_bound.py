@@ -33,6 +33,7 @@ from .simplex import DenseLp
 OPTIMAL = "optimal"
 GAP_LIMIT = "gap_limit"
 TIME_LIMIT = "time_limit"
+NODE_LIMIT = "node_limit"
 INFEASIBLE = "infeasible"
 
 _INT_TOL = 1e-6
@@ -178,7 +179,7 @@ class _Search:
                 return self._stopped(TIME_LIMIT, nondeterministic=True,
                                      message="time limit reached")
             if self.params.node_limit is not None and self.nodes >= self.params.node_limit:
-                return self._stopped(TIME_LIMIT, nondeterministic=False,
+                return self._stopped(NODE_LIMIT, nondeterministic=False,
                                      message="node limit reached")
             if self.incumbent is not None:
                 gap = _relative_gap(self.incumbent_obj, self._global_bound())

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .case import Case, grow_load, validate_case
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment, new_model
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 
 
 class Variant(Enum):
@@ -73,9 +73,6 @@ class VariableIndex:
             "branch_status": self.branch_status,
             "candidate_status": self.candidate_status,
         }
-
-    def column_count(self) -> int:
-        return sum(len(block) for block in self.blocks().values())
 
 
 def investment_multiplier(n_e: int, n_ye: int, a_m: float, e: int) -> float:
@@ -131,7 +128,7 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     # of the epoch reuses the same profile
     hour_weight = h.years_per_epoch * (365.0 / h.n_seasons)
 
-    model = new_model()
+    model = Milp()
     index = VariableIndex()
 
     for e in epochs:

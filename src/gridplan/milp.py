@@ -145,11 +145,6 @@ class Milp:
         self.variables[column] = Variable(old.column, old.kind, float(lower), float(upper), old.name)
 
 
-def new_model() -> Milp:
-    """Fresh empty minimization model."""
-    return Milp()
-
-
 @dataclass(frozen=True)
 class Evaluation:
     objective: float

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, new_model
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp
 
 _SENSE_TO_TAG = {LE: "L", GE: "G", EQ: "E"}
 _TAG_TO_SENSE = {"L": LE, "G": GE, "E": EQ}
@@ -65,15 +65,12 @@ def _row_names(model: Milp) -> list[str]:
     return [f"R{i + 1:07d}" for i in range(model.n_constraints)]
 
 
-def write_mps(model: Milp, index=None, name: str = "GRIDPLAN") -> str:
+def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     """Render ``model`` as fixed-format MPS text.
 
-    ``index`` is accepted for symmetry with the builder's outputs but the
-    semantic names already live on the model's variables; it is not
-    consulted.  Output is a pure function of the model: identical models
-    give identical bytes.
+    Output is a pure function of the model: identical models give identical
+    bytes.
     """
-    del index
     columns = column_name_table(model)
     names = [v.name for v in model.variables]
     rows = _row_names(model)
@@ -298,7 +295,7 @@ def parse_mps(text: str):
             col_integer[col] = True
             lo[col], up[col] = 0.0, 1.0
 
-    model = new_model()
+    model = Milp()
     table: dict[str, int] = {}
     for col in col_order:
         kind = BINARY if col_integer[col] else CONTINUOUS

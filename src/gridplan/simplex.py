@@ -12,6 +12,10 @@ tableau simplex over general variable bounds:
 * pricing is Dantzig's rule with ties broken by lowest column index, and a
   Bland fallback kicks in after a stall, so runs are deterministic and
   cycling-free;
+* the primal ratio test is Harris's two-pass rule: the step may leave basic
+  values up to ``tol`` outside their bounds, which frees it to pick the
+  largest pivot among near-ties instead of a tiny one that would make the
+  basis numerically singular;
 * a warm solve starts from the optimal basis of a related LP (a branch and
   bound parent, whose child differs only in variable bounds).  That basis
   is still dual feasible, so a bounded dual simplex re-optimises it: the
@@ -20,15 +24,21 @@ tableau simplex over general variable bounds:
   the start cannot be used (an artificial or singular basis, reduced costs
   that are not dual feasible, an infeasible child, the iteration limit, or
   a result that fails the checks below) the LP is solved cold instead;
-* before any outcome is reported, duals are recomputed from a fresh
-  factorization of the basis: optimal claims carry a weak-duality bound that
+* a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
+  the tableau ``B^-1 [A | I]`` from original data; since the slack columns
+  are the identity, the tableau's slack block is ``B^-1``, and duals and
+  basic values are read off it;
+* before any outcome is reported, it is checked against the original data
+  with the tableau's duals: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
-  combination whose implied bound contradicts the variable box.  Anything
-  that fails these checks is reported as ``failure``, never as a wrong
+  combination whose implied bound contradicts the variable box.  Both
+  checks hold for any duals, so their strength does not depend on where the
+  duals come from.  A check that fails is retried once after a refactor;
+  anything that still fails is reported as ``failure``, never as a wrong
   ``optimal``.  Warm and cold solves pass the same checks.
 
 Robustness is favored over speed; the target problems are small, and the
-tableau is refreshed from original data whenever drift is detected.
+tableau is refactored from original data whenever drift is detected.
 """
 
 from __future__ import annotations
@@ -242,32 +252,26 @@ class _Simplex:
 
     # -- linear algebra helpers ---------------------------------------------
 
-    def _basis_matrix(self):
-        return self.a_all[:, self.basis]
-
     def _refresh(self):
-        """Rebuild tableau and basic values from original data."""
-        if self.m == 0:
-            return True
-        bmat = self._basis_matrix()
+        """Refactor the basis: rebuild tableau and basic values from original
+        data.  This is the only factorization; everything else reads B^-1 off
+        the tableau's slack block (the slack columns of ``a_all`` are I)."""
         try:
-            self.tableau = np.linalg.solve(bmat, self.a_all)
-            nonbasic_mask = np.ones(self.a_all.shape[1], dtype=bool)
-            nonbasic_mask[self.basis] = False
-            rhs = self.b - self.a_all[:, nonbasic_mask] @ self.x[nonbasic_mask]
-            self.x[self.basis] = np.linalg.solve(bmat, rhs)
+            self.tableau = np.linalg.solve(self.a_all[:, self.basis], self.a_all)
         except np.linalg.LinAlgError:
             return False
+        self._basic_values()
         return True
 
+    def _basic_values(self):
+        """x_B = B^-1 (b - N x_N), with B^-1 taken from the tableau."""
+        self.x[self.basis] = 0.0
+        binv = self.tableau[:, self.n:self.n + self.m]
+        self.x[self.basis] = binv @ (self.b - self.a_all @ self.x)
+
     def _exact_duals(self, cost):
-        bmat = self._basis_matrix()
-        if self.m == 0:
-            return np.zeros(0), cost.copy()
-        try:
-            y = np.linalg.solve(bmat.T, cost[self.basis])
-        except np.linalg.LinAlgError:
-            return None, None
+        """Duals y = c_B B^-1 off the tableau; reduced costs from original data."""
+        y = cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
         return y, cost - y @ self.a_all
 
     def _optimality_violation(self, d):
@@ -302,17 +306,13 @@ class _Simplex:
         instead (the exact worst case would be unbounded); a larger one keeps
         the honest minus-infinity answer.
         """
-        total = float(y @ self.b) if self.m else 0.0
-        for j in np.nonzero(np.abs(d) > 1e-9)[0]:
-            dj = d[j]
-            side = self.lo[j] if dj > 0 else self.up[j]
-            if np.isfinite(side):
-                total += dj * side
-            elif abs(dj) <= 1e-5:
-                total += dj * self.x[j]
-            else:
-                return -np.inf
-        return total
+        big = np.abs(d) > 1e-9
+        side = np.where(d > 0, self.lo, self.up)
+        finite = np.isfinite(side)
+        if np.any(big & ~finite & (np.abs(d) > 1e-5)):
+            return -np.inf
+        value = np.where(finite, side, self.x)
+        return float(y @ self.b) + float(d[big] @ value[big])
 
     # -- the pivot loop ------------------------------------------------------
 
@@ -336,30 +336,36 @@ class _Simplex:
         return q, -1
 
     def _ratio_test(self, q, direction, bland):
-        w = self.tableau[:, q]
-        delta = -direction * w          # basic change rate per unit step
+        """Step and leaving row for entering column ``q``: row -1 is a bound
+        flip of ``q``, (None, None) an unbounded ray.
+
+        Harris's two passes: the longest step that keeps every basic value
+        within its bounds relaxed by ``feas_tol``, then, among the rows whose
+        exact ratio fits in that step, the largest |pivot|.  Under Bland's rule
+        the lowest basic column among the exact minimum ratios leaves instead.
+        """
+        delta = -direction * self.tableau[:, q]     # basic change rate per unit step
         t_flip = self.up[q] - self.lo[q]
-        xb = self.x[self.basis]
-        lob = self.lo[self.basis]
-        upb = self.up[self.basis]
-        ratios = np.full(self.m, np.inf)
-        inc = delta > _PIV_TOL
-        dec = delta < -_PIV_TOL
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios[inc] = (upb[inc] - xb[inc]) / delta[inc]
-            ratios[dec] = (lob[dec] - xb[dec]) / delta[dec]
-        ratios = np.maximum(ratios, 0.0)
-        t_row = float(np.min(ratios)) if self.m else np.inf
-        if t_row == np.inf and t_flip == np.inf:
-            return None, None
-        if t_flip <= t_row:
-            return t_flip, -1
-        near = np.nonzero(ratios <= t_row + 1e-12)[0]
+        target = np.where(delta > 0, self.up[self.basis], self.lo[self.basis])
+        moving = np.abs(delta) > _PIV_TOL
+        raw = np.full(self.m, np.inf)
+        raw[moving] = (target[moving] - self.x[self.basis][moving]) / delta[moving]
+        ratios = np.maximum(raw, 0.0)
+        if bland:
+            t_max = float(np.min(ratios, initial=np.inf)) + 1e-12
+        else:
+            relaxed = raw[moving] + self.feas_tol / np.abs(delta[moving])
+            t_max = max(float(np.min(relaxed, initial=np.inf)), 0.0)
+        if t_max == np.inf:
+            return (None, None) if t_flip == np.inf else (t_flip, -1)
+        near = np.nonzero(ratios <= t_max)[0]
         if bland:
             r = int(near[np.argmin(self.basis[near])])
         else:
             r = int(near[np.argmax(np.abs(delta[near]))])
-        return t_row, r
+        if t_flip <= ratios[r]:
+            return t_flip, -1
+        return float(ratios[r]), r
 
     def _apply_flip(self, q, direction):
         t = self.up[q] - self.lo[q]
@@ -412,7 +418,7 @@ class _Simplex:
         self.status[q] = _BASIC
 
     def _loop(self, cost, phase, max_iter):
-        self.drow = cost - (cost[self.basis] @ self.tableau if self.m else 0.0)
+        self.drow = cost - cost[self.basis] @ self.tableau
         bland = False
         stall = 0
         best = np.inf
@@ -432,7 +438,7 @@ class _Simplex:
                 self._apply_pivot(q, direction, t, r, phase)
             if self.iterations % _REFRESH_EVERY == 0:
                 self._refresh()
-                self.drow = cost - (cost[self.basis] @ self.tableau if self.m else 0.0)
+                self.drow = cost - cost[self.basis] @ self.tableau
             z = float(cost @ self.x)
             if z < best - 1e-11 * (1.0 + abs(best)):
                 best = z
@@ -505,16 +511,17 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return None
         self.basis = cols.copy()
-        y, d = self._exact_duals(self.cost2)
-        if y is None:
+        if not self._refresh():
             return None
+        _y, d = self._exact_duals(self.cost2)
 
         tol = self.opt_tol
         boxed_up = (d < -tol) | ((start.status == _AT_UP) & (d <= tol))
         self._place_nonbasic(np.isfinite(self.up) & (~np.isfinite(self.lo) | boxed_up))
         self.status[cols] = _BASIC
-        if self._optimality_violation(d) > self.opt_tol or not self._refresh():
+        if self._optimality_violation(d) > self.opt_tol:
             return None
+        self._basic_values()
 
         self.drow = d
         max_iter = 50 * (m + self.a_all.shape[1]) + 10_000
@@ -522,7 +529,7 @@ class _Simplex:
             return None
         if self._run_phase(self.cost2, phase=2, max_iter=max_iter) is not None:
             return None
-        outcome = self._finish_optimal()
+        outcome = self._certified(self._finish_optimal)
         return outcome if outcome.status == OPTIMAL else None
 
     def run(self) -> LpOutcome:
@@ -536,7 +543,7 @@ class _Simplex:
                 return outcome
             p1 = float(self.x[self.art_cols].sum())
             if p1 > 1e-8:
-                return self._certify_infeasible()
+                return self._certified(self._certify_infeasible)
             for col in self.art_cols:
                 self.lo[col] = self.up[col] = 0.0
                 if self.status[col] != _BASIC:
@@ -546,7 +553,7 @@ class _Simplex:
         outcome = self._run_phase(self.cost2, phase=2, max_iter=max_iter)
         if outcome is not None:
             return outcome
-        return self._finish_optimal()
+        return self._certified(self._finish_optimal)
 
     def _run_phase(self, cost, phase, max_iter):
         """Run one phase to verified optimality; None means phase finished."""
@@ -559,10 +566,7 @@ class _Simplex:
                 )
             if verdict == UNBOUNDED:
                 return LpOutcome(UNBOUNDED, iterations=self.iterations)
-            y, d = self._exact_duals(cost)
-            if y is None:
-                return LpOutcome(FAILURE, iterations=self.iterations,
-                                 message="singular basis")
+            _y, d = self._exact_duals(cost)
             opt_viol = self._optimality_violation(d)
             row_err, bound_err = self._primal_error()
             drift = max(row_err, bound_err) > 0.5 * self.feas_tol
@@ -576,22 +580,24 @@ class _Simplex:
         return LpOutcome(FAILURE, iterations=self.iterations,
                          message=f"phase {phase}: could not verify optimality")
 
+    def _certified(self, check) -> LpOutcome:
+        """Run a certificate ``check`` on the tableau's duals; if it fails,
+        refactor once and run it again.  A second failure is final."""
+        outcome = check()
+        if outcome.status == FAILURE and self._refresh():
+            outcome = check()
+        return outcome
+
     def _finish_optimal(self) -> LpOutcome:
         y, d = self._exact_duals(self.cost2)
         obj_scaled = float(self.cost2 @ self.x)
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)
         if not np.isfinite(bound_scaled) or gap > 1e-6 * (1.0 + abs(obj_scaled)):
-            if self._refresh():
-                y, d = self._exact_duals(self.cost2)
-                obj_scaled = float(self.cost2 @ self.x)
-                bound_scaled = self._dual_bound(y, d)
-                gap = abs(obj_scaled - bound_scaled)
-            if not np.isfinite(bound_scaled) or gap > 1e-6 * (1.0 + abs(obj_scaled)):
-                return LpOutcome(
-                    FAILURE, iterations=self.iterations,
-                    message=f"weak duality check failed (gap {gap:.3e})",
-                )
+            return LpOutcome(
+                FAILURE, iterations=self.iterations,
+                message=f"weak duality check failed (gap {gap:.3e})",
+            )
         row_err, bound_err = self._primal_error()
         if max(row_err, bound_err) > self.feas_tol:
             return LpOutcome(
@@ -609,24 +615,14 @@ class _Simplex:
         )
 
     def _certify_infeasible(self) -> LpOutcome:
-        y, d = self._exact_duals(self.cost1)
-        if y is None:
-            return LpOutcome(FAILURE, iterations=self.iterations,
-                             message="singular basis at infeasibility check")
+        y, _d = self._exact_duals(self.cost1)
         # combination y of the rows bounds y.b from above by sup over the box;
         # a positive shortfall proves no point in the box satisfies the rows
         ncols = self.n + self.m
         w = y @ self.a_all[:, :ncols]
-        sup = 0.0
-        for j in range(ncols):
-            if w[j] > 1e-11:
-                hi = self.up[j]
-                sup += w[j] * hi
-            elif w[j] < -1e-11:
-                hi = self.lo[j]
-                sup += w[j] * hi
-            if not np.isfinite(sup):
-                break
+        side = np.where(w > 0, self.up[:ncols], self.lo[:ncols])
+        big = np.abs(w) > 1e-11
+        sup = float(w[big] @ side[big])
         shortfall = float(y @ self.b) - sup
         if not np.isfinite(sup) or shortfall <= 1e-9 * (1.0 + abs(float(y @ self.b))):
             return LpOutcome(

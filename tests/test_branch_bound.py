@@ -9,6 +9,7 @@ import scipy.optimize
 from gridplan.branch_bound import (
     GAP_LIMIT,
     INFEASIBLE,
+    NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
     SolveParams,
@@ -16,7 +17,7 @@ from gridplan.branch_bound import (
     solve_milp,
 )
 from gridplan.builder import Variant, build_milp
-from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, evaluate_assignment, new_model
+from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 from gridplan.simplex import DenseLp
 
 EXACT = SolveParams(mip_gap=0.0)
@@ -34,7 +35,7 @@ def test_params_validation():
 
 
 def _knapsack(values, weights, capacity):
-    m = new_model()
+    m = Milp()
     for i, v in enumerate(values):
         col = m.add_variable(BINARY, 0.0, 1.0, f"b{i}")
         m.set_objective_coefficient(col, -float(v))
@@ -58,7 +59,7 @@ def test_knapsack_exact():
 def test_mixed_integer_rounding_is_not_assumed():
     # LP relaxation optimum is fractional; the true optimum differs from
     # naive rounding.
-    m = new_model()
+    m = Milp()
     b0 = m.add_variable(BINARY, 0.0, 1.0, "b0")
     b1 = m.add_variable(BINARY, 0.0, 1.0, "b1")
     x = m.add_variable(CONTINUOUS, 0.0, 10.0, "x")
@@ -74,7 +75,7 @@ def test_mixed_integer_rounding_is_not_assumed():
 
 
 def test_infeasible_status():
-    m = new_model()
+    m = Milp()
     b = m.add_variable(BINARY, 0.0, 1.0, "b")
     m.add_constraint([(b, 1.0)], GE, 2.0)
     out = solve_milp(m, EXACT)
@@ -84,7 +85,7 @@ def test_infeasible_status():
 
 
 def test_unbounded_relaxation_refused():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, math.inf, "x")
     m.add_variable(BINARY, 0.0, 1.0, "b")
     m.set_objective_coefficient(x, -1.0)
@@ -95,7 +96,7 @@ def test_unbounded_relaxation_refused():
 def test_node_limit_reports_deterministic_stop():
     m = _knapsack(range(1, 13), [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25], 40)
     out = solve_milp(m, SolveParams(mip_gap=0.0, node_limit=1))
-    assert out.status == TIME_LIMIT
+    assert out.status == NODE_LIMIT
     assert "node" in out.message
     assert out.nondeterministic is False
 
@@ -145,7 +146,7 @@ def test_progress_lines_go_to_stderr(capfd):
 
 
 def test_enumerate_refuses_large_models():
-    m = new_model()
+    m = Milp()
     for i in range(21):
         m.add_variable(BINARY, 0.0, 1.0, f"b{i}")
     with pytest.raises(ValueError, match="20"):
@@ -170,7 +171,7 @@ def test_enumerate_respects_pinned_binaries():
 def _random_milp(rng, integer_rhs):
     n_bin = int(rng.integers(1, 5))
     n_cont = int(rng.integers(0, 4))
-    m = new_model()
+    m = Milp()
     for i in range(n_bin):
         m.add_variable(BINARY, 0.0, 1.0, f"b{i}")
     for i in range(n_cont):

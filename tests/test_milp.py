@@ -14,12 +14,11 @@ from gridplan.milp import (
     LE,
     Milp,
     evaluate_assignment,
-    new_model,
 )
 
 
 def test_add_variable_validates():
-    m = new_model()
+    m = Milp()
     assert m.add_variable(CONTINUOUS, 0.0, 1.0, "x") == 0
     assert m.add_variable(BINARY, 0.0, 1.0, "b") == 1
     with pytest.raises(ValueError, match="kind"):
@@ -33,7 +32,7 @@ def test_add_variable_validates():
 
 
 def test_add_constraint_validates():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 10.0, "x")
     row = m.add_constraint([(x, 2.0)], LE, 5.0)
     assert row == 0
@@ -48,7 +47,7 @@ def test_add_constraint_validates():
 
 
 def test_objective_value_includes_offset():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 10.0, "x")
     y = m.add_variable(CONTINUOUS, 0.0, 10.0, "y")
     m.set_objective_coefficient(x, 3.0)
@@ -60,7 +59,7 @@ def test_objective_value_includes_offset():
 
 
 def test_evaluate_assignment_reports_violations():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 1.0, "x")
     b = m.add_variable(BINARY, 0.0, 1.0, "b")
     m.add_constraint([(x, 1.0), (b, 1.0)], GE, 1.5)
@@ -82,7 +81,7 @@ def test_evaluate_assignment_reports_violations():
 
 
 def test_copy_is_independent():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 1.0, "x")
     m.add_constraint([(x, 1.0)], EQ, 0.5)
     m.set_objective_coefficient(x, 1.0)
@@ -95,7 +94,7 @@ def test_copy_is_independent():
 
 
 def test_with_bounds_validates():
-    m = new_model()
+    m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 1.0, "x")
     with pytest.raises(ValueError):
         m.with_bounds(x, 2.0, 1.0)
@@ -106,7 +105,7 @@ def test_with_bounds_validates():
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3))
 @settings(max_examples=50, deadline=None)
 def test_objective_value_matches_fsum(values):
-    m = new_model()
+    m = Milp()
     cols = [m.add_variable(CONTINUOUS, -1e3, 1e3, f"x{i}") for i in range(3)]
     coefs = [1.5, -2.25, 0.125]
     for col, coef in zip(cols, coefs):

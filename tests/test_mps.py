@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
-from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, new_model
+from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp
 from gridplan.mps import (
     MpsError,
     column_name_table,
@@ -19,7 +19,7 @@ from gridplan.simplex import OPTIMAL, solve_lp
 
 def _feature_model():
     """One model exercising every bound form the writer can emit."""
-    m = new_model()
+    m = Milp()
     m.add_variable(BINARY, 0.0, 1.0, "b_free")
     m.add_variable(BINARY, 1.0, 1.0, "b_fixed")
     m.add_variable(CONTINUOUS, 2.5, 2.5, "x_fixed")
@@ -179,12 +179,12 @@ def test_parser_rejects_bound_on_unknown_column():
 
 
 def test_name_table_rejects_bad_names():
-    m = new_model()
+    m = Milp()
     m.add_variable(CONTINUOUS, 0.0, 1.0, "ok")
     m.add_variable(CONTINUOUS, 0.0, 1.0, "has space")
     with pytest.raises(MpsError, match="unusable"):
         column_name_table(m)
-    m2 = new_model()
+    m2 = Milp()
     m2.add_variable(CONTINUOUS, 0.0, 1.0, "same")
     m2.add_variable(CONTINUOUS, 0.0, 1.0, "same")
     with pytest.raises(MpsError, match="duplicate column name"):
@@ -206,7 +206,7 @@ def test_read_solution_rules():
 
 
 def test_values_round_trip_exactly():
-    m = new_model()
+    m = Milp()
     m.add_variable(CONTINUOUS, -1.0 / 3.0, 1e300, "x")
     m.add_constraint([(0, 0.1)], LE, 2.2250738585072014e-308)
     m.set_objective_coefficient(0, 1.0000000000000002)

@@ -2,6 +2,8 @@
 warm starts from a related LP's basis."""
 
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import scipy.optimize
 
 from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
-from gridplan.milp import CONTINUOUS, EQ, GE, LE, new_model
+from gridplan.case import parse_case
+from gridplan.milp import CONTINUOUS, EQ, GE, LE, Milp
 from gridplan.simplex import (
     FAILURE,
     INFEASIBLE,
@@ -17,12 +20,15 @@ from gridplan.simplex import (
     UNBOUNDED,
     Basis,
     DenseLp,
+    _Simplex,
     solve_lp,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 def _model(bounds, rows, objective, offset=0.0):
-    m = new_model()
+    m = Milp()
     for lo, up in bounds:
         m.add_variable(CONTINUOUS, lo, up, f"x{m.n_variables}")
     for terms, sense, rhs in rows:
@@ -134,7 +140,7 @@ def test_row_and_column_permutation_invariance():
     senses = [LE, GE, LE, EQ]
 
     def build(row_order, col_order):
-        m = new_model()
+        m = Milp()
         inverse = {orig: pos for pos, orig in enumerate(col_order)}
         for orig in col_order:
             m.add_variable(CONTINUOUS, -5.0, 5.0, f"x{orig}")
@@ -206,6 +212,41 @@ def _scipy_solve(bounds, rows, c):
     )
 
 
+def _dual_bound_by_column(lp, y, d):
+    """Reference for ``_Simplex._dual_bound``: its per-column definition."""
+    total = float(y @ lp.b)
+    for j in np.nonzero(np.abs(d) > 1e-9)[0]:
+        side = lp.lo[j] if d[j] > 0 else lp.up[j]
+        if np.isfinite(side):
+            total += d[j] * side
+        elif abs(d[j]) <= 1e-5:
+            total += d[j] * lp.x[j]
+        else:
+            return -np.inf
+    return total
+
+
+def test_dual_bound_matches_the_column_definition():
+    rng = np.random.default_rng(11)
+    finite = infinite = 0
+    for _ in range(200):
+        bounds, rows, c = _random_instance(rng)
+        dense = DenseLp([coefs for coefs, _s, _b in rows], [s for _c, s, _b in rows],
+                        [b for _c, _s, b in rows], *zip(*bounds), c)
+        lp = _Simplex(dense, dense.lo, dense.up, 1e-7)
+        y = rng.normal(size=lp.m)
+        scale = rng.choice([0.0, 1e-10, 1e-6, 1.0], size=lp.lo.size)
+        d = scale * rng.choice([-1.0, 1.0], size=scale.size) * rng.uniform(1, 9, scale.size)
+        got, want = lp._dual_bound(y, d), _dual_bound_by_column(lp, y, d)
+        if want == -np.inf:
+            assert got == -np.inf
+            infinite += 1
+        else:
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+            finite += 1
+    assert min(finite, infinite) >= 20
+
+
 def test_random_lps_agree_with_scipy():
     rng = np.random.default_rng(20260814)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
@@ -233,6 +274,23 @@ def test_random_lps_agree_with_scipy():
     assert min(statuses[OPTIMAL], statuses[INFEASIBLE], statuses[UNBOUNDED]) >= 3
 
 
+def test_probe_grid_root_lps_match_highs():
+    # a 10-bus switching grid (bench/synth.make_case(10, 2, 2, 2, 3, 1)) on
+    # which a ratio test that takes a tiny pivot among near-ties drives the
+    # switch-all basis numerically singular (cond ~1e19), so it cannot certify
+    case = parse_case((DATA / "probe_10x2x2x2x3_s1.json").read_text())
+    for variant in Variant:
+        model, _index = build_milp(case, variant)
+        dense = DenseLp.from_milp(model)
+        ours = dense.solve()
+        assert ours.status == OPTIMAL, (variant.value, ours.message)
+        ref = _scipy_solve(list(zip(dense.lo, dense.up)),
+                           list(zip(dense.a, dense.senses, dense.b)), dense.c)
+        assert ref.status == 0, variant.value
+        expected = ref.fun + dense.c0
+        assert abs(ours.objective - expected) <= 1e-9 * abs(expected), variant.value
+
+
 # -- warm starts ------------------------------------------------------------------
 
 
@@ -247,7 +305,7 @@ def _branch_children(dense, root, bins):
 
 
 def test_warm_children_match_cold_on_bundle(bundled):
-    warm_pivots = cold_pivots = 0
+    warm_pivots = cold_pivots = warm_factorizations = children = 0
     for name in ALL_CASES:
         for variant in Variant:
             model, _index = build_milp(bundled(name), variant)
@@ -255,7 +313,10 @@ def test_warm_children_match_cold_on_bundle(bundled):
             root = dense.solve()
             assert root.status == OPTIMAL and root.basis is not None
             for lo, up in _branch_children(dense, root, model.binary_columns()):
-                warm = dense.solve(lo, up, basis=root.basis)
+                with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+                    warm = dense.solve(lo, up, basis=root.basis)
+                warm_factorizations += solve.call_count
+                children += 1
                 cold = dense.solve(lo, up)
                 label = (name, variant.value)
                 assert warm.status == cold.status, label
@@ -268,6 +329,10 @@ def test_warm_children_match_cold_on_bundle(bundled):
                 assert abs(warm.objective - warm.dual_bound) <= 1e-6 * (1.0 + scale), label
     # re-optimising a child takes a few dual pivots, not a fresh two-phase solve
     assert 5 * warm_pivots <= cold_pivots
+    # a warm child factors its start basis once; the duals, basic values and
+    # certificate all read B^-1 off the tableau instead of refactoring
+    assert children == 42
+    assert warm_factorizations <= 1.5 * children
 
 
 def test_warm_start_into_infeasible_child_is_certified():
