@@ -13,9 +13,16 @@ precision, not merely within the rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
-the LP solver underneath.  To keep full sweeps affordable it prescreens
-rows that touch binaries alone and caches block LPs per connected component
-of continuous columns, but the result is identical to the naive loop.
+the LP solver underneath.  To keep full sweeps affordable it works on the
+model's ``DenseLp``: rows that touch binaries alone screen assignments
+without an LP, and the continuous columns split into connected components
+(one DC-flow block per hour, season and epoch in a planning model).  Each
+block becomes one ``DenseLp`` of its continuous columns followed by the
+binaries its rows touch, at zero cost, and each combination of those
+binaries is one solve with their bounds pinned to its bits, the same
+bounds-only variation the search and the incumbent polishing use.  The
+block optima are cached per combination, so the result is identical to the
+naive loop.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import EQ, GE, LE, Milp, evaluate_assignment
+from .milp import GE, LE, Milp, evaluate_assignment
 from .simplex import DenseLp
 
 OPTIMAL = "optimal"
@@ -267,15 +274,6 @@ def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
 # -- exhaustive oracle ----------------------------------------------------------
 
 
-class _Block:
-    """One connected component of continuous columns and its rows."""
-
-    def __init__(self):
-        self.cols: list[int] = []
-        self.rows: list = []
-        self.bits: list[int] = []      # positions into the binary-column list
-
-
 def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
     """Minimum over all binary assignments, each checked by an LP solve.
 
@@ -283,26 +281,39 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
     between equally good assignments go to the lowest assignment read as a
     bit string (binary column order, least significant first).
     """
-    bins = model.binary_columns()
-    nbin = len(bins)
+    bins = np.asarray(model.binary_columns(), dtype=np.int64)
+    nbin = bins.size
     if nbin > max_binaries:
         raise ValueError(
             f"model has {nbin} binaries, above the enumeration cap {max_binaries}"
         )
-    bit_of = {col: i for i, col in enumerate(bins)}
-    bin_set = set(bins)
-    n = model.n_variables
+    dense = DenseLp.from_milp(model)
+    n = dense.a.shape[1]
+    is_cont = np.ones(n, dtype=bool)
+    is_cont[bins] = False
+    cont_nz = (dense.a != 0.0) & is_cont
+    coupled = cont_nz.any(axis=1)
 
-    screen_rows = []
-    coupled = []
-    for con in model.constraints:
-        cont_cols = [c for c in con.columns if c not in bin_set]
-        if cont_cols:
-            coupled.append((con, cont_cols))
-        else:
-            screen_rows.append(con)
+    n_masks = 1 << nbin
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(nbin)) & 1).astype(float)
 
-    parent = {j: j for j in range(n) if j not in bin_set}
+    # pinned binaries and rows that touch binaries alone screen whole masks
+    lo_b, up_b = dense.lo[bins], dense.up[bins]
+    feasible = (np.all((bits > 0.5) | (lo_b <= 0.5), axis=1)
+                & np.all((bits < 0.5) | (up_b >= 0.5), axis=1))
+    screen = np.nonzero(~coupled)[0]
+    activity = bits @ dense.a[np.ix_(screen, bins)].T
+    rhs = dense.b[screen]
+    sense = np.asarray(dense.senses, dtype="<U2")[screen]
+    holds = np.where(sense == LE, activity <= rhs + _INT_TOL,
+                     np.where(sense == GE, activity >= rhs - _INT_TOL,
+                              np.abs(activity - rhs) <= _INT_TOL))
+    feasible &= holds.all(axis=1)
+
+    totals = np.full(n_masks, model.objective_offset) + bits @ dense.c[bins]
+
+    # connected components of continuous columns over the coupled rows
+    parent = list(range(n))
 
     def find(j):
         while parent[j] != j:
@@ -310,90 +321,38 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
             j = parent[j]
         return j
 
-    for _con, cont_cols in coupled:
-        root = find(cont_cols[0])
-        for c in cont_cols[1:]:
+    for i in np.nonzero(coupled)[0]:
+        cols = np.nonzero(cont_nz[i])[0]
+        root = find(cols[0])
+        for c in cols[1:]:
             parent[find(c)] = root
-
-    blocks: dict[int, _Block] = {}
-    for j in parent:
-        blocks.setdefault(find(j), _Block()).cols.append(j)
-    for con, cont_cols in coupled:
-        block = blocks[find(cont_cols[0])]
-        block.rows.append(con)
-        for c in con.columns:
-            if c in bin_set and bit_of[c] not in block.bits:
-                block.bits.append(bit_of[c])
-    block_list = sorted(blocks.values(), key=lambda blk: min(blk.cols))
-    for block in block_list:
-        block.cols.sort()
-        block.bits.sort()
-
-    n_masks = 1 << nbin
-    masks = np.arange(n_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(nbin)) & 1).astype(float) if nbin else \
-        np.zeros((1, 0))
-
-    feasible = np.ones(n_masks, dtype=bool)
-    for i, col in enumerate(bins):
-        v = model.variables[col]
-        if v.lower > 0.5:
-            feasible &= bits[:, i] > 0.5
-        elif v.upper < 0.5:
-            feasible &= bits[:, i] < 0.5
-    for con in screen_rows:
-        cols = [bit_of[c] for c in con.columns]
-        activity = bits[:, cols] @ np.asarray(con.coefficients)
-        if con.sense == LE:
-            feasible &= activity <= con.rhs + _INT_TOL
-        elif con.sense == GE:
-            feasible &= activity >= con.rhs - _INT_TOL
-        else:
-            feasible &= np.abs(activity - con.rhs) <= _INT_TOL
-
-    totals = np.full(n_masks, model.objective_offset)
-    if nbin:
-        c_bin = np.array([model.objective.get(col, 0.0) for col in bins])
-        totals = totals + bits @ c_bin
-
-    lo_all = np.array([v.lower for v in model.variables])
-    up_all = np.array([v.upper for v in model.variables])
-    c_all = np.zeros(n)
-    for col, coef in model.objective.items():
-        c_all[col] = coef
+    comp = np.array([find(j) for j in range(n)], dtype=np.int64)
+    row_comp = np.max(np.where(cont_nz, comp, -1), axis=1, initial=-1)
 
     never_feasible = np.zeros(n_masks, dtype=bool)
     unbounded = np.zeros(n_masks, dtype=bool)
-    block_values: list[tuple[np.ndarray, np.ndarray, list]] = []
-    for block in block_list:
-        pos = {c: i for i, c in enumerate(block.cols)}
-        k = len(block.bits)
+    best_parts = []
+    # a block is one DenseLp: its continuous columns, then its binaries at
+    # cost 0 (their cost is in ``totals``), pinned per combination by bounds
+    for root in dict.fromkeys(comp[is_cont]):
+        cols = np.nonzero(is_cont & (comp == root))[0]
+        rows = np.nonzero(row_comp == root)[0]
+        block_bits = np.nonzero(dense.a[np.ix_(rows, bins)].any(axis=0))[0]
+        k, nc = block_bits.size, cols.size
+        sub_cols = np.concatenate([cols, bins[block_bits]])
+        sub = DenseLp(dense.a[np.ix_(rows, sub_cols)],
+                      [dense.senses[i] for i in rows], dense.b[rows],
+                      dense.lo[sub_cols], dense.up[sub_cols],
+                      np.concatenate([dense.c[cols], np.zeros(k)]))
         objs = np.empty(1 << k)
         sols = []
-        a = np.zeros((len(block.rows), len(block.cols)))
-        senses = []
-        base_rhs = np.zeros(len(block.rows))
-        bin_terms = []
-        for r, con in enumerate(block.rows):
-            senses.append(con.sense)
-            base_rhs[r] = con.rhs
-            for c, coef in zip(con.columns, con.coefficients):
-                if c in bin_set:
-                    bin_terms.append((r, bit_of[c], coef))
-                else:
-                    a[r, pos[c]] = coef
         for combo in range(1 << k):
-            rhs = base_rhs.copy()
-            for r, bit, coef in bin_terms:
-                idx = block.bits.index(bit)
-                if (combo >> idx) & 1:
-                    rhs[r] -= coef
-            sub = DenseLp(a, senses, rhs, lo_all[block.cols], up_all[block.cols],
-                          c_all[block.cols])
-            out = sub.solve()
+            lo, up = sub.lo.copy(), sub.up.copy()
+            lo[nc:] = up[nc:] = (combo >> np.arange(k)) & 1
+            out = sub.solve(lo, up)
             if out.status == "optimal":
                 objs[combo] = out.objective
-                sols.append(out.x)
+                sols.append(out.x[:nc])
             elif out.status == "infeasible":
                 objs[combo] = np.inf
                 sols.append(None)
@@ -402,17 +361,12 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
                 sols.append(None)
             else:
                 raise RuntimeError(f"block LP failed: {out.message}")
-        if k:
-            sub_index = np.zeros(n_masks, dtype=np.int64)
-            for i, bit in enumerate(block.bits):
-                sub_index += (bits[:, bit] > 0.5).astype(np.int64) << i
-            vals = objs[sub_index]
-        else:
-            vals = np.full(n_masks, objs[0])
+        sub_index = bits[:, block_bits].astype(np.int64) @ (1 << np.arange(k))
+        vals = objs[sub_index]
         never_feasible |= np.isposinf(vals)
         unbounded |= np.isneginf(vals)
         totals = totals + np.where(np.isfinite(vals), vals, 0.0)
-        block_values.append((objs, np.asarray(block.cols), sols))
+        best_parts.append((cols, sub_index, sols))
 
     feasible &= ~never_feasible
     if np.any(unbounded & feasible):
@@ -424,13 +378,9 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
                             message="no binary assignment admits a feasible LP")
 
     x = np.zeros(n)
-    for i, col in enumerate(bins):
-        x[col] = float((best >> i) & 1)
-    for block, (objs, cols, sols) in zip(block_list, block_values):
-        combo = 0
-        for i, bit in enumerate(block.bits):
-            combo |= ((best >> bit) & 1) << i
-        x[cols] = sols[combo]
+    x[bins] = bits[best]
+    for cols, sub_index, sols in best_parts:
+        x[cols] = sols[sub_index[best]]
     assignment = [float(v) for v in x]
     report = evaluate_assignment(model, assignment, tol=_INT_TOL)
     if not report.feasible:

@@ -28,6 +28,9 @@ from enum import Enum
 from .case import Case, grow_load, validate_case
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 
+# violation a decoded assignment may carry on any row, bound or binary
+_DECODE_TOL = 1e-6
+
 
 class Variant(Enum):
     """Which parts of the network the plan may switch seasonally."""
@@ -51,6 +54,8 @@ class VariableIndex:
 
     Keys use entity ids plus 1-based hour ``t``, season ``s``, epoch ``e``.
     The maps are disjoint and together cover every column exactly once.
+    ``build_milp`` also records the model, case and variant it built, which
+    ``decode_plan`` checks against.
     """
 
     gen: dict = field(default_factory=dict)               # (g, t, s, e) -> p
@@ -61,18 +66,9 @@ class VariableIndex:
     build: dict = field(default_factory=dict)             # (j, e) -> v
     branch_status: dict = field(default_factory=dict)     # (k, s, e) -> z
     candidate_status: dict = field(default_factory=dict)  # (j, s, e) -> z
-
-    def blocks(self) -> dict:
-        return {
-            "gen": self.gen,
-            "angle": self.angle,
-            "branch_flow": self.branch_flow,
-            "candidate_flow": self.candidate_flow,
-            "available": self.available,
-            "build": self.build,
-            "branch_status": self.branch_status,
-            "candidate_status": self.candidate_status,
-        }
+    model: Milp | None = field(default=None, init=False, repr=False, compare=False)
+    case: Case | None = field(default=None, init=False, repr=False, compare=False)
+    variant: Variant | None = field(default=None, init=False, compare=False)
 
 
 def investment_multiplier(n_e: int, n_ye: int, a_m: float, e: int) -> float:
@@ -130,6 +126,7 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
 
     model = Milp()
     index = VariableIndex()
+    index.model, index.case, index.variant = model, case, variant
 
     for e in epochs:
         for s in seasons:
@@ -327,20 +324,17 @@ class Plan:
 
 
 def decode_plan(case: Case, variant: Variant, index: VariableIndex,
-                assignment, tol: float = 1e-6) -> Plan:
+                assignment) -> Plan:
     """Turn a feasible assignment of the built model into a ``Plan``.
 
-    The assignment is re-checked against a fresh build of the model and
-    rejected if any violation exceeds ``tol``.  Costs are recomputed from
-    dispatch and build decisions, not read from the objective.
+    ``index`` must come from ``build_milp(case, variant)``.  The assignment
+    is re-checked against the model that call built and rejected if any
+    violation exceeds 1e-6.  Costs are recomputed from dispatch and build
+    decisions, not read from the objective.
     """
-    model, rebuilt = build_milp(case, variant)
-    if rebuilt.blocks().keys() != index.blocks().keys() or any(
-        rebuilt.blocks()[name].keys() != index.blocks()[name].keys()
-        for name in rebuilt.blocks()
-    ):
+    if index.model is None or index.variant is not variant or index.case != case:
         raise ValueError("variable index does not match the case and variant")
-    evaluation = evaluate_assignment(model, assignment, tol=tol)
+    evaluation = evaluate_assignment(index.model, assignment, tol=_DECODE_TOL)
     if not evaluation.feasible:
         raise ValueError(
             "assignment is not feasible for the built model "

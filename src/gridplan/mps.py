@@ -163,7 +163,7 @@ def parse_mps(text: str):
     row_sense: dict[str, str] = {}
     obj_row: str | None = None
     col_order: list[str] = []
-    col_terms: dict[str, list[tuple[str, float]]] = {}
+    col_terms: dict[str, dict[str, float]] = {}
     col_integer: dict[str, bool] = {}
     rhs: dict[str, float] = {}
     ranges: dict[str, float] = {}
@@ -220,20 +220,20 @@ def parse_mps(text: str):
                 fail(lineno, "expected '<col> <row> <value>' pairs")
             col = tokens[0]
             if col not in col_terms:
-                col_terms[col] = []
+                col_terms[col] = {}
                 col_order.append(col)
                 col_integer[col] = integer_mode
             for at in range(1, len(tokens), 2):
                 row_name, value = tokens[at], tokens[at + 1]
                 if row_name != obj_row and row_name not in row_sense:
                     fail(lineno, f"column references undeclared row '{row_name}'")
-                if any(rn == row_name for rn, _v in col_terms[col]):
+                if row_name in col_terms[col]:
                     fail(lineno, f"duplicate entry for column '{col}' row '{row_name}'")
                 try:
                     coef = float(value)
                 except ValueError:
                     fail(lineno, f"bad numeric value '{value}'")
-                col_terms[col].append((row_name, coef))
+                col_terms[col][row_name] = coef
         elif section == "RHS":
             if len(tokens) not in (3, 5):
                 fail(lineno, "expected '<set> <row> <value>' pairs")
@@ -311,7 +311,7 @@ def parse_mps(text: str):
     row_terms: dict[str, list[tuple[int, float]]] = {rn: [] for rn in row_sense}
     obj_terms: list[tuple[int, float]] = []
     for col in col_order:
-        for row_name, coef in col_terms[col]:
+        for row_name, coef in col_terms[col].items():
             if row_name == obj_row:
                 obj_terms.append((table[col], coef))
             else:

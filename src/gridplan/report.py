@@ -51,16 +51,6 @@ def _table(rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _epoch_count(plans: dict) -> int:
-    seen = 0
-    for plan in plans.values():
-        for _j, e in plan.builds:
-            seen = max(seen, e)
-        for _k, _s, e in plan.open_existing + plan.open_new:
-            seen = max(seen, e)
-    return seen
-
-
 def _group(entries, key):
     grouped: dict = {}
     for entry in entries:
@@ -70,26 +60,19 @@ def _group(entries, key):
 
 def render_report(plans: dict[Variant, Plan],
                   metrics: dict[Variant, Metrics],
-                  n_seasons: int = 0,
-                  n_epochs: int = 0) -> tuple[str, dict[str, str]]:
+                  *, n_seasons: int, n_epochs: int) -> tuple[str, dict[str, str]]:
     """Render cost, investment, and switching tables plus CSV mirrors.
 
     ``plans`` maps each solved variant to its decoded plan; ``metrics`` maps
-    non-baseline variants to their savings.  Season/epoch counts default to
-    the largest index that appears in any plan; pass them explicitly so
-    empty trailing seasons still get table cells.
+    non-baseline variants to their savings.  ``n_seasons`` and ``n_epochs``
+    are the case horizon's counts, so seasons and epochs without any entry
+    still get table cells.
 
     Returns the text report and a dict of CSV file name to content.
     """
     variants = [v for v in VARIANT_ORDER if v in plans]
     if not variants:
         raise ValueError("no plans to report")
-    n_epochs = n_epochs or _epoch_count(plans)
-    n_seasons = n_seasons or max(
-        (s for plan in plans.values()
-         for _k, s, _e in plan.open_existing + plan.open_new),
-        default=0,
-    )
 
     lines: list[str] = ["COST SUMMARY", ""]
     head = ["", *[v.value for v in variants]]

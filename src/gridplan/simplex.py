@@ -5,7 +5,10 @@ tableau simplex over general variable bounds:
 
 * every row gets a slack (``<=`` rows a nonnegative one, ``>=`` rows a
   nonpositive one, ``=`` rows a slack fixed at zero), giving an equality
-  system ``[A | I] z = b`` with box bounds on ``z``;
+  system ``[A | I] z = b`` with box bounds on ``z``.  ``DenseLp`` owns this
+  standard form: it builds ``[A | I]``, the slack box and the scaled cost
+  once per model, and every solve shares them read-only, so LPs of one model
+  differ only in the structural bounds a solve passes in;
 * a cold solve is two-phase: the initial basis is the slack set where the
   slack can absorb the row residual, and a unit-cost artificial elsewhere
   (phase 1 minimizes the artificial total);
@@ -13,9 +16,9 @@ tableau simplex over general variable bounds:
   Bland fallback kicks in after a stall, so runs are deterministic and
   cycling-free;
 * the primal ratio test is Harris's two-pass rule: the step may leave basic
-  values up to ``tol`` outside their bounds, which frees it to pick the
-  largest pivot among near-ties instead of a tiny one that would make the
-  basis numerically singular;
+  values up to the feasibility tolerance outside their bounds, which frees
+  it to pick the largest pivot among near-ties instead of a tiny one that
+  would make the basis numerically singular;
 * a warm solve starts from the optimal basis of a related LP (a branch and
   bound parent, whose child differs only in variable bounds).  That basis
   is still dual feasible, so a bounded dual simplex re-optimises it: the
@@ -67,6 +70,10 @@ _PIV_TOL = 1e-10
 _STALL_LIMIT = 200
 _REFRESH_EVERY = 700
 
+# slack bounds per row sense: a <= row takes a nonnegative slack, a >= row a
+# nonpositive one, and an = row a slack fixed at zero
+_SLACK_BOX = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
+
 
 @dataclass(frozen=True)
 class Basis:
@@ -105,7 +112,11 @@ class DenseLp:
     """Dense row/bound arrays for a model, reusable across many solves.
 
     Integrality is dropped here: binary columns are carried as continuous
-    columns with their [0, 1] (or pinned) bounds.
+    columns with their [0, 1] (or pinned) bounds.  The standard form that
+    every solve shares is built here once: ``a_all = [A | I]``, the slack box
+    of each row, and the cost scaled by ``sigma`` with zero slack costs.
+    Solves read these arrays and never write into them; a solve varies only
+    the structural bounds.
     """
 
     def __init__(self, a, senses, b, lo, up, c, c0=0.0):
@@ -118,6 +129,20 @@ class DenseLp:
         self.up = np.asarray(up, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.c0 = float(c0)
+
+        m, n = self.a.shape
+        try:
+            box = np.array([_SLACK_BOX[sense] for sense in self.senses]).reshape(m, 2)
+        except KeyError as exc:
+            raise ValueError(f"unknown sense {exc.args[0]!r}") from None
+        self.slack_lo, self.slack_up = box[:, 0], box[:, 1]
+        self.a_all = np.hstack([self.a, np.eye(m)])
+        # objective scaling keeps reduced-cost tolerances meaningful when
+        # capital costs (1e6..1e9 dollars) share a model with MW quantities
+        self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
+        self.cost = np.concatenate([self.c / self.sigma, np.zeros(m)])
+        for shared in (box, self.a_all, self.cost):
+            shared.flags.writeable = False
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
@@ -137,66 +162,47 @@ class DenseLp:
             c[col] = coef
         return cls(a, senses, b, lo, up, c, model.objective_offset)
 
-    def solve(self, lo=None, up=None, basis: Basis | None = None,
-              tol: float = _FEAS_TOL) -> LpOutcome:
+    def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
         """Solve with bounds ``lo``/``up``, warm from ``basis`` when given."""
         lo = self.lo if lo is None else np.asarray(lo, dtype=float)
         up = self.up if up is None else np.asarray(up, dtype=float)
         if basis is None:
-            return _Simplex(self, lo, up, tol).run()
-        warm = _Simplex(self, lo, up, tol)
+            return _Simplex(self, lo, up).run()
+        warm = _Simplex(self, lo, up)
         outcome = warm.run_warm(basis)
         if outcome is not None:
             return outcome
-        outcome = _Simplex(self, lo, up, tol).run()
+        outcome = _Simplex(self, lo, up).run()
         outcome.iterations += warm.iterations
         return outcome
 
 
-def solve_lp(model: Milp, tol: float = _FEAS_TOL) -> LpOutcome:
+def solve_lp(model: Milp) -> LpOutcome:
     """Solve the continuous relaxation of ``model``.
 
     Deterministic: identical models give identical outcomes.  An ``optimal``
-    outcome satisfies every row and bound within ``tol`` and carries a
+    outcome satisfies every row and bound within 1e-7 and carries a
     certifying dual bound; uncertifiable situations come back as ``failure``
     with a diagnostic message.
     """
-    return DenseLp.from_milp(model).solve(tol=tol)
+    return DenseLp.from_milp(model).solve()
 
 
 class _Simplex:
-    def __init__(self, problem: DenseLp, lo, up, tol):
+    """Per-solve state over a ``DenseLp``'s shared standard form."""
+
+    def __init__(self, problem: DenseLp, lo, up):
         self.problem = problem
-        self.feas_tol = tol
-        self.opt_tol = _OPT_TOL
-        m, n = problem.a.shape
-        self.m = m
-        self.n = n
-
-        # objective scaling keeps reduced-cost tolerances meaningful when
-        # capital costs (1e6..1e9 dollars) share a model with MW quantities
-        self.sigma = max(1.0, float(np.max(np.abs(problem.c))) if n else 1.0)
-
-        slack_lo = np.empty(m)
-        slack_up = np.empty(m)
-        for i, sense in enumerate(problem.senses):
-            if sense == LE:
-                slack_lo[i], slack_up[i] = 0.0, np.inf
-            elif sense == GE:
-                slack_lo[i], slack_up[i] = -np.inf, 0.0
-            elif sense == EQ:
-                slack_lo[i], slack_up[i] = 0.0, 0.0
-            else:
-                raise ValueError(f"unknown sense {sense!r}")
-
-        self.lo = np.concatenate([lo, slack_lo])
-        self.up = np.concatenate([up, slack_up])
-        self.a_all = np.hstack([problem.a, np.eye(m)]) if m else np.zeros((0, n))
-        self.b = problem.b.copy()
-        self.cost2 = np.concatenate([problem.c / self.sigma, np.zeros(m)])
-
+        self.m, self.n = problem.a.shape
+        self.lo = np.concatenate([lo, problem.slack_lo])
+        self.up = np.concatenate([up, problem.slack_up])
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
+        # shared with the problem and never written: a cold start swaps in a
+        # widened copy of a_all and cost2 for its artificials
+        self.a_all = problem.a_all
+        self.b = problem.b
+        self.cost2 = problem.cost
 
         self._place_nonbasic(np.isfinite(self.up) & ~np.isfinite(self.lo))
         self.art_cols: list[int] = []
@@ -323,13 +329,13 @@ class _Simplex:
         can_dec = (stat == _AT_UP) | (stat == _FREE)
         score = np.maximum(np.where(can_inc, -d, 0.0), np.where(can_dec, d, 0.0))
         if bland:
-            idx = np.nonzero(score > self.opt_tol)[0]
+            idx = np.nonzero(score > _OPT_TOL)[0]
             if idx.size == 0:
                 return -1, 0
             q = int(idx[0])
         else:
             q = int(np.argmax(score))
-            if score[q] <= self.opt_tol:
+            if score[q] <= _OPT_TOL:
                 return -1, 0
         if can_inc[q] and (-d[q] >= d[q] or not can_dec[q]):
             return q, 1
@@ -340,7 +346,7 @@ class _Simplex:
         flip of ``q``, (None, None) an unbounded ray.
 
         Harris's two passes: the longest step that keeps every basic value
-        within its bounds relaxed by ``feas_tol``, then, among the rows whose
+        within its bounds relaxed by ``_FEAS_TOL``, then, among the rows whose
         exact ratio fits in that step, the largest |pivot|.  Under Bland's rule
         the lowest basic column among the exact minimum ratios leaves instead.
         """
@@ -354,7 +360,7 @@ class _Simplex:
         if bland:
             t_max = float(np.min(ratios, initial=np.inf)) + 1e-12
         else:
-            relaxed = raw[moving] + self.feas_tol / np.abs(delta[moving])
+            relaxed = raw[moving] + _FEAS_TOL / np.abs(delta[moving])
             t_max = max(float(np.min(relaxed, initial=np.inf)), 0.0)
         if t_max == np.inf:
             return (None, None) if t_flip == np.inf else (t_flip, -1)
@@ -461,7 +467,7 @@ class _Simplex:
             below = self.lo[self.basis] - xb
             above = xb - self.up[self.basis]
             infeas = np.maximum(below, above)
-            if not self.m or infeas.max() <= self.feas_tol:
+            if not self.m or infeas.max() <= _FEAS_TOL:
                 return OPTIMAL
             r = int(np.argmax(infeas))
             if self.iterations >= max_iter:
@@ -515,11 +521,10 @@ class _Simplex:
             return None
         _y, d = self._exact_duals(self.cost2)
 
-        tol = self.opt_tol
-        boxed_up = (d < -tol) | ((start.status == _AT_UP) & (d <= tol))
+        boxed_up = (d < -_OPT_TOL) | ((start.status == _AT_UP) & (d <= _OPT_TOL))
         self._place_nonbasic(np.isfinite(self.up) & (~np.isfinite(self.lo) | boxed_up))
         self.status[cols] = _BASIC
-        if self._optimality_violation(d) > self.opt_tol:
+        if self._optimality_violation(d) > _OPT_TOL:
             return None
         self._basic_values()
 
@@ -569,8 +574,8 @@ class _Simplex:
             _y, d = self._exact_duals(cost)
             opt_viol = self._optimality_violation(d)
             row_err, bound_err = self._primal_error()
-            drift = max(row_err, bound_err) > 0.5 * self.feas_tol
-            if opt_viol <= 10 * self.opt_tol and not drift:
+            drift = max(row_err, bound_err) > 0.5 * _FEAS_TOL
+            if opt_viol <= 10 * _OPT_TOL and not drift:
                 self.drow = d
                 return None
             # drift or stale reduced costs: rebuild state and keep pivoting
@@ -599,17 +604,17 @@ class _Simplex:
                 message=f"weak duality check failed (gap {gap:.3e})",
             )
         row_err, bound_err = self._primal_error()
-        if max(row_err, bound_err) > self.feas_tol:
+        if max(row_err, bound_err) > _FEAS_TOL:
             return LpOutcome(
                 FAILURE, iterations=self.iterations,
                 message=f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})",
             )
-        objective = obj_scaled * self.sigma + self.problem.c0
+        objective = obj_scaled * self.problem.sigma + self.problem.c0
         return LpOutcome(
             OPTIMAL,
             x=self.x[: self.n].copy(),
             objective=objective,
-            dual_bound=bound_scaled * self.sigma + self.problem.c0,
+            dual_bound=bound_scaled * self.problem.sigma + self.problem.c0,
             iterations=self.iterations,
             basis=Basis(self.basis.copy(), self.status[: self.n + self.m].copy()),
         )

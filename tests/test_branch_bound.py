@@ -153,6 +153,25 @@ def test_enumerate_refuses_large_models():
         enumerate_exact(m)
 
 
+def test_enumerate_builds_one_lp_per_block(bundled, monkeypatch):
+    # eight_bus splits into one DC-flow block per (hour, season, epoch); each
+    # binary combination of a block only re-pins bounds on that block's LP
+    case = bundled("eight_bus")
+    model, _index = build_milp(case, Variant.SWITCH_ALL)
+    built = []
+    init = DenseLp.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseLp, "__init__", counting)
+    out = enumerate_exact(model)
+    assert out.status == OPTIMAL
+    h = case.horizon
+    assert len(built) == h.n_hours * h.n_seasons * h.n_epochs + 1
+
+
 def test_enumerate_respects_pinned_binaries():
     m = _knapsack([6, 5, 4], [4, 3, 2], 6)
     m.with_bounds(0, 0.0, 0.0)   # forbid the best item; optimum moves to 1+2

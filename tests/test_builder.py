@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import ALL_CASES
+from gridplan import builder
 from gridplan.branch_bound import enumerate_exact, solve_milp, SolveParams
 from gridplan.builder import (
     Plan,
@@ -196,6 +197,19 @@ def test_decode_plan_rejects_infeasible_assignment(bundled):
     zeros = [0.0] * model.n_variables
     with pytest.raises(ValueError):
         decode_plan(case, Variant.STATIC, index, zeros)
+
+
+def test_decode_plan_reuses_the_built_model(bundled, oracle, monkeypatch):
+    case = bundled("tri_switch")
+    _model, index = build_milp(case, Variant.SWITCH_ALL)
+    outcome = oracle("tri_switch", Variant.SWITCH_ALL)
+
+    def no_rebuild(*_args, **_kwargs):
+        raise AssertionError("decode_plan rebuilt the model")
+
+    monkeypatch.setattr(builder, "build_milp", no_rebuild)
+    plan = decode_plan(case, Variant.SWITCH_ALL, index, outcome.assignment)
+    assert plan.tc == pytest.approx(outcome.objective, rel=1e-9)
 
 
 def test_big_m_scale_must_not_shrink(bundled):

@@ -134,7 +134,7 @@ def test_single_variant_report_has_no_metrics():
 
 def test_report_requires_plans():
     with pytest.raises(ValueError):
-        render_report({}, {})
+        render_report({}, {}, n_seasons=1, n_epochs=1)
 
 
 def test_report_is_deterministic():

@@ -233,7 +233,7 @@ def test_dual_bound_matches_the_column_definition():
         bounds, rows, c = _random_instance(rng)
         dense = DenseLp([coefs for coefs, _s, _b in rows], [s for _c, s, _b in rows],
                         [b for _c, _s, b in rows], *zip(*bounds), c)
-        lp = _Simplex(dense, dense.lo, dense.up, 1e-7)
+        lp = _Simplex(dense, dense.lo, dense.up)
         y = rng.normal(size=lp.m)
         scale = rng.choice([0.0, 1e-10, 1e-6, 1.0], size=lp.lo.size)
         d = scale * rng.choice([-1.0, 1.0], size=scale.size) * rng.uniform(1, 9, scale.size)
@@ -305,7 +305,7 @@ def _branch_children(dense, root, bins):
 
 
 def test_warm_children_match_cold_on_bundle(bundled):
-    warm_pivots = cold_pivots = warm_factorizations = children = 0
+    warm_pivots = cold_pivots = warm_factorizations = warm_stacks = children = 0
     for name in ALL_CASES:
         for variant in Variant:
             model, _index = build_milp(bundled(name), variant)
@@ -313,9 +313,11 @@ def test_warm_children_match_cold_on_bundle(bundled):
             root = dense.solve()
             assert root.status == OPTIMAL and root.basis is not None
             for lo, up in _branch_children(dense, root, model.binary_columns()):
-                with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+                with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                        mock.patch.object(np, "hstack", wraps=np.hstack) as hstack:
                     warm = dense.solve(lo, up, basis=root.basis)
                 warm_factorizations += solve.call_count
+                warm_stacks += hstack.call_count
                 children += 1
                 cold = dense.solve(lo, up)
                 label = (name, variant.value)
@@ -333,6 +335,9 @@ def test_warm_children_match_cold_on_bundle(bundled):
     # certificate all read B^-1 off the tableau instead of refactoring
     assert children == 42
     assert warm_factorizations <= 1.5 * children
+    # the standard form [A | I] belongs to the DenseLp; a warm solve only
+    # swaps in its bounds and never rebuilds it
+    assert warm_stacks == 0
 
 
 def test_warm_start_into_infeasible_child_is_certified():
