@@ -3,13 +3,14 @@
 ``solve_milp`` is a plain LP-based branch and bound: most-fractional
 branching (ties to the lowest column), best-bound node selection with
 depth-first plunging until the first incumbent, and no cuts or presolve.
-The root LP is solved cold; every other node LP re-optimises from its
-parent's optimal basis by dual simplex (each open node carries that basis,
-not a tableau) and falls back to a cold two-phase solve under the same
-certificate.  Every incumbent is re-solved, warm from its node's basis,
-with its binaries pinned to exact 0/1 and must pass the model evaluator
-before it is accepted, so reported solutions are integral to machine
-precision, not merely within the rounding tolerance.
+Every LP is a bounded dual simplex: the root starts from the model's
+all-slack basis, every other node LP from its parent's optimal basis (each
+open node carries that basis, not a tableau), and both fall back to a
+two-phase primal solve under the same certificate.  Every incumbent is
+re-solved, warm from its node's basis, with its binaries pinned to exact
+0/1 and must pass the model evaluator before it is accepted, so reported
+solutions are integral to machine precision, not merely within the
+rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only

@@ -9,7 +9,8 @@ byte for byte.
 
 The parser is deliberately stricter than the zoo of MPS dialects: names are
 whitespace-delimited tokens, duplicate entries are errors rather than
-silently summed, and integer columns must be binary-ranged (the model type
+silently summed, every number must be finite (infinite bounds are spelled
+MI, PL or FR), and integer columns must be binary-ranged (the model type
 has no general integers).  RANGES sections are accepted and expanded into
 constraint pairs.
 
@@ -21,6 +22,7 @@ be decoded silently against the wrong model.
 from __future__ import annotations
 
 import math
+import re
 
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp
 
@@ -38,8 +40,11 @@ class MpsError(ValueError):
     """Malformed MPS text or names unusable in MPS."""
 
 
+_PRINTABLE = re.compile(r"[!-~]+")     # ASCII 33..126: no space, no control
+
+
 def _printable(name: str) -> bool:
-    return bool(name) and all(33 <= ord(ch) <= 126 for ch in name)
+    return _PRINTABLE.fullmatch(name) is not None
 
 
 def column_name_table(model: Milp) -> dict[str, int]:
@@ -174,6 +179,15 @@ def parse_mps(text: str):
     def fail(lineno: int, why: str):
         raise MpsError(f"line {lineno}: {why}")
 
+    def number(lineno: int, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            fail(lineno, f"bad numeric value '{text}'")
+        return value
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
@@ -229,11 +243,7 @@ def parse_mps(text: str):
                     fail(lineno, f"column references undeclared row '{row_name}'")
                 if row_name in col_terms[col]:
                     fail(lineno, f"duplicate entry for column '{col}' row '{row_name}'")
-                try:
-                    coef = float(value)
-                except ValueError:
-                    fail(lineno, f"bad numeric value '{value}'")
-                col_terms[col][row_name] = coef
+                col_terms[col][row_name] = number(lineno, value)
         elif section == "RHS":
             if len(tokens) not in (3, 5):
                 fail(lineno, "expected '<set> <row> <value>' pairs")
@@ -243,7 +253,7 @@ def parse_mps(text: str):
                     fail(lineno, f"rhs references undeclared row '{row_name}'")
                 if row_name in rhs:
                     fail(lineno, f"duplicate rhs for row '{row_name}'")
-                rhs[row_name] = float(value)
+                rhs[row_name] = number(lineno, value)
         elif section == "RANGES":
             if len(tokens) not in (3, 5):
                 fail(lineno, "expected '<set> <row> <value>' pairs")
@@ -253,7 +263,7 @@ def parse_mps(text: str):
                     fail(lineno, f"range references undeclared row '{row_name}'")
                 if row_name in ranges:
                     fail(lineno, f"duplicate range for row '{row_name}'")
-                ranges[row_name] = float(value)
+                ranges[row_name] = number(lineno, value)
         elif section == "BOUNDS":
             tag = tokens[0].upper()
             if tag in ("FR", "MI", "PL", "BV"):
@@ -263,7 +273,7 @@ def parse_mps(text: str):
             elif tag in ("LO", "UP", "FX"):
                 if len(tokens) != 4:
                     fail(lineno, f"bound {tag} needs a value")
-                bounds.append((tag, tokens[2], float(tokens[3])))
+                bounds.append((tag, tokens[2], number(lineno, tokens[3])))
             else:
                 fail(lineno, f"unknown bound type '{tokens[0]}'")
         else:

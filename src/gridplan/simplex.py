@@ -9,9 +9,20 @@ tableau simplex over general variable bounds:
   standard form: it builds ``[A | I]``, the slack box and the scaled cost
   once per model, and every solve shares them read-only, so LPs of one model
   differ only in the structural bounds a solve passes in;
-* a cold solve is two-phase: the initial basis is the slack set where the
-  slack can absorb the row residual, and a unit-cost artificial elsewhere
-  (phase 1 minimizes the artificial total);
+* every solve is a bounded dual simplex from a start basis: the caller's
+  (a branch and bound parent, whose child differs only in variable bounds),
+  then the all-slack basis ``B = I``.  The slack basis has duals 0 and
+  reduced costs equal to the costs, so it is dual feasible once each
+  nonbasic column sits at the bound its cost points to, which every boxed
+  model allows.  The dual simplex re-optimises the start: the leaving row is
+  the largest primal infeasibility, the entering column the smallest ratio
+  |d_j / alpha_rj| (ties to the largest |alpha_rj|);
+* only when neither start gives a checked optimum (a column whose cost
+  pulls it toward an infinite bound, an artificial or singular caller
+  basis, an infeasible LP, the iteration limit, or a result that fails the
+  checks below) is the LP solved by two-phase primal simplex: the initial
+  basis is the slack set where the slack can absorb the row residual, and a
+  unit-cost artificial elsewhere (phase 1 minimizes the artificial total);
 * pricing is Dantzig's rule with ties broken by lowest column index, and a
   Bland fallback kicks in after a stall, so runs are deterministic and
   cycling-free;
@@ -19,14 +30,6 @@ tableau simplex over general variable bounds:
   values up to the feasibility tolerance outside their bounds, which frees
   it to pick the largest pivot among near-ties instead of a tiny one that
   would make the basis numerically singular;
-* a warm solve starts from the optimal basis of a related LP (a branch and
-  bound parent, whose child differs only in variable bounds).  That basis
-  is still dual feasible, so a bounded dual simplex re-optimises it: the
-  leaving row is the largest primal infeasibility, the entering column the
-  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|).  When
-  the start cannot be used (an artificial or singular basis, reduced costs
-  that are not dual feasible, an infeasible child, the iteration limit, or
-  a result that fails the checks below) the LP is solved cold instead;
 * a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
   the tableau ``B^-1 [A | I]`` from original data; since the slack columns
   are the identity, the tableau's slack block is ``B^-1``, and duals and
@@ -38,7 +41,7 @@ tableau simplex over general variable bounds:
   checks hold for any duals, so their strength does not depend on where the
   duals come from.  A check that fails is retried once after a refactor;
   anything that still fails is reported as ``failure``, never as a wrong
-  ``optimal``.  Warm and cold solves pass the same checks.
+  ``optimal``.  Dual and two-phase solves pass the same checks.
 
 Robustness is favored over speed; the target problems are small, and the
 tableau is refactored from original data whenever drift is detected.
@@ -77,11 +80,12 @@ _SLACK_BOX = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
 
 @dataclass(frozen=True)
 class Basis:
-    """Start point for a warm solve: the final basis of an optimal LP.
+    """Start point for a dual simplex solve: the final basis of an optimal
+    LP, or a model's all-slack basis (``DenseLp.slack_basis``).
 
     ``columns`` lists the basic column of each row; ``status`` holds the
     basic/nonbasic marker of every structural and slack column.  Columns
-    past the slacks are phase-1 artificials, which a warm solve refuses.
+    past the slacks are phase-1 artificials, which a dual start refuses.
     """
 
     columns: np.ndarray
@@ -96,7 +100,7 @@ class LpOutcome:
     ``dual_bound`` is the certifying lower bound from the final duals, and
     ``basis`` the final basis, to warm-start LPs that differ only in bounds.
     ``iterations`` counts every pivot and bound flip, including those of a
-    warm attempt that ended in a cold solve.
+    dual simplex start that was given up for the next one.
     """
 
     status: str
@@ -114,9 +118,9 @@ class DenseLp:
     Integrality is dropped here: binary columns are carried as continuous
     columns with their [0, 1] (or pinned) bounds.  The standard form that
     every solve shares is built here once: ``a_all = [A | I]``, the slack box
-    of each row, and the cost scaled by ``sigma`` with zero slack costs.
-    Solves read these arrays and never write into them; a solve varies only
-    the structural bounds.
+    of each row, the cost scaled by ``sigma`` with zero slack costs, and the
+    all-slack start basis.  Solves read these arrays and never write into
+    them; a solve varies only the structural bounds.
     """
 
     def __init__(self, a, senses, b, lo, up, c, c0=0.0):
@@ -141,7 +145,12 @@ class DenseLp:
         # capital costs (1e6..1e9 dollars) share a model with MW quantities
         self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
         self.cost = np.concatenate([self.c / self.sigma, np.zeros(m)])
-        for shared in (box, self.a_all, self.cost):
+        # B = I, the start of every solve that has no usable caller basis
+        slacks = np.arange(n, n + m, dtype=np.int64)
+        status = np.full(n + m, _AT_LO, dtype=np.int8)
+        status[n:] = _BASIC
+        self.slack_basis = Basis(slacks, status)
+        for shared in (box, self.a_all, self.cost, slacks, status):
             shared.flags.writeable = False
 
     @classmethod
@@ -163,17 +172,22 @@ class DenseLp:
         return cls(a, senses, b, lo, up, c, model.objective_offset)
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
-        """Solve with bounds ``lo``/``up``, warm from ``basis`` when given."""
+        """Solve with bounds ``lo``/``up``: dual simplex from ``basis`` when
+        given, then from the slack basis, then two-phase primal."""
         lo = self.lo if lo is None else np.asarray(lo, dtype=float)
         up = self.up if up is None else np.asarray(up, dtype=float)
-        if basis is None:
-            return _Simplex(self, lo, up).run()
-        warm = _Simplex(self, lo, up)
-        outcome = warm.run_warm(basis)
-        if outcome is not None:
-            return outcome
+        iterations = 0
+        for start in (basis, self.slack_basis):
+            if start is None:
+                continue
+            attempt = _Simplex(self, lo, up)
+            outcome = attempt.run_warm(start)
+            iterations += attempt.iterations
+            if outcome is not None:
+                outcome.iterations = iterations
+                return outcome
         outcome = _Simplex(self, lo, up).run()
-        outcome.iterations += warm.iterations
+        outcome.iterations += iterations
         return outcome
 
 
@@ -198,8 +212,8 @@ class _Simplex:
         self.up = np.concatenate([up, problem.slack_up])
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
-        # shared with the problem and never written: a cold start swaps in a
-        # widened copy of a_all and cost2 for its artificials
+        # shared with the problem and never written: a two-phase start swaps
+        # in a widened copy of a_all and cost2 for its artificials
         self.a_all = problem.a_all
         self.b = problem.b
         self.cost2 = problem.cost
@@ -505,7 +519,8 @@ class _Simplex:
     # -- orchestration -------------------------------------------------------
 
     def run_warm(self, start: Basis) -> LpOutcome | None:
-        """Re-optimise from ``start`` by dual simplex; None means solve cold.
+        """Re-optimise from ``start`` by dual simplex; None means the start
+        gave no checked optimum.
 
         Nonbasic columns sit at the bound their reduced cost calls for
         (boxed ties keep the start's side), so the start is dual feasible
@@ -517,7 +532,9 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return None
         self.basis = cols.copy()
-        if not self._refresh():
+        if start is self.problem.slack_basis:
+            self.tableau = self.a_all.copy()        # B = I needs no factoring
+        elif not self._refresh():
             return None
         _y, d = self._exact_duals(self.cost2)
 

@@ -142,6 +142,38 @@ def test_parser_rejects_malformed_text(mutate, message):
         parse_mps(mutate(text))
 
 
+_NUMBERS = [
+    "ROWS", " N  COST", " L  R1",
+    "COLUMNS", "    X  R1  1.0  COST  2.0",
+    "RHS", "    RHS  R1  4.0",
+    "RANGES", "    RNG  R1  2.0",
+    "BOUNDS", " UP BND  X  5.0",
+    "ENDATA",
+]
+
+
+@pytest.mark.parametrize(
+    "lineno, line, bad",
+    [
+        (7, "    RHS  R1  abc", "abc"),
+        (9, "    RNG  R1  zz", "zz"),
+        (11, " UP BND  X  zz", "zz"),
+        (5, "    X  R1  inf  COST  2.0", "inf"),
+        (5, "    X  R1  1.0  COST  nan", "nan"),
+        (7, "    RHS  R1  inf", "inf"),
+        (11, " UP BND  X  nan", "nan"),
+    ],
+    ids=["rhs-word", "range-word", "bound-word", "coefficient-inf",
+         "objective-nan", "rhs-inf", "bound-nan"],
+)
+def test_parser_rejects_bad_and_nonfinite_numbers(lineno, line, bad):
+    parse_mps("\n".join(_NUMBERS))
+    lines = list(_NUMBERS)
+    lines[lineno - 1] = line
+    with pytest.raises(MpsError, match=f"^line {lineno}: bad numeric value '{bad}'$"):
+        parse_mps("\n".join(lines))
+
+
 def test_parser_rejects_duplicate_column_entry():
     text = "\n".join([
         "ROWS", " N  COST", " L  R1",

@@ -291,6 +291,75 @@ def test_probe_grid_root_lps_match_highs():
         assert abs(ours.objective - expected) <= 1e-9 * abs(expected), variant.value
 
 
+# -- the start chain: caller's basis, slack basis, two-phase primal --------------
+
+
+@pytest.mark.parametrize(
+    "bounds, rows, c",
+    [
+        # x in [0, inf) at cost -1 sits at 0 with a reduced cost that wants up
+        ([(0.0, math.inf), (0.0, 1.0)],
+         [(np.array([1.0, 2.0]), LE, 4.0)], np.array([-1.0, -1.0])),
+        # a free column with a nonzero cost has no bound to sit at
+        ([(-math.inf, math.inf), (0.0, 2.0)],
+         [(np.array([1.0, -1.0]), GE, -3.0)], np.array([1.0, 1.0])),
+    ],
+    ids=["half-open-negative-cost", "free-nonzero-cost"],
+)
+def test_dual_infeasible_slack_start_falls_back_to_two_phase(bounds, rows, c):
+    model = _model(
+        bounds,
+        [([(j, v) for j, v in enumerate(coefs) if v != 0.0], sense, rhs)
+         for coefs, sense, rhs in rows],
+        list(enumerate(c)),
+    )
+    with mock.patch.object(_Simplex, "run", autospec=True,
+                           side_effect=_Simplex.run) as run:
+        ours = solve_lp(model)
+    assert run.call_count == 1
+    ref = _scipy_solve(bounds, rows, c)
+    assert ref.status == 0
+    assert ours.status == OPTIMAL
+    assert abs(ours.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+
+
+def test_infeasible_lp_is_certified_after_the_dual_gives_up():
+    # x <= 1 and x >= 2: the slack start's dual loop finds a row no column
+    # can repair, and the two-phase primal certifies the infeasibility
+    m = _model(
+        [(0, 10)],
+        [([(0, 1.0)], LE, 1.0), ([(0, 1.0)], GE, 2.0)],
+        [(0, 1.0)],
+    )
+    verdicts = []
+    dual_loop = _Simplex._dual_loop
+
+    def spy(self, max_iter):
+        verdicts.append(dual_loop(self, max_iter))
+        return verdicts[-1]
+
+    with mock.patch.object(_Simplex, "_dual_loop", spy):
+        out = solve_lp(m)
+    assert verdicts == [INFEASIBLE]
+    assert out.status == INFEASIBLE
+    assert out.message.startswith("certified infeasible")
+
+
+def test_bundled_root_lps_start_from_the_slack_basis(bundled):
+    # 1,488 root pivots over the 21 pairs when roots ran two-phase primal
+    pivots = 0
+    for name in ALL_CASES:
+        for variant in Variant:
+            model, _index = build_milp(bundled(name), variant)
+            with mock.patch.object(_Simplex, "run", autospec=True,
+                                   side_effect=_Simplex.run) as run:
+                root = DenseLp.from_milp(model).solve()
+            assert root.status == OPTIMAL, (name, variant.value)
+            assert run.call_count == 0, (name, variant.value)
+            pivots += root.iterations
+    assert pivots <= 1300
+
+
 # -- warm starts ------------------------------------------------------------------
 
 
@@ -329,7 +398,8 @@ def test_warm_children_match_cold_on_bundle(bundled):
                 scale = abs(cold.objective)
                 assert abs(warm.objective - cold.objective) <= 1e-9 * scale, label
                 assert abs(warm.objective - warm.dual_bound) <= 1e-6 * (1.0 + scale), label
-    # re-optimising a child takes a few dual pivots, not a fresh two-phase solve
+    # re-optimising a child takes a few dual pivots, not a fresh solve from
+    # the slack basis
     assert 5 * warm_pivots <= cold_pivots
     # a warm child factors its start basis once; the duals, basic values and
     # certificate all read B^-1 off the tableau instead of refactoring
