@@ -5,12 +5,15 @@ branching (ties to the lowest column), best-bound node selection with
 depth-first plunging until the first incumbent, and no cuts or presolve.
 Every LP is a bounded dual simplex: the root starts from the model's
 all-slack basis, every other node LP from its parent's optimal basis (each
-open node carries that basis, not a tableau), and both fall back to a
-two-phase primal solve under the same certificate.  Every incumbent is
-re-solved, warm from its node's basis, with its binaries pinned to exact
-0/1 and must pass the model evaluator before it is accepted, so reported
-solutions are integral to machine precision, not merely within the
-rounding tolerance.
+open node carries that basis, not a tableau) and, if that attempt fails,
+from the slack basis, under the same certificate.  A node LP that still
+fails leaves its subtree unsolved: the parent's estimate stays in the
+bound, which stays valid, so the gap target and the limits stop the search
+as usual, but a search that runs out of nodes returns ``lp_failure``, never
+``optimal``.  Every incumbent is re-solved, warm from its node's basis,
+with its binaries pinned to exact 0/1 and must pass the model evaluator
+before it is accepted, so reported solutions are integral to machine
+precision, not merely within the rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
@@ -43,6 +46,7 @@ GAP_LIMIT = "gap_limit"
 TIME_LIMIT = "time_limit"
 NODE_LIMIT = "node_limit"
 INFEASIBLE = "infeasible"
+LP_FAILURE = "lp_failure"
 
 _INT_TOL = 1e-6
 _GAP_EPS = 1e-9
@@ -101,6 +105,7 @@ class _Search:
         self.stack: list = []
         self.seq = 0
         self.nodes = 0
+        self.lp_failure = ""
         self.started = time.monotonic()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -206,9 +211,15 @@ class _Search:
             if outcome.status == "infeasible":
                 continue
             if outcome.status != "optimal":
-                raise RuntimeError(f"node LP {outcome.status}: {outcome.message}")
+                # the unsolved subtree keeps its parent's estimate as bound
+                self.lowest_pruned = min(self.lowest_pruned, est)
+                self.lp_failure = f"node LP {outcome.status}: {outcome.message}"
+                continue
             self._branch_or_bound(lo, up, outcome)
 
+        if self.lp_failure:
+            return self._stopped(LP_FAILURE, nondeterministic=False,
+                                 message=self.lp_failure)
         if self.incumbent is None:
             return SolveOutcome(INFEASIBLE, None, None, None, None,
                                 nodes=self.nodes, message="")

@@ -11,20 +11,21 @@ tableau simplex over general variable bounds:
   differ only in the structural bounds a solve passes in;
 * every solve is a bounded dual simplex from a start basis: the caller's
   (a branch and bound parent, whose child differs only in variable bounds),
-  then the all-slack basis ``B = I``.  The slack basis has duals 0 and
-  reduced costs equal to the costs, so it is dual feasible once each
-  nonbasic column sits at the bound its cost points to, which every boxed
-  model allows.  The dual simplex re-optimises the start: the leaving row is
-  the largest primal infeasibility, the entering column the smallest ratio
+  and, only if that attempt fails, the all-slack basis ``B = I``, whose
+  failure is final.  Each nonbasic column sits at the bound its reduced cost
+  points to.  A column whose reduced cost pulls it toward an infinite bound
+  (a one-sided or free column) has its cost shifted until that reduced cost
+  is 0 (Koberstein's cost shifting), so every start is dual feasible.  The
+  dual simplex re-optimises the start: the leaving row is the largest
+  primal infeasibility, the entering column the smallest ratio
   |d_j / alpha_rj| (ties to the largest |alpha_rj|);
-* only when neither start gives a checked optimum (a column whose cost
-  pulls it toward an infinite bound, an artificial or singular caller
-  basis, an infeasible LP, the iteration limit, or a result that fails the
-  checks below) is the LP solved by two-phase primal simplex: the initial
-  basis is the slack set where the slack can absorb the row residual, and a
-  unit-cost artificial elsewhere (phase 1 minimizes the artificial total);
-* pricing is Dantzig's rule with ties broken by lowest column index, and a
-  Bland fallback kicks in after a stall, so runs are deterministic and
+* a row that no column can repair proves the LP infeasible: that row of
+  ``B^-1``, signed by the direction its basic value must move, is a Farkas
+  ray;
+* a primal simplex with the true costs then cleans up what the shift left
+  (and reports ``unbounded`` where that is the answer).  Its pricing is
+  Dantzig's rule with ties broken by lowest column index, and a Bland
+  fallback kicks in after a stall, so runs are deterministic and
   cycling-free;
 * the primal ratio test is Harris's two-pass rule: the step may leave basic
   values up to the feasibility tolerance outside their bounds, which frees
@@ -41,7 +42,7 @@ tableau simplex over general variable bounds:
   checks hold for any duals, so their strength does not depend on where the
   duals come from.  A check that fails is retried once after a refactor;
   anything that still fails is reported as ``failure``, never as a wrong
-  ``optimal``.  Dual and two-phase solves pass the same checks.
+  ``optimal``.
 
 Robustness is favored over speed; the target problems are small, and the
 tableau is refactored from original data whenever drift is detected.
@@ -84,8 +85,8 @@ class Basis:
     LP, or a model's all-slack basis (``DenseLp.slack_basis``).
 
     ``columns`` lists the basic column of each row; ``status`` holds the
-    basic/nonbasic marker of every structural and slack column.  Columns
-    past the slacks are phase-1 artificials, which a dual start refuses.
+    basic/nonbasic marker of every structural and slack column.  A start
+    whose columns do not fit the model is refused.
     """
 
     columns: np.ndarray
@@ -172,8 +173,9 @@ class DenseLp:
         return cls(a, senses, b, lo, up, c, model.objective_offset)
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
-        """Solve with bounds ``lo``/``up``: dual simplex from ``basis`` when
-        given, then from the slack basis, then two-phase primal."""
+        """Solve with bounds ``lo``/``up`` by dual simplex from ``basis`` when
+        given; if that attempt fails, from the slack basis, whose outcome is
+        final."""
         lo = self.lo if lo is None else np.asarray(lo, dtype=float)
         up = self.up if up is None else np.asarray(up, dtype=float)
         iterations = 0
@@ -181,13 +183,11 @@ class DenseLp:
             if start is None:
                 continue
             attempt = _Simplex(self, lo, up)
-            outcome = attempt.run_warm(start)
+            outcome = attempt.run(start)
             iterations += attempt.iterations
-            if outcome is not None:
-                outcome.iterations = iterations
-                return outcome
-        outcome = _Simplex(self, lo, up).run()
-        outcome.iterations += iterations
+            outcome.iterations = iterations
+            if outcome.status != FAILURE:
+                break
         return outcome
 
 
@@ -212,14 +212,12 @@ class _Simplex:
         self.up = np.concatenate([up, problem.slack_up])
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
-        # shared with the problem and never written: a two-phase start swaps
-        # in a widened copy of a_all and cost2 for its artificials
+        # shared with the problem and never written; a cost shift copies cost
         self.a_all = problem.a_all
         self.b = problem.b
-        self.cost2 = problem.cost
+        self.cost = problem.cost
 
         self._place_nonbasic(np.isfinite(self.up) & ~np.isfinite(self.lo))
-        self.art_cols: list[int] = []
         self.iterations = 0
 
     def _place_nonbasic(self, at_up):
@@ -230,45 +228,6 @@ class _Simplex:
         status[self.lo == self.up] = _FIXED
         self.status = status.astype(np.int8)
         self.x = np.where(at_up, self.up, np.where(has_lo, self.lo, 0.0))
-
-    # -- setup -------------------------------------------------------------
-
-    def _install_start_basis(self):
-        """Slack basis where the residual fits, artificials elsewhere."""
-        n, m = self.n, self.m
-        slacks = np.arange(n, n + m)
-        resid = self.b - self.a_all[:, :n] @ self.x[:n]
-        slo, sup = self.lo[slacks], self.up[slacks]
-        fits = (slo - 1e-12 <= resid) & (resid <= sup + 1e-12)
-        self.x[slacks[fits]] = resid[fits]
-        self.status[slacks[fits]] = _BASIC
-
-        rows = np.nonzero(~fits)[0]
-        anchor = np.where(resid[rows] < slo[rows], slo[rows], sup[rows])
-        self.x[slacks[rows]] = anchor
-        self.status[slacks[rows]] = np.where(
-            slo[rows] == sup[rows], _FIXED,
-            np.where(anchor == slo[rows], _AT_LO, _AT_UP),
-        )
-        rho = resid[rows] - anchor
-        signs = np.where(rho >= 0, 1.0, -1.0)
-        k = rows.size
-        self.art_cols = list(range(n + m, n + m + k))
-        artificials = np.zeros((m, k))
-        artificials[rows, np.arange(k)] = signs
-        self.a_all = np.hstack([self.a_all, artificials])
-        self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.up = np.concatenate([self.up, np.full(k, np.inf)])
-        self.x = np.concatenate([self.x, np.abs(rho)])
-        self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.basis = slacks.astype(np.int64)
-        self.basis[rows] = self.art_cols
-        self.cost2 = np.concatenate([self.cost2, np.zeros(k)])
-        self.cost1 = np.zeros_like(self.cost2)
-        self.cost1[n + m:] = 1.0
-        # initial inverse-basis action is a row sign flip at artificial rows
-        self.tableau = self.a_all.copy()
-        self.tableau[rows[signs < 0]] *= -1.0
 
     # -- linear algebra helpers ---------------------------------------------
 
@@ -294,16 +253,12 @@ class _Simplex:
         y = cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
         return y, cost - y @ self.a_all
 
-    def _optimality_violation(self, d):
-        viol = 0.0
+    def _dual_infeasibility(self, d):
+        """Per column, how far its reduced cost pulls it off its bound."""
         stat = self.status
-        down = (stat == _AT_LO) | (stat == _FREE)
-        upm = (stat == _AT_UP) | (stat == _FREE)
-        if np.any(down):
-            viol = max(viol, float(np.max(-d[down], initial=0.0)))
-        if np.any(upm):
-            viol = max(viol, float(np.max(d[upm], initial=0.0)))
-        return viol
+        down = np.where((stat == _AT_LO) | (stat == _FREE), -d, 0.0)
+        upm = np.where((stat == _AT_UP) | (stat == _FREE), d, 0.0)
+        return np.maximum(down, upm)
 
     def _primal_error(self):
         resid = self.b - self.a_all @ self.x if self.m else np.zeros(0)
@@ -398,7 +353,7 @@ class _Simplex:
             self.x[q] = self.lo[q]
             self.status[q] = _AT_LO
 
-    def _apply_pivot(self, q, direction, t, r, phase):
+    def _apply_pivot(self, q, direction, t, r):
         w = self.tableau[:, q]
         delta = -direction * w
         self.x[self.basis] += delta * t
@@ -414,12 +369,6 @@ class _Simplex:
         else:
             self.status[leaving] = _AT_LO
             self.x[leaving] = self.lo[leaving]
-        if phase == 1 and leaving in self.art_set:
-            # once an artificial leaves it is locked out for good
-            self.lo[leaving] = self.up[leaving] = 0.0
-            self.status[leaving] = _FIXED
-            self.x[leaving] = 0.0
-
         self._exchange(r, q)
 
     def _exchange(self, r, q):
@@ -437,7 +386,8 @@ class _Simplex:
         self.basis[r] = q
         self.status[q] = _BASIC
 
-    def _loop(self, cost, phase, max_iter):
+    def _loop(self, max_iter):
+        cost = self.cost
         self.drow = cost - cost[self.basis] @ self.tableau
         bland = False
         stall = 0
@@ -450,12 +400,12 @@ class _Simplex:
                 return OPTIMAL
             t, r = self._ratio_test(q, direction, bland)
             if t is None:
-                return UNBOUNDED if phase == 2 else FAILURE
+                return UNBOUNDED
             self.iterations += 1
             if r == -1:
                 self._apply_flip(q, direction)
             else:
-                self._apply_pivot(q, direction, t, r, phase)
+                self._apply_pivot(q, direction, t, r)
             if self.iterations % _REFRESH_EVERY == 0:
                 self._refresh()
                 self.drow = cost - cost[self.basis] @ self.tableau
@@ -469,12 +419,15 @@ class _Simplex:
                 if stall >= _STALL_LIMIT:
                     bland = True
 
-    def _dual_loop(self, max_iter):
-        """Bounded dual simplex from a dual-feasible basis.
+    def _dual_loop(self, cost, max_iter):
+        """Bounded dual simplex under ``cost``, from a basis dual feasible
+        for it.
 
-        Returns ``OPTIMAL`` once the basic values are within their bounds,
-        ``INFEASIBLE`` for a dual-unbounded row (no column can repair it),
-        and ``FAILURE`` at the iteration limit.
+        Returns ``(verdict, r, rise)``: ``OPTIMAL`` once the basic values
+        are within their bounds, ``FAILURE`` at the iteration limit or a
+        singular refactor, and ``INFEASIBLE`` for a dual-unbounded row ``r``
+        (no column can repair it), whose basic value must move up when
+        ``rise`` and down otherwise.
         """
         while True:
             xb = self.x[self.basis]
@@ -482,10 +435,10 @@ class _Simplex:
             above = xb - self.up[self.basis]
             infeas = np.maximum(below, above)
             if not self.m or infeas.max() <= _FEAS_TOL:
-                return OPTIMAL
+                return OPTIMAL, None, None
             r = int(np.argmax(infeas))
             if self.iterations >= max_iter:
-                return FAILURE
+                return FAILURE, None, None
             rise = below[r] > above[r]      # leaving variable moves up to lo
             alpha = self.tableau[r]
             sa = alpha if rise else -alpha
@@ -494,7 +447,7 @@ class _Simplex:
             can_dec = (stat == _AT_UP) | (stat == _FREE)
             cand = np.nonzero((can_inc & (sa < -_PIV_TOL)) | (can_dec & (sa > _PIV_TOL)))[0]
             if cand.size == 0:
-                return INFEASIBLE
+                return INFEASIBLE, r, rise
             ratios = np.abs(self.drow[cand]) / np.abs(alpha[cand])
             near = cand[ratios <= ratios.min() + 1e-12]
             q = int(near[np.argmax(np.abs(alpha[near]))])
@@ -513,94 +466,76 @@ class _Simplex:
             self.iterations += 1
             if self.iterations % _REFRESH_EVERY == 0:
                 if not self._refresh():
-                    return FAILURE
-                self.drow = self.cost2 - self.cost2[self.basis] @ self.tableau
+                    return FAILURE, None, None
+                self.drow = cost - cost[self.basis] @ self.tableau
 
     # -- orchestration -------------------------------------------------------
 
-    def run_warm(self, start: Basis) -> LpOutcome | None:
-        """Re-optimise from ``start`` by dual simplex; None means the start
-        gave no checked optimum.
+    def run(self, start: Basis) -> LpOutcome:
+        """Solve from ``start``: dual simplex, then primal clean-up.
 
         Nonbasic columns sit at the bound their reduced cost calls for
-        (boxed ties keep the start's side), so the start is dual feasible
-        whenever the reduced costs of one-sided and free columns allow it.
+        (boxed ties keep the start's side).  Where a reduced cost still
+        pulls a column toward an infinite bound, the dual runs on a cost
+        shifted to make that reduced cost 0; the primal clean-up restores
+        the true cost.
         """
         n, m = self.n, self.m
         cols = np.asarray(start.columns, dtype=np.int64)
         if (cols.shape != (m,) or start.status.shape != (n + m,)
                 or np.any((cols < 0) | (cols >= n + m))):
-            return None
+            return LpOutcome(FAILURE, message="start basis does not fit the model")
         self.basis = cols.copy()
         if start is self.problem.slack_basis:
             self.tableau = self.a_all.copy()        # B = I needs no factoring
         elif not self._refresh():
-            return None
-        _y, d = self._exact_duals(self.cost2)
+            return LpOutcome(FAILURE, message="singular start basis")
+        _y, d = self._exact_duals(self.cost)
 
         boxed_up = (d < -_OPT_TOL) | ((start.status == _AT_UP) & (d <= _OPT_TOL))
         self._place_nonbasic(np.isfinite(self.up) & (~np.isfinite(self.lo) | boxed_up))
         self.status[cols] = _BASIC
-        if self._optimality_violation(d) > _OPT_TOL:
-            return None
         self._basic_values()
+        shift = self._dual_infeasibility(d) > _OPT_TOL
+        cost = self.cost - np.where(shift, d, 0.0)
+        self.drow = np.where(shift, 0.0, d)
 
-        self.drow = d
-        max_iter = 50 * (m + self.a_all.shape[1]) + 10_000
-        if self._dual_loop(max_iter) != OPTIMAL:
-            return None
-        if self._run_phase(self.cost2, phase=2, max_iter=max_iter) is not None:
-            return None
-        outcome = self._certified(self._finish_optimal)
-        return outcome if outcome.status == OPTIMAL else None
+        max_iter = 50 * (n + 2 * m) + 10_000
+        verdict, r, rise = self._dual_loop(cost, max_iter)
+        if verdict == INFEASIBLE:
+            # Farkas ray: row r of B^-1, negated when its value must rise
+            sign = -1.0 if rise else 1.0
+            return self._certified(
+                lambda: self._certify_infeasible(sign * self.tableau[r, n:]))
+        if verdict == FAILURE:
+            return LpOutcome(FAILURE, iterations=self.iterations,
+                             message="dual: iteration limit or singular basis")
+        return self._primal(max_iter) or self._certified(self._finish_optimal)
 
-    def run(self) -> LpOutcome:
-        self._install_start_basis()
-        self.art_set = set(self.art_cols)
-        max_iter = 50 * (self.m + self.a_all.shape[1]) + 10_000
-
-        if self.art_cols:
-            outcome = self._run_phase(self.cost1, phase=1, max_iter=max_iter)
-            if outcome is not None:
-                return outcome
-            p1 = float(self.x[self.art_cols].sum())
-            if p1 > 1e-8:
-                return self._certified(self._certify_infeasible)
-            for col in self.art_cols:
-                self.lo[col] = self.up[col] = 0.0
-                if self.status[col] != _BASIC:
-                    self.status[col] = _FIXED
-                    self.x[col] = 0.0
-
-        outcome = self._run_phase(self.cost2, phase=2, max_iter=max_iter)
-        if outcome is not None:
-            return outcome
-        return self._certified(self._finish_optimal)
-
-    def _run_phase(self, cost, phase, max_iter):
-        """Run one phase to verified optimality; None means phase finished."""
+    def _primal(self, max_iter):
+        """Primal simplex with the true cost to verified optimality; None
+        means it finished."""
         for _ in range(8):
-            verdict = self._loop(cost, phase, max_iter)
+            verdict = self._loop(max_iter)
             if verdict == FAILURE:
                 return LpOutcome(
                     FAILURE, iterations=self.iterations,
-                    message=f"phase {phase}: iteration limit or numerical stall",
+                    message="primal: iteration limit or numerical stall",
                 )
             if verdict == UNBOUNDED:
                 return LpOutcome(UNBOUNDED, iterations=self.iterations)
-            _y, d = self._exact_duals(cost)
-            opt_viol = self._optimality_violation(d)
+            _y, d = self._exact_duals(self.cost)
+            opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
             row_err, bound_err = self._primal_error()
             drift = max(row_err, bound_err) > 0.5 * _FEAS_TOL
             if opt_viol <= 10 * _OPT_TOL and not drift:
-                self.drow = d
                 return None
             # drift or stale reduced costs: rebuild state and keep pivoting
             if not self._refresh():
                 return LpOutcome(FAILURE, iterations=self.iterations,
                                  message="singular basis during refresh")
         return LpOutcome(FAILURE, iterations=self.iterations,
-                         message=f"phase {phase}: could not verify optimality")
+                         message="primal: could not verify optimality")
 
     def _certified(self, check) -> LpOutcome:
         """Run a certificate ``check`` on the tableau's duals; if it fails,
@@ -611,8 +546,8 @@ class _Simplex:
         return outcome
 
     def _finish_optimal(self) -> LpOutcome:
-        y, d = self._exact_duals(self.cost2)
-        obj_scaled = float(self.cost2 @ self.x)
+        y, d = self._exact_duals(self.cost)
+        obj_scaled = float(self.cost @ self.x)
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)
         if not np.isfinite(bound_scaled) or gap > 1e-6 * (1.0 + abs(obj_scaled)):
@@ -636,13 +571,11 @@ class _Simplex:
             basis=Basis(self.basis.copy(), self.status[: self.n + self.m].copy()),
         )
 
-    def _certify_infeasible(self) -> LpOutcome:
-        y, _d = self._exact_duals(self.cost1)
+    def _certify_infeasible(self, y) -> LpOutcome:
         # combination y of the rows bounds y.b from above by sup over the box;
         # a positive shortfall proves no point in the box satisfies the rows
-        ncols = self.n + self.m
-        w = y @ self.a_all[:, :ncols]
-        side = np.where(w > 0, self.up[:ncols], self.lo[:ncols])
+        w = y @ self.a_all
+        side = np.where(w > 0, self.up, self.lo)
         big = np.abs(w) > 1e-11
         sup = float(w[big] @ side[big])
         shortfall = float(y @ self.b) - sup

@@ -9,6 +9,7 @@ import scipy.optimize
 from gridplan.branch_bound import (
     GAP_LIMIT,
     INFEASIBLE,
+    LP_FAILURE,
     NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
@@ -16,9 +17,10 @@ from gridplan.branch_bound import (
     enumerate_exact,
     solve_milp,
 )
+from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
 from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
-from gridplan.simplex import DenseLp
+from gridplan.simplex import FAILURE, DenseLp, LpOutcome
 
 EXACT = SolveParams(mip_gap=0.0)
 
@@ -135,6 +137,51 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
     out = solve_milp(model, SolveParams(mip_gap=1e-5))
     assert out.status in (OPTIMAL, GAP_LIMIT)
     assert sum(pivots) <= cap
+
+
+def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
+    # deterministic work of a default solve_milp over the 21 bundled pairs:
+    # 279 LPs, 2,090 pivots and bound flips, 236 nodes with one BLAS thread;
+    # with more, LAPACK sums in another order and eight_bus switch-all takes
+    # a different path of 2 more nodes, for 281, 2,120 and 238
+    outcomes = []
+    solve = DenseLp.solve
+
+    def recording(self, *args, **kwargs):
+        outcomes.append(solve(self, *args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(DenseLp, "solve", recording)
+    nodes = 0
+    for name in ALL_CASES:
+        for variant in Variant:
+            model, _index = build_milp(bundled(name), variant)
+            nodes += solve_milp(model).nodes
+    assert not [o.message for o in outcomes if o.status == FAILURE]
+    assert len(outcomes) <= 281
+    assert sum(o.iterations for o in outcomes) <= 2120
+    assert nodes <= 238
+
+
+def test_failed_node_lp_keeps_incumbent_and_a_valid_bound(bundled, monkeypatch):
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    calls = []
+    solve = DenseLp.solve
+
+    def failing_first_child(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:         # the first node LP after the root
+            return LpOutcome(FAILURE, message="injected")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseLp, "solve", failing_first_child)
+    out = solve_milp(model)
+    monkeypatch.undo()
+    assert out.status == LP_FAILURE
+    assert "injected" in out.message
+    assert evaluate_assignment(model, out.assignment).feasible
+    assert out.bound <= out.objective
+    assert out.bound <= enumerate_exact(model).objective + 1e-6
 
 
 def test_progress_lines_go_to_stderr(capfd):

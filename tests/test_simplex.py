@@ -291,7 +291,12 @@ def test_probe_grid_root_lps_match_highs():
         assert abs(ours.objective - expected) <= 1e-9 * abs(expected), variant.value
 
 
-# -- the start chain: caller's basis, slack basis, two-phase primal --------------
+# -- the two starts: caller's basis, then slack basis ----------------------------
+
+
+def _attempts():
+    """Count the ``_Simplex`` attempts that ``DenseLp.solve`` makes."""
+    return mock.patch("gridplan.simplex._Simplex", wraps=_Simplex)
 
 
 @pytest.mark.parametrize(
@@ -306,17 +311,16 @@ def test_probe_grid_root_lps_match_highs():
     ],
     ids=["half-open-negative-cost", "free-nonzero-cost"],
 )
-def test_dual_infeasible_slack_start_falls_back_to_two_phase(bounds, rows, c):
+def test_dual_infeasible_slack_start_is_repaired_by_a_cost_shift(bounds, rows, c):
     model = _model(
         bounds,
         [([(j, v) for j, v in enumerate(coefs) if v != 0.0], sense, rhs)
          for coefs, sense, rhs in rows],
         list(enumerate(c)),
     )
-    with mock.patch.object(_Simplex, "run", autospec=True,
-                           side_effect=_Simplex.run) as run:
+    with _attempts() as attempts:
         ours = solve_lp(model)
-    assert run.call_count == 1
+    assert attempts.call_count == 1
     ref = _scipy_solve(bounds, rows, c)
     assert ref.status == 0
     assert ours.status == OPTIMAL
@@ -325,7 +329,7 @@ def test_dual_infeasible_slack_start_falls_back_to_two_phase(bounds, rows, c):
 
 def test_infeasible_lp_is_certified_after_the_dual_gives_up():
     # x <= 1 and x >= 2: the slack start's dual loop finds a row no column
-    # can repair, and the two-phase primal certifies the infeasibility
+    # can repair, and that row of B^-1 certifies the infeasibility
     m = _model(
         [(0, 10)],
         [([(0, 1.0)], LE, 1.0), ([(0, 1.0)], GE, 2.0)],
@@ -334,12 +338,14 @@ def test_infeasible_lp_is_certified_after_the_dual_gives_up():
     verdicts = []
     dual_loop = _Simplex._dual_loop
 
-    def spy(self, max_iter):
-        verdicts.append(dual_loop(self, max_iter))
-        return verdicts[-1]
+    def spy(self, cost, max_iter):
+        result = dual_loop(self, cost, max_iter)
+        verdicts.append(result[0])
+        return result
 
-    with mock.patch.object(_Simplex, "_dual_loop", spy):
+    with mock.patch.object(_Simplex, "_dual_loop", spy), _attempts() as attempts:
         out = solve_lp(m)
+    assert attempts.call_count == 1
     assert verdicts == [INFEASIBLE]
     assert out.status == INFEASIBLE
     assert out.message.startswith("certified infeasible")
@@ -351,11 +357,11 @@ def test_bundled_root_lps_start_from_the_slack_basis(bundled):
     for name in ALL_CASES:
         for variant in Variant:
             model, _index = build_milp(bundled(name), variant)
-            with mock.patch.object(_Simplex, "run", autospec=True,
-                                   side_effect=_Simplex.run) as run:
-                root = DenseLp.from_milp(model).solve()
+            dense = DenseLp.from_milp(model)
+            with _attempts() as attempts:
+                root = dense.solve()
             assert root.status == OPTIMAL, (name, variant.value)
-            assert run.call_count == 0, (name, variant.value)
+            assert attempts.call_count == 1, (name, variant.value)
             pivots += root.iterations
     assert pivots <= 1300
 
@@ -421,12 +427,14 @@ def test_warm_start_into_infeasible_child_is_certified():
     assert root.x[0] == pytest.approx(0.5, abs=1e-9)
     up = dense.up.copy()
     up[0] = 0.0
-    child = dense.solve(dense.lo, up, basis=root.basis)
+    with _attempts() as attempts:
+        child = dense.solve(dense.lo, up, basis=root.basis)
+    assert attempts.call_count == 1
     assert child.status == INFEASIBLE
     assert child.message.startswith("certified infeasible")
 
 
-@pytest.mark.parametrize("defect", ["repeated column", "artificial column", "short"])
+@pytest.mark.parametrize("defect", ["repeated column", "out-of-range column", "short"])
 def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     dense = DenseLp.from_milp(model)
@@ -436,7 +444,7 @@ def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
     cols = root.basis.columns.copy()
     if defect == "repeated column":         # a singular basis matrix
         cols[1] = cols[0]
-    elif defect == "artificial column":
+    elif defect == "out-of-range column":
         cols[0] = sum(dense.a.shape)
     else:
         cols = cols[:-1]
