@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simplex
 from .milp import GE, LE, Milp, evaluate_assignment
 from .simplex import DenseLp
 
@@ -148,12 +149,9 @@ class _Search:
     def _try_incumbent(self, lo, up, x, basis):
         """Pin binaries to the rounded values, re-solve, accept if it checks out."""
         plo, pup = lo.copy(), up.copy()
-        for col in self.bins:
-            r = float(round(x[col]))
-            plo[col] = pup[col] = r
+        plo[self.bins] = pup[self.bins] = np.round(x[self.bins])
         polished = self.dense.solve(plo, pup, basis=basis)
-        candidate = None
-        if polished.status == "optimal":
+        if polished.status == simplex.OPTIMAL:
             candidate = [float(v) for v in polished.x]
         else:
             candidate = [float(v) for v in x]
@@ -177,12 +175,12 @@ class _Search:
 
     def run(self) -> SolveOutcome:
         root = self.dense.solve()
-        if root.status == "infeasible":
+        if root.status == simplex.INFEASIBLE:
             return SolveOutcome(INFEASIBLE, None, None, None, None, nodes=1,
                                 message=root.message)
-        if root.status == "unbounded":
+        if root.status == simplex.UNBOUNDED:
             raise RuntimeError("MILP relaxation is unbounded; refusing to search")
-        if root.status == "failure":
+        if root.status == simplex.FAILURE:
             raise RuntimeError(f"root LP failed: {root.message}")
         self.nodes = 1
         self._branch_or_bound(self.dense.lo, self.dense.up, root)
@@ -208,9 +206,9 @@ class _Search:
                 continue
             outcome = self.dense.solve(lo, up, basis=basis)
             self.nodes += 1
-            if outcome.status == "infeasible":
+            if outcome.status == simplex.INFEASIBLE:
                 continue
-            if outcome.status != "optimal":
+            if outcome.status != simplex.OPTIMAL:
                 # the unsolved subtree keeps its parent's estimate as bound
                 self.lowest_pruned = min(self.lowest_pruned, est)
                 self.lp_failure = f"node LP {outcome.status}: {outcome.message}"
@@ -276,9 +274,11 @@ def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
     """Solve ``model`` to the requested gap by branch and bound.
 
     Runs without a time limit are deterministic: identical inputs give
-    identical outcomes.  Any incumbent returned satisfies every row, bound,
-    and integrality requirement within 1e-6.  An unbounded relaxation raises
-    instead of guessing (planning models are always bounded).
+    identical outcomes under the same BLAS thread count, whose summation
+    order can break a near-tie in the search the other way.  Any incumbent
+    returned satisfies every row, bound, and integrality requirement within
+    1e-6.  An unbounded relaxation raises instead of guessing (planning
+    models are always bounded).
     """
     return _Search(model, params or SolveParams()).run()
 
@@ -362,13 +362,13 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
             lo, up = sub.lo.copy(), sub.up.copy()
             lo[nc:] = up[nc:] = (combo >> np.arange(k)) & 1
             out = sub.solve(lo, up)
-            if out.status == "optimal":
+            if out.status == simplex.OPTIMAL:
                 objs[combo] = out.objective
                 sols.append(out.x[:nc])
-            elif out.status == "infeasible":
+            elif out.status == simplex.INFEASIBLE:
                 objs[combo] = np.inf
                 sols.append(None)
-            elif out.status == "unbounded":
+            elif out.status == simplex.UNBOUNDED:
                 objs[combo] = -np.inf
                 sols.append(None)
             else:

@@ -7,8 +7,11 @@ writes the combined cost, investment, and switching report.
 
 Exit codes: 0 when every requested solve finished at proven optimality or
 within the requested gap, 1 when a solve hit a limit or the case is
-infeasible, 2 on bad input.  Reports are a pure function of the inputs;
-runs stopped by a limit are stamped as nondeterministic in the header.
+infeasible, 2 on bad input.  Reports are a pure function of the inputs
+and the BLAS thread count (``OPENBLAS_NUM_THREADS`` or the like), since
+threaded linear algebra sums in another order and can break a near-tie in
+the search the other way; runs stopped by a limit are stamped as
+nondeterministic in the header.
 """
 
 from __future__ import annotations

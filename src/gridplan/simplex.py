@@ -12,25 +12,21 @@ tableau simplex over general variable bounds:
 * every solve is a bounded dual simplex from a start basis: the caller's
   (a branch and bound parent, whose child differs only in variable bounds),
   and, only if that attempt fails, the all-slack basis ``B = I``, whose
-  failure is final.  Each nonbasic column sits at the bound its reduced cost
-  points to.  A column whose reduced cost pulls it toward an infinite bound
-  (a one-sided or free column) has its cost shifted until that reduced cost
-  is 0 (Koberstein's cost shifting), so every start is dual feasible.  The
-  dual simplex re-optimises the start: the leaving row is the largest
-  primal infeasibility, the entering column the smallest ratio
-  |d_j / alpha_rj| (ties to the largest |alpha_rj|);
+  failure is final.  The dual simplex is the only code that pivots: the
+  leaving row is the largest primal infeasibility, the entering column the
+  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|);
+* each nonbasic column sits at the bound its reduced cost calls for.  A
+  column whose reduced cost pulls it toward an infinite bound (a one-sided
+  or free column) gets an artificial bound a fixed width from its finite
+  bound, or from 0 when free, so every start is dual feasible (Koberstein's
+  artificial-bounds dual phase 1).  Outcomes are checked against the true
+  bounds, and a verdict that the artificial bounds may have caused is
+  retried with wider ones;
 * a row that no column can repair proves the LP infeasible: that row of
   ``B^-1``, signed by the direction its basic value must move, is a Farkas
-  ray;
-* a primal simplex with the true costs then cleans up what the shift left
-  (and reports ``unbounded`` where that is the answer).  Its pricing is
-  Dantzig's rule with ties broken by lowest column index, and a Bland
-  fallback kicks in after a stall, so runs are deterministic and
-  cycling-free;
-* the primal ratio test is Harris's two-pass rule: the step may leave basic
-  values up to the feasibility tolerance outside their bounds, which frees
-  it to pick the largest pivot among near-ties instead of a tiny one that
-  would make the basis numerically singular;
+  ray.  An optimum resting on artificial bounds proves the LP unbounded
+  when moving those columns further out improves the objective and moves
+  no basic value toward a finite true bound;
 * a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
   the tableau ``B^-1 [A | I]`` from original data; since the slack columns
   are the identity, the tableau's slack block is ``B^-1``, and duals and
@@ -71,8 +67,13 @@ _FIXED = 4
 _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
 _PIV_TOL = 1e-10
-_STALL_LIMIT = 200
 _REFRESH_EVERY = 700
+
+# artificial bounds: first width, growth per retry, and the number of rounds
+# (dual simplex runs) one attempt may take before it gives up
+_ART_WIDTH = 1e6
+_ART_GROWTH = 1e3
+_MAX_ROUNDS = 8
 
 # slack bounds per row sense: a <= row takes a nonnegative slack, a >= row a
 # nonpositive one, and an = row a slack fixed at zero
@@ -100,8 +101,8 @@ class LpOutcome:
     ``x`` and ``objective`` are set when ``status`` is ``optimal``;
     ``dual_bound`` is the certifying lower bound from the final duals, and
     ``basis`` the final basis, to warm-start LPs that differ only in bounds.
-    ``iterations`` counts every pivot and bound flip, including those of a
-    dual simplex start that was given up for the next one.
+    ``iterations`` counts every pivot, including those of a dual simplex
+    start that was given up for the next one.
     """
 
     status: str
@@ -194,10 +195,10 @@ class DenseLp:
 def solve_lp(model: Milp) -> LpOutcome:
     """Solve the continuous relaxation of ``model``.
 
-    Deterministic: identical models give identical outcomes.  An ``optimal``
-    outcome satisfies every row and bound within 1e-7 and carries a
-    certifying dual bound; uncertifiable situations come back as ``failure``
-    with a diagnostic message.
+    Deterministic for a fixed BLAS thread count: identical models give
+    identical outcomes.  An ``optimal`` outcome satisfies every row and bound
+    within 1e-7 and carries a certifying dual bound; uncertifiable situations
+    come back as ``failure`` with a diagnostic message.
     """
     return DenseLp.from_milp(model).solve()
 
@@ -212,22 +213,26 @@ class _Simplex:
         self.up = np.concatenate([up, problem.slack_up])
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
-        # shared with the problem and never written; a cost shift copies cost
+        # shared with the problem and never written
         self.a_all = problem.a_all
         self.b = problem.b
         self.cost = problem.cost
+        # the bounds the dual simplex works in: the true ones, narrowed by a
+        # round's artificial bounds
+        self.work_lo, self.work_up = self.lo, self.up
 
         self._place_nonbasic(np.isfinite(self.up) & ~np.isfinite(self.lo))
         self.iterations = 0
 
     def _place_nonbasic(self, at_up):
-        """Put every column at a bound: the upper one where ``at_up``, else
-        the lower one, or zero when free; equal bounds make it fixed."""
-        has_lo = np.isfinite(self.lo)
+        """Put every column at a working bound: the upper one where
+        ``at_up``, else the lower one, or zero when free; equal bounds make
+        it fixed."""
+        has_lo = np.isfinite(self.work_lo)
         status = np.where(at_up, _AT_UP, np.where(has_lo, _AT_LO, _FREE))
         status[self.lo == self.up] = _FIXED
         self.status = status.astype(np.int8)
-        self.x = np.where(at_up, self.up, np.where(has_lo, self.lo, 0.0))
+        self.x = np.where(at_up, self.work_up, np.where(has_lo, self.work_lo, 0.0))
 
     # -- linear algebra helpers ---------------------------------------------
 
@@ -248,10 +253,10 @@ class _Simplex:
         binv = self.tableau[:, self.n:self.n + self.m]
         self.x[self.basis] = binv @ (self.b - self.a_all @ self.x)
 
-    def _exact_duals(self, cost):
+    def _exact_duals(self):
         """Duals y = c_B B^-1 off the tableau; reduced costs from original data."""
-        y = cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
-        return y, cost - y @ self.a_all
+        y = self.cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
+        return y, self.cost - y @ self.a_all
 
     def _dual_infeasibility(self, d):
         """Per column, how far its reduced cost pulls it off its bound."""
@@ -291,86 +296,6 @@ class _Simplex:
 
     # -- the pivot loop ------------------------------------------------------
 
-    def _price(self, bland):
-        d = self.drow
-        stat = self.status
-        can_inc = (stat == _AT_LO) | (stat == _FREE)
-        can_dec = (stat == _AT_UP) | (stat == _FREE)
-        score = np.maximum(np.where(can_inc, -d, 0.0), np.where(can_dec, d, 0.0))
-        if bland:
-            idx = np.nonzero(score > _OPT_TOL)[0]
-            if idx.size == 0:
-                return -1, 0
-            q = int(idx[0])
-        else:
-            q = int(np.argmax(score))
-            if score[q] <= _OPT_TOL:
-                return -1, 0
-        if can_inc[q] and (-d[q] >= d[q] or not can_dec[q]):
-            return q, 1
-        return q, -1
-
-    def _ratio_test(self, q, direction, bland):
-        """Step and leaving row for entering column ``q``: row -1 is a bound
-        flip of ``q``, (None, None) an unbounded ray.
-
-        Harris's two passes: the longest step that keeps every basic value
-        within its bounds relaxed by ``_FEAS_TOL``, then, among the rows whose
-        exact ratio fits in that step, the largest |pivot|.  Under Bland's rule
-        the lowest basic column among the exact minimum ratios leaves instead.
-        """
-        delta = -direction * self.tableau[:, q]     # basic change rate per unit step
-        t_flip = self.up[q] - self.lo[q]
-        target = np.where(delta > 0, self.up[self.basis], self.lo[self.basis])
-        moving = np.abs(delta) > _PIV_TOL
-        raw = np.full(self.m, np.inf)
-        raw[moving] = (target[moving] - self.x[self.basis][moving]) / delta[moving]
-        ratios = np.maximum(raw, 0.0)
-        if bland:
-            t_max = float(np.min(ratios, initial=np.inf)) + 1e-12
-        else:
-            relaxed = raw[moving] + _FEAS_TOL / np.abs(delta[moving])
-            t_max = max(float(np.min(relaxed, initial=np.inf)), 0.0)
-        if t_max == np.inf:
-            return (None, None) if t_flip == np.inf else (t_flip, -1)
-        near = np.nonzero(ratios <= t_max)[0]
-        if bland:
-            r = int(near[np.argmin(self.basis[near])])
-        else:
-            r = int(near[np.argmax(np.abs(delta[near]))])
-        if t_flip <= ratios[r]:
-            return t_flip, -1
-        return float(ratios[r]), r
-
-    def _apply_flip(self, q, direction):
-        t = self.up[q] - self.lo[q]
-        if self.m:
-            self.x[self.basis] -= direction * t * self.tableau[:, q]
-        if direction > 0:
-            self.x[q] = self.up[q]
-            self.status[q] = _AT_UP
-        else:
-            self.x[q] = self.lo[q]
-            self.status[q] = _AT_LO
-
-    def _apply_pivot(self, q, direction, t, r):
-        w = self.tableau[:, q]
-        delta = -direction * w
-        self.x[self.basis] += delta * t
-        self.x[q] += direction * t
-        leaving = int(self.basis[r])
-        # snap the leaving variable onto the bound it reached
-        if self.lo[leaving] == self.up[leaving]:
-            self.status[leaving] = _FIXED
-            self.x[leaving] = self.lo[leaving]
-        elif delta[r] > 0:
-            self.status[leaving] = _AT_UP
-            self.x[leaving] = self.up[leaving]
-        else:
-            self.status[leaving] = _AT_LO
-            self.x[leaving] = self.lo[leaving]
-        self._exchange(r, q)
-
     def _exchange(self, r, q):
         """Make column ``q`` basic in row ``r``: rank-1 tableau and drow update."""
         piv = self.tableau[r, q]
@@ -386,53 +311,21 @@ class _Simplex:
         self.basis[r] = q
         self.status[q] = _BASIC
 
-    def _loop(self, max_iter):
-        cost = self.cost
-        self.drow = cost - cost[self.basis] @ self.tableau
-        bland = False
-        stall = 0
-        best = np.inf
-        while True:
-            if self.iterations >= max_iter:
-                return FAILURE
-            q, direction = self._price(bland)
-            if q < 0:
-                return OPTIMAL
-            t, r = self._ratio_test(q, direction, bland)
-            if t is None:
-                return UNBOUNDED
-            self.iterations += 1
-            if r == -1:
-                self._apply_flip(q, direction)
-            else:
-                self._apply_pivot(q, direction, t, r)
-            if self.iterations % _REFRESH_EVERY == 0:
-                self._refresh()
-                self.drow = cost - cost[self.basis] @ self.tableau
-            z = float(cost @ self.x)
-            if z < best - 1e-11 * (1.0 + abs(best)):
-                best = z
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-
-    def _dual_loop(self, cost, max_iter):
-        """Bounded dual simplex under ``cost``, from a basis dual feasible
-        for it.
+    def _dual_loop(self, max_iter):
+        """Bounded dual simplex in the working bounds, from a dual feasible
+        basis.
 
         Returns ``(verdict, r, rise)``: ``OPTIMAL`` once the basic values
-        are within their bounds, ``FAILURE`` at the iteration limit or a
-        singular refactor, and ``INFEASIBLE`` for a dual-unbounded row ``r``
-        (no column can repair it), whose basic value must move up when
+        are within their working bounds, ``FAILURE`` at the iteration limit
+        or a singular refactor, and ``INFEASIBLE`` for a dual-unbounded row
+        ``r`` (no column can repair it), whose basic value must move up when
         ``rise`` and down otherwise.
         """
+        lo, up = self.work_lo, self.work_up
         while True:
             xb = self.x[self.basis]
-            below = self.lo[self.basis] - xb
-            above = xb - self.up[self.basis]
+            below = lo[self.basis] - xb
+            above = xb - up[self.basis]
             infeas = np.maximum(below, above)
             if not self.m or infeas.max() <= _FEAS_TOL:
                 return OPTIMAL, None, None
@@ -453,12 +346,12 @@ class _Simplex:
             q = int(near[np.argmax(np.abs(alpha[near]))])
 
             leaving = int(self.basis[r])
-            target = self.lo[leaving] if rise else self.up[leaving]
+            target = lo[leaving] if rise else up[leaving]
             theta = (xb[r] - target) / alpha[q]
             self.x[self.basis] -= theta * self.tableau[:, q]
             self.x[q] += theta
             self.x[leaving] = target
-            if self.lo[leaving] == self.up[leaving]:
+            if lo[leaving] == up[leaving]:
                 self.status[leaving] = _FIXED
             else:
                 self.status[leaving] = _AT_LO if rise else _AT_UP
@@ -467,18 +360,54 @@ class _Simplex:
             if self.iterations % _REFRESH_EVERY == 0:
                 if not self._refresh():
                     return FAILURE, None, None
-                self.drow = cost - cost[self.basis] @ self.tableau
+                self.drow = self.cost - self.cost[self.basis] @ self.tableau
+
+    def _start_round(self, d, side, width):
+        """Put every nonbasic column at the bound reduced costs ``d`` call
+        for, boxed ties on their ``side``; a column pulled toward an infinite
+        bound gets an artificial one ``width`` from its finite bound (from 0
+        when free).  Returns whether any bound is artificial."""
+        nonbasic = np.ones(self.n + self.m, dtype=bool)
+        nonbasic[self.basis] = False
+        art_up = nonbasic & (d < -_OPT_TOL) & ~np.isfinite(self.up)
+        art_lo = nonbasic & (d > _OPT_TOL) & ~np.isfinite(self.lo)
+        self.work_up = np.where(art_up, np.where(np.isfinite(self.lo), self.lo, 0.0) + width,
+                                self.up)
+        self.work_lo = np.where(art_lo, np.where(np.isfinite(self.up), self.up, 0.0) - width,
+                                self.lo)
+        boxed_up = (d < -_OPT_TOL) | ((side == _AT_UP) & (d <= _OPT_TOL))
+        self._place_nonbasic(np.isfinite(self.work_up)
+                             & (~np.isfinite(self.work_lo) | boxed_up))
+        self.status[self.basis] = _BASIC
+        self._basic_values()
+        self.drow = d
+        return bool(art_up.any() or art_lo.any())
+
+    def _improving_ray(self, step, d):
+        """Whether moving the nonbasic columns by ``step`` is a ray of the
+        true LP along which reduced costs ``d`` fall: no basic value it moves
+        may head for a finite true bound."""
+        moved = -self.tableau @ step
+        blocked = (((moved > _PIV_TOL) & np.isfinite(self.up[self.basis]))
+                   | ((moved < -_PIV_TOL) & np.isfinite(self.lo[self.basis])))
+        return float(d @ step) < -_OPT_TOL and not blocked.any()
 
     # -- orchestration -------------------------------------------------------
 
     def run(self, start: Basis) -> LpOutcome:
-        """Solve from ``start``: dual simplex, then primal clean-up.
+        """Solve from ``start`` in rounds of the dual simplex, at most
+        ``_MAX_ROUNDS``.
 
-        Nonbasic columns sit at the bound their reduced cost calls for
-        (boxed ties keep the start's side).  Where a reduced cost still
-        pulls a column toward an infinite bound, the dual runs on a cost
-        shifted to make that reduced cost 0; the primal clean-up restores
-        the true cost.
+        Each round starts dual feasible: every nonbasic column sits at the
+        bound its exact reduced cost calls for (boxed ties keep their side),
+        an artificial one where that bound is infinite.  Its verdict is then
+        checked against the true bounds.  An infeasible row must certify a
+        Farkas ray.  An optimum with columns resting on artificial bounds is
+        ``unbounded`` if moving them further out is an improving ray.  Any
+        other optimum must be dual feasible within ``10 * _OPT_TOL`` with
+        basic values that have not drifted.  A verdict the artificial bounds
+        may have caused is retried with bounds ``_ART_GROWTH`` times wider,
+        and a drifted optimum after a refactor.
         """
         n, m = self.n, self.m
         cols = np.asarray(start.columns, dtype=np.int64)
@@ -490,52 +419,42 @@ class _Simplex:
             self.tableau = self.a_all.copy()        # B = I needs no factoring
         elif not self._refresh():
             return LpOutcome(FAILURE, message="singular start basis")
-        _y, d = self._exact_duals(self.cost)
-
-        boxed_up = (d < -_OPT_TOL) | ((start.status == _AT_UP) & (d <= _OPT_TOL))
-        self._place_nonbasic(np.isfinite(self.up) & (~np.isfinite(self.lo) | boxed_up))
-        self.status[cols] = _BASIC
-        self._basic_values()
-        shift = self._dual_infeasibility(d) > _OPT_TOL
-        cost = self.cost - np.where(shift, d, 0.0)
-        self.drow = np.where(shift, 0.0, d)
 
         max_iter = 50 * (n + 2 * m) + 10_000
-        verdict, r, rise = self._dual_loop(cost, max_iter)
-        if verdict == INFEASIBLE:
-            # Farkas ray: row r of B^-1, negated when its value must rise
-            sign = -1.0 if rise else 1.0
-            return self._certified(
-                lambda: self._certify_infeasible(sign * self.tableau[r, n:]))
-        if verdict == FAILURE:
-            return LpOutcome(FAILURE, iterations=self.iterations,
-                             message="dual: iteration limit or singular basis")
-        return self._primal(max_iter) or self._certified(self._finish_optimal)
-
-    def _primal(self, max_iter):
-        """Primal simplex with the true cost to verified optimality; None
-        means it finished."""
-        for _ in range(8):
-            verdict = self._loop(max_iter)
+        side, width = start.status, _ART_WIDTH
+        for _ in range(_MAX_ROUNDS):
+            artificial = self._start_round(self._exact_duals()[1], side, width)
+            verdict, r, rise = self._dual_loop(max_iter)
             if verdict == FAILURE:
-                return LpOutcome(
-                    FAILURE, iterations=self.iterations,
-                    message="primal: iteration limit or numerical stall",
-                )
-            if verdict == UNBOUNDED:
-                return LpOutcome(UNBOUNDED, iterations=self.iterations)
-            _y, d = self._exact_duals(self.cost)
-            opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
-            row_err, bound_err = self._primal_error()
-            drift = max(row_err, bound_err) > 0.5 * _FEAS_TOL
-            if opt_viol <= 10 * _OPT_TOL and not drift:
-                return None
-            # drift or stale reduced costs: rebuild state and keep pivoting
-            if not self._refresh():
                 return LpOutcome(FAILURE, iterations=self.iterations,
-                                 message="singular basis during refresh")
+                                 message="dual: iteration limit or singular basis")
+            if verdict == INFEASIBLE:
+                # Farkas ray: row r of B^-1, negated when its value must rise
+                sign = -1.0 if rise else 1.0
+                outcome = self._certified(
+                    lambda: self._certify_infeasible(sign * self.tableau[r, n:]))
+                if outcome.status != FAILURE or not artificial:
+                    return outcome
+            else:
+                _y, d = self._exact_duals()
+                step = np.where((self.status == _AT_UP) & (self.work_up != self.up), 1.0,
+                                np.where((self.status == _AT_LO) & (self.work_lo != self.lo),
+                                         -1.0, 0.0))
+                if step.any():
+                    if self._improving_ray(step, d):
+                        return LpOutcome(UNBOUNDED, iterations=self.iterations)
+                else:
+                    opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
+                    row_err, bound_err = self._primal_error()
+                    drift = max(row_err, bound_err) > 0.5 * _FEAS_TOL
+                    if opt_viol <= 10 * _OPT_TOL and not drift:
+                        return self._certified(self._finish_optimal)
+                    if not self._refresh():
+                        return LpOutcome(FAILURE, iterations=self.iterations,
+                                         message="singular basis during refresh")
+            side, width = self.status, width * _ART_GROWTH
         return LpOutcome(FAILURE, iterations=self.iterations,
-                         message="primal: could not verify optimality")
+                         message=f"no certified outcome in {_MAX_ROUNDS} rounds")
 
     def _certified(self, check) -> LpOutcome:
         """Run a certificate ``check`` on the tableau's duals; if it fails,
@@ -546,7 +465,7 @@ class _Simplex:
         return outcome
 
     def _finish_optimal(self) -> LpOutcome:
-        y, d = self._exact_duals(self.cost)
+        y, d = self._exact_duals()
         obj_scaled = float(self.cost @ self.x)
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)

@@ -141,7 +141,7 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 279 LPs, 2,090 pivots and bound flips, 236 nodes with one BLAS thread;
+    # 279 LPs, 2,090 pivots, 236 nodes with one BLAS thread;
     # with more, LAPACK sums in another order and eight_bus switch-all takes
     # a different path of 2 more nodes, for 281, 2,120 and 238
     outcomes = []

@@ -1,6 +1,10 @@
 """CLI workflows: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,18 @@ def test_time_limit_exits_1(case_file, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "time_limit" in err
+
+
+def test_runtime_imports_need_only_numpy():
+    # the package and its CLI run with numpy alone; scipy, hypothesis and
+    # pytest are test dependencies
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, gridplan, gridplan.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} "
+             "& {'scipy', 'hypothesis', 'pytest'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

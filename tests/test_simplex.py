@@ -160,13 +160,16 @@ def test_row_and_column_permutation_invariance():
     assert shuffled.objective == pytest.approx(base.objective, abs=1e-8)
 
 
-def _random_instance(rng):
+def _random_instance(rng, free=False):
+    """A small LP; with ``free``, columns may also be free on both sides."""
     n = int(rng.integers(2, 6))
     m_rows = int(rng.integers(1, 5))
     bounds = []
     for _ in range(n):
-        kind = rng.integers(0, 4)
-        if kind == 0:
+        kind = rng.integers(0, 5 if free else 4)
+        if kind == 4:
+            lo, up = -math.inf, math.inf
+        elif kind == 0:
             lo, up = 0.0, float(rng.integers(1, 10))
         elif kind == 1:
             lo, up = -float(rng.integers(1, 10)), float(rng.integers(0, 10))
@@ -247,11 +250,11 @@ def test_dual_bound_matches_the_column_definition():
     assert min(finite, infinite) >= 20
 
 
-def test_random_lps_agree_with_scipy():
-    rng = np.random.default_rng(20260814)
+def _tally_against_scipy(rng, trials, free):
+    """Solve ``trials`` random LPs, check each against HiGHS, count outcomes."""
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for trial in range(80):
-        bounds, rows, c = _random_instance(rng)
+    for trial in range(trials):
+        bounds, rows, c = _random_instance(rng, free)
         model = _model(
             bounds,
             [([(j, v) for j, v in enumerate(coefs) if v != 0.0], sense, rhs)
@@ -260,6 +263,10 @@ def test_random_lps_agree_with_scipy():
         )
         ours = solve_lp(model)
         ref = _scipy_solve(bounds, rows, c)
+        if ref.status == 2 and _scipy_solve(bounds, rows, np.zeros_like(c)).status == 0:
+            # HiGHS reports "infeasible or unbounded" as infeasible; a
+            # feasible point makes it unbounded
+            ref.status = 3
         assert ours.status != FAILURE, f"trial {trial}: solver gave up"
         if ref.status == 0:
             assert ours.status == OPTIMAL, f"trial {trial}: {ours.status}"
@@ -270,8 +277,14 @@ def test_random_lps_agree_with_scipy():
         elif ref.status == 3:
             assert ours.status == UNBOUNDED, trial
         statuses[ours.status] = statuses.get(ours.status, 0) + 1
-    # the seed must exercise every outcome, or the test is weaker than it looks
-    assert min(statuses[OPTIMAL], statuses[INFEASIBLE], statuses[UNBOUNDED]) >= 3
+    return statuses
+
+
+def test_random_lps_agree_with_scipy():
+    for seed, free in ((20260814, False), (20261018, True)):
+        statuses = _tally_against_scipy(np.random.default_rng(seed), 80, free)
+        # the seed must exercise every outcome, or the test is weaker than it looks
+        assert min(statuses[OPTIMAL], statuses[INFEASIBLE], statuses[UNBOUNDED]) >= 3, free
 
 
 def test_probe_grid_root_lps_match_highs():
@@ -299,29 +312,65 @@ def _attempts():
     return mock.patch("gridplan.simplex._Simplex", wraps=_Simplex)
 
 
+def _dual_verdicts():
+    """Record the verdict of every ``_Simplex._dual_loop`` round."""
+    verdicts = []
+    dual_loop = _Simplex._dual_loop
+
+    def spy(self, max_iter):
+        result = dual_loop(self, max_iter)
+        verdicts.append(result[0])
+        return result
+
+    return mock.patch.object(_Simplex, "_dual_loop", spy), verdicts
+
+
 @pytest.mark.parametrize(
-    "bounds, rows, c",
+    "bounds, rows, c, rounds",
     [
         # x in [0, inf) at cost -1 sits at 0 with a reduced cost that wants up
         ([(0.0, math.inf), (0.0, 1.0)],
-         [(np.array([1.0, 2.0]), LE, 4.0)], np.array([-1.0, -1.0])),
+         [(np.array([1.0, 2.0]), LE, 4.0)], np.array([-1.0, -1.0]), [OPTIMAL]),
         # a free column with a nonzero cost has no bound to sit at
         ([(-math.inf, math.inf), (0.0, 2.0)],
-         [(np.array([1.0, -1.0]), GE, -3.0)], np.array([1.0, 1.0])),
+         [(np.array([1.0, -1.0]), GE, -3.0)], np.array([1.0, 1.0]), [OPTIMAL]),
+        # x1 = x2 rise together without end; neither column alone is a ray
+        ([(0.0, math.inf), (0.0, math.inf)],
+         [(np.array([1.0, -1.0]), EQ, 0.0)], np.array([-1.0, -1.0]), [OPTIMAL]),
+        # x = 2y at cost -x + 2y = 0: x rests on its artificial bound, but
+        # moving it further out gains nothing, so it is no ray
+        ([(0.0, math.inf), (0.0, math.inf)],
+         [(np.array([1.0, -2.0]), EQ, 0.0)], np.array([-1.0, 2.0]), [OPTIMAL, OPTIMAL]),
+        # x <= y <= 5e9: the optimum lies beyond the first two artificial
+        # bounds (1e6, 1e9), and y's finite bound blocks the ray each time
+        ([(0.0, math.inf), (0.0, 5e9)],
+         [(np.array([1.0, -1.0]), LE, 0.0)], np.array([-1.0, 0.0]),
+         [OPTIMAL, OPTIMAL, OPTIMAL]),
+        # 5e6 <= x <= 1e7 lies outside the first box [0, 1e6], which makes
+        # the LP look infeasible until the box is widened
+        ([(0.0, math.inf)],
+         [(np.array([1.0]), GE, 5e6), (np.array([1.0]), LE, 1e7)], np.array([-1.0]),
+         [INFEASIBLE, OPTIMAL]),
     ],
-    ids=["half-open-negative-cost", "free-nonzero-cost"],
+    ids=["half-open-negative-cost", "free-nonzero-cost", "combined-ray",
+         "flat-direction-widens", "blocked-direction-widens", "infeasible-in-first-box"],
 )
-def test_dual_infeasible_slack_start_is_repaired_by_a_cost_shift(bounds, rows, c):
+def test_artificial_bounds_repair_dual_infeasible_starts(bounds, rows, c, rounds):
     model = _model(
         bounds,
         [([(j, v) for j, v in enumerate(coefs) if v != 0.0], sense, rhs)
          for coefs, sense, rhs in rows],
         list(enumerate(c)),
     )
-    with _attempts() as attempts:
+    spy, verdicts = _dual_verdicts()
+    with spy, _attempts() as attempts:
         ours = solve_lp(model)
     assert attempts.call_count == 1
+    assert verdicts == rounds
     ref = _scipy_solve(bounds, rows, c)
+    if ref.status == 3:
+        assert ours.status == UNBOUNDED
+        return
     assert ref.status == 0
     assert ours.status == OPTIMAL
     assert abs(ours.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
@@ -335,15 +384,8 @@ def test_infeasible_lp_is_certified_after_the_dual_gives_up():
         [([(0, 1.0)], LE, 1.0), ([(0, 1.0)], GE, 2.0)],
         [(0, 1.0)],
     )
-    verdicts = []
-    dual_loop = _Simplex._dual_loop
-
-    def spy(self, cost, max_iter):
-        result = dual_loop(self, cost, max_iter)
-        verdicts.append(result[0])
-        return result
-
-    with mock.patch.object(_Simplex, "_dual_loop", spy), _attempts() as attempts:
+    spy, verdicts = _dual_verdicts()
+    with spy, _attempts() as attempts:
         out = solve_lp(m)
     assert attempts.call_count == 1
     assert verdicts == [INFEASIBLE]
