@@ -51,6 +51,8 @@ LP_FAILURE = "lp_failure"
 
 _INT_TOL = 1e-6
 _GAP_EPS = 1e-9
+# 2**20 binary assignments is the most ``enumerate_exact`` will sweep
+_MAX_ENUM_BINARIES = 20
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,9 @@ class _Search:
         self.incumbent: list[float] | None = None
         self.incumbent_obj = np.inf
         self.lowest_pruned = np.inf
-        self.heap: list = []
-        self.stack: list = []
+        # open nodes (estimate, sequence, lo, up, basis): a stack until the
+        # first incumbent, a heap from then on
+        self.open: list = []
         self.seq = 0
         self.nodes = 0
         self.lp_failure = ""
@@ -119,10 +122,9 @@ class _Search:
         return self.incumbent_obj - margin
 
     def _open_bound(self) -> float:
-        best = self.heap[0][0] if self.heap else np.inf
-        for est, *_node in self.stack:
-            best = min(best, est)
-        return best
+        if self.incumbent is not None:
+            return self.open[0][0] if self.open else np.inf
+        return min((node[0] for node in self.open), default=np.inf)
 
     def _global_bound(self) -> float:
         return min(self.incumbent_obj, self.lowest_pruned, self._open_bound())
@@ -131,9 +133,9 @@ class _Search:
         self.seq += 1
         node = (est, self.seq, lo, up, basis)
         if self.incumbent is None:
-            self.stack.append(node)
+            self.open.append(node)
         else:
-            heapq.heappush(self.heap, node)
+            heapq.heappush(self.open, node)
 
     def _report_progress(self):
         bound = self._global_bound()
@@ -155,7 +157,7 @@ class _Search:
             candidate = [float(v) for v in polished.x]
         else:
             candidate = [float(v) for v in x]
-        report = evaluate_assignment(self.model, candidate, tol=_INT_TOL)
+        report = evaluate_assignment(self.model, candidate)
         if not report.feasible:
             raise RuntimeError(
                 "branch and bound produced an incumbent that fails evaluation "
@@ -163,44 +165,38 @@ class _Search:
                 f"bound {report.max_bound_violation:.3e})"
             )
         if report.objective < self.incumbent_obj:
+            if self.incumbent is None:
+                heapq.heapify(self.open)
             self.incumbent = candidate
             self.incumbent_obj = report.objective
-            if self.stack:
-                for node in self.stack:
-                    heapq.heappush(self.heap, node)
-                self.stack.clear()
             self._report_progress()
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> SolveOutcome:
         root = self.dense.solve()
+        self.nodes = 1
         if root.status == simplex.INFEASIBLE:
-            return SolveOutcome(INFEASIBLE, None, None, None, None, nodes=1,
-                                message=root.message)
+            return self._outcome(INFEASIBLE, root.message)
         if root.status == simplex.UNBOUNDED:
             raise RuntimeError("MILP relaxation is unbounded; refusing to search")
         if root.status == simplex.FAILURE:
             raise RuntimeError(f"root LP failed: {root.message}")
-        self.nodes = 1
         self._branch_or_bound(self.dense.lo, self.dense.up, root)
 
-        while self.heap or self.stack:
+        while self.open:
             if time.monotonic() - self.started > self.params.time_limit:
-                return self._stopped(TIME_LIMIT, nondeterministic=True,
-                                     message="time limit reached")
+                return self._outcome(TIME_LIMIT, "time limit reached", nondeterministic=True)
             if self.params.node_limit is not None and self.nodes >= self.params.node_limit:
-                return self._stopped(NODE_LIMIT, nondeterministic=False,
-                                     message="node limit reached")
+                return self._outcome(NODE_LIMIT, "node limit reached")
             if self.incumbent is not None:
                 gap = _relative_gap(self.incumbent_obj, self._global_bound())
                 if gap <= self.params.mip_gap:
-                    return self._stopped(GAP_LIMIT, nondeterministic=False,
-                                         message="gap target reached")
-            if self.incumbent is None and self.stack:
-                est, _seq, lo, up, basis = self.stack.pop()
+                    return self._outcome(GAP_LIMIT, "gap target reached")
+            if self.incumbent is None:
+                est, _seq, lo, up, basis = self.open.pop()
             else:
-                est, _seq, lo, up, basis = heapq.heappop(self.heap)
+                est, _seq, lo, up, basis = heapq.heappop(self.open)
             if est >= self._cutoff():
                 self.lowest_pruned = min(self.lowest_pruned, est)
                 continue
@@ -216,32 +212,20 @@ class _Search:
             self._branch_or_bound(lo, up, outcome)
 
         if self.lp_failure:
-            return self._stopped(LP_FAILURE, nondeterministic=False,
-                                 message=self.lp_failure)
-        if self.incumbent is None:
-            return SolveOutcome(INFEASIBLE, None, None, None, None,
-                                nodes=self.nodes, message="")
-        bound = min(self.incumbent_obj, self.lowest_pruned)
-        return SolveOutcome(
-            OPTIMAL, self.incumbent, self.incumbent_obj, bound,
-            _relative_gap(self.incumbent_obj, bound), nodes=self.nodes,
-        )
+            return self._outcome(LP_FAILURE, self.lp_failure)
+        return self._outcome(INFEASIBLE if self.incumbent is None else OPTIMAL)
 
     def _branch_or_bound(self, lo, up, outcome):
         if outcome.objective >= self._cutoff():
             self.lowest_pruned = min(self.lowest_pruned, outcome.objective)
             return
         x = outcome.x
-        frac_col = -1
-        frac_best = _INT_TOL
-        for col in self.bins:
-            frac = abs(x[col] - round(x[col]))
-            if frac > frac_best:
-                frac_col = col
-                frac_best = frac
-        if frac_col < 0:
+        frac = np.abs(x[self.bins] - np.round(x[self.bins]))
+        if not frac.size or frac.max() <= _INT_TOL:
             self._try_incumbent(lo, up, x, outcome.basis)
             return
+        # most fractional binary; argmax sends ties to the lowest column
+        frac_col = self.bins[int(np.argmax(frac))]
         down_lo, down_up = lo.copy(), up.copy()
         up_lo, up_up = lo.copy(), up.copy()
         down_up[frac_col] = 0.0
@@ -255,19 +239,16 @@ class _Search:
             self._push(est, up_lo, up_up, basis)
             self._push(est, down_lo, down_up, basis)
 
-    def _stopped(self, status, nondeterministic, message) -> SolveOutcome:
+    def _outcome(self, status, message="", nondeterministic=False) -> SolveOutcome:
+        """Every way ``run`` ends: the incumbent, if any, and the proof bound."""
         bound = self._global_bound()
         if self.incumbent is None:
-            return SolveOutcome(status, None, None,
-                                None if not np.isfinite(bound) else bound, None,
-                                nodes=self.nodes, nondeterministic=nondeterministic,
+            return SolveOutcome(status, None, None, bound if np.isfinite(bound) else None,
+                                None, nodes=self.nodes, nondeterministic=nondeterministic,
                                 message=message)
-        return SolveOutcome(
-            status, self.incumbent, self.incumbent_obj,
-            min(bound, self.incumbent_obj),
-            _relative_gap(self.incumbent_obj, min(bound, self.incumbent_obj)),
-            nodes=self.nodes, nondeterministic=nondeterministic, message=message,
-        )
+        return SolveOutcome(status, self.incumbent, self.incumbent_obj, bound,
+                            _relative_gap(self.incumbent_obj, bound), nodes=self.nodes,
+                            nondeterministic=nondeterministic, message=message)
 
 
 def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
@@ -286,18 +267,18 @@ def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
 # -- exhaustive oracle ----------------------------------------------------------
 
 
-def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
+def enumerate_exact(model: Milp) -> SolveOutcome:
     """Minimum over all binary assignments, each checked by an LP solve.
 
-    Refuses models with more than ``max_binaries`` binary columns.  Ties
+    Refuses models with more than ``_MAX_ENUM_BINARIES`` binary columns.  Ties
     between equally good assignments go to the lowest assignment read as a
     bit string (binary column order, least significant first).
     """
     bins = np.asarray(model.binary_columns(), dtype=np.int64)
     nbin = bins.size
-    if nbin > max_binaries:
+    if nbin > _MAX_ENUM_BINARIES:
         raise ValueError(
-            f"model has {nbin} binaries, above the enumeration cap {max_binaries}"
+            f"model has {nbin} binaries, above the enumeration cap {_MAX_ENUM_BINARIES}"
         )
     dense = DenseLp.from_milp(model)
     n = dense.a.shape[1]
@@ -394,7 +375,7 @@ def enumerate_exact(model: Milp, max_binaries: int = 20) -> SolveOutcome:
     for cols, sub_index, sols in best_parts:
         x[cols] = sols[sub_index[best]]
     assignment = [float(v) for v in x]
-    report = evaluate_assignment(model, assignment, tol=_INT_TOL)
+    report = evaluate_assignment(model, assignment)
     if not report.feasible:
         raise RuntimeError("enumeration produced an assignment that fails evaluation")
     objective = report.objective

@@ -10,9 +10,16 @@ intervals and differ only in which lines may be opened seasonally:
 * ``SWITCH_ALL``: additionally, built candidates get their own seasonal
   status binaries (a built line may still sit out a season).
 
+Existing branches and candidates are one kind of DC line, gated or not in
+each season of each epoch.  The gate is a switchable branch's status binary
+in the switching variants (other branches are ungated), and a candidate's
+status binary in ``SWITCH_ALL`` or its availability binary otherwise.  An
+ungated line gets the flow-law row; a gated one gets the disjunctive big-M
+rows of Binato, Pereira & Granville (IEEE Trans. Power Systems 16(2), 2001).
+
 The builder applies load growth to right-hand sides at assembly time,
 encodes generator and flow limits as variable bounds where a bound is
-equivalent to a row, and uses a per-branch big-M of 2*angle_bound/x, the
+equivalent to a row, and uses a per-line big-M of 2*angle_bound/x, the
 smallest constant valid under the angle box.  ``decode_plan`` inverts a
 solution back into builds, seasonal openings, dispatch, and costs, with
 every cost recomputed from first principles rather than read off the
@@ -25,11 +32,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .case import Case, grow_load, validate_case
+from .case import CandidateLine, Case, grow_load, validate_case
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
-
-# violation a decoded assignment may carry on any row, bound or binary
-_DECODE_TOL = 1e-6
 
 
 class Variant(Enum):
@@ -101,7 +105,7 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     """Assemble the MILP for ``case`` under ``variant``.
 
     Returns the model and the index of its columns.  ``big_m_scale``
-    multiplies every per-branch deactivation constant; the default 1.0 is
+    multiplies every per-line deactivation constant; the default 1.0 is
     the tight value, and results must not depend on the scale (a test
     raises it tenfold to prove the tight constants are valid).
 
@@ -128,6 +132,10 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     index = VariableIndex()
     index.model, index.case, index.variant = model, case, variant
 
+    # every DC line, existing branches first: (line, flow columns, name prefix)
+    lines = [(k, index.branch_flow, "pk") for k in case.branches]
+    lines += [(j, index.candidate_flow, "pj") for j in case.candidates]
+
     for e in epochs:
         for s in seasons:
             for t in hours:
@@ -142,13 +150,10 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
                     index.angle[(bus.id, t, s, e)] = model.add_variable(
                         CONTINUOUS, -bound, bound, f"th_{bus.id}_t{t}_s{s}_e{e}"
                     )
-                for k in case.branches:
-                    index.branch_flow[(k.id, t, s, e)] = model.add_variable(
-                        CONTINUOUS, -k.rate, k.rate, f"pk_{k.id}_t{t}_s{s}_e{e}"
-                    )
-                for j in case.candidates:
-                    index.candidate_flow[(j.id, t, s, e)] = model.add_variable(
-                        CONTINUOUS, -j.rate, j.rate, f"pj_{j.id}_t{t}_s{s}_e{e}"
+                for line, flows, prefix in lines:
+                    flows[(line.id, t, s, e)] = model.add_variable(
+                        CONTINUOUS, -line.rate, line.rate,
+                        f"{prefix}_{line.id}_t{t}_s{s}_e{e}",
                     )
     for e in epochs:
         for j in case.candidates:
@@ -179,80 +184,47 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
                         BINARY, 0, 1, f"zj_{j.id}_s{s}_e{e}"
                     )
 
-    gens_at = {}
-    for g in case.generators:
-        gens_at.setdefault(g.bus, []).append(g.id)
+    def gate(line, s, e):  # in-service binary, None if ungated
+        if not isinstance(line, CandidateLine):
+            return index.branch_status.get((line.id, s, e))
+        if switch_new:
+            return index.candidate_status[(line.id, s, e)]
+        return index.available[(line.id, e)]
 
     for e in epochs:
         for s in seasons:
             for t in hours:
                 # nodal balance: inflow minus outflow plus generation = load
+                terms = {bus.id: [] for bus in case.buses}
+                for g in case.generators:
+                    terms[g.bus].append((index.gen[(g.id, t, s, e)], 1.0))
+                for line, flows, _prefix in lines:
+                    flow = flows[(line.id, t, s, e)]
+                    terms[line.to_bus].append((flow, 1.0))
+                    terms[line.from_bus].append((flow, -1.0))
                 for bus in case.buses:
-                    terms = []
-                    for gid in gens_at.get(bus.id, ()):
-                        terms.append((index.gen[(gid, t, s, e)], 1.0))
-                    for k in case.branches:
-                        if k.to_bus == bus.id:
-                            terms.append((index.branch_flow[(k.id, t, s, e)], 1.0))
-                        elif k.from_bus == bus.id:
-                            terms.append((index.branch_flow[(k.id, t, s, e)], -1.0))
-                    for j in case.candidates:
-                        if j.to_bus == bus.id:
-                            terms.append((index.candidate_flow[(j.id, t, s, e)], 1.0))
-                        elif j.from_bus == bus.id:
-                            terms.append((index.candidate_flow[(j.id, t, s, e)], -1.0))
                     demand = grow_load(
                         case.load_profile.get(bus.id, t, s),
                         h.load_growth, h.years_per_epoch, e,
                     )
-                    model.add_constraint(terms, EQ, demand)
+                    model.add_constraint(terms[bus.id], EQ, demand)
 
-                for k in case.branches:
-                    flow = index.branch_flow[(k.id, t, s, e)]
-                    th_f = index.angle[(k.from_bus, t, s, e)]
-                    th_t = index.angle[(k.to_bus, t, s, e)]
-                    inv_x = 1.0 / k.x
-                    if switch_existing and k.switchable:
-                        z = index.branch_status[(k.id, s, e)]
-                        big_m = branch_big_m(k.x, case.angle_bound) * big_m_scale
-                        # open line carries nothing
-                        model.add_constraint([(flow, 1.0), (z, -k.rate)], LE, 0.0)
-                        model.add_constraint([(flow, 1.0), (z, k.rate)], GE, 0.0)
-                        # closed line obeys the flow equation
-                        model.add_constraint(
-                            [(flow, 1.0), (th_f, -inv_x), (th_t, inv_x), (z, big_m)],
-                            LE, big_m,
-                        )
-                        model.add_constraint(
-                            [(flow, 1.0), (th_f, -inv_x), (th_t, inv_x), (z, -big_m)],
-                            GE, -big_m,
-                        )
-                    else:
-                        model.add_constraint(
-                            [(flow, 1.0), (th_f, -inv_x), (th_t, inv_x)], EQ, 0.0
-                        )
-
-                for j in case.candidates:
-                    flow = index.candidate_flow[(j.id, t, s, e)]
-                    th_f = index.angle[(j.from_bus, t, s, e)]
-                    th_t = index.angle[(j.to_bus, t, s, e)]
-                    inv_x = 1.0 / j.x
-                    big_m = branch_big_m(j.x, case.angle_bound) * big_m_scale
-                    gate = (
-                        index.candidate_status[(j.id, s, e)]
-                        if switch_new
-                        else index.available[(j.id, e)]
-                    )
-                    model.add_constraint([(flow, 1.0), (gate, -j.rate)], LE, 0.0)
-                    model.add_constraint([(flow, 1.0), (gate, j.rate)], GE, 0.0)
-                    model.add_constraint(
-                        [(flow, 1.0), (th_f, -inv_x), (th_t, inv_x), (gate, big_m)],
-                        LE, big_m,
-                    )
-                    model.add_constraint(
-                        [(flow, 1.0), (th_f, -inv_x), (th_t, inv_x), (gate, -big_m)],
-                        GE, -big_m,
-                    )
+                for line, flows, _prefix in lines:
+                    flow = flows[(line.id, t, s, e)]
+                    inv_x = 1.0 / line.x
+                    law = [(flow, 1.0), (index.angle[(line.from_bus, t, s, e)], -inv_x),
+                           (index.angle[(line.to_bus, t, s, e)], inv_x)]
+                    z = gate(line, s, e)
+                    if z is None:
+                        model.add_constraint(law, EQ, 0.0)
+                        continue
+                    big_m = branch_big_m(line.x, case.angle_bound) * big_m_scale
+                    # open line carries nothing
+                    model.add_constraint([(flow, 1.0), (z, -line.rate)], LE, 0.0)
+                    model.add_constraint([(flow, 1.0), (z, line.rate)], GE, 0.0)
+                    # closed line obeys the flow law
+                    model.add_constraint(law + [(z, big_m)], LE, big_m)
+                    model.add_constraint(law + [(z, -big_m)], GE, -big_m)
 
     # build logic: availability turns on at the build epoch and stays on
     for e in epochs:
@@ -334,7 +306,7 @@ def decode_plan(case: Case, variant: Variant, index: VariableIndex,
     """
     if index.model is None or index.variant is not variant or index.case != case:
         raise ValueError("variable index does not match the case and variant")
-    evaluation = evaluate_assignment(index.model, assignment, tol=_DECODE_TOL)
+    evaluation = evaluate_assignment(index.model, assignment)
     if not evaluation.feasible:
         raise ValueError(
             "assignment is not feasible for the built model "

@@ -9,6 +9,7 @@ share between concurrent model builds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -140,12 +141,12 @@ def grow_load(d_base: float, a_d: float, n_ye: int, e: int) -> float:
 # ---------------------------------------------------------------------------
 
 _HORIZON_KEYS = {
-    "epochs": "n_epochs",
-    "years_per_epoch": "years_per_epoch",
-    "seasons": "n_seasons",
-    "hours": "n_hours",
-    "load_growth": "load_growth",
-    "maintenance_rate": "maintenance_rate",
+    "epochs": ("n_epochs", int),
+    "years_per_epoch": ("years_per_epoch", int),
+    "seasons": ("n_seasons", int),
+    "hours": ("n_hours", int),
+    "load_growth": ("load_growth", float),
+    "maintenance_rate": ("maintenance_rate", float),
 }
 
 
@@ -203,24 +204,24 @@ def parse_case(document: str) -> Case:
         )
         for rec in _req(raw, "generators", "case")
     )
+    def line_fields(rec: dict, kind: str) -> dict:
+        """Fields every DC line record carries: id, ends, reactance, rate."""
+        where = f"{kind} {rec.get('id')}"
+        return {
+            "id": _as_id(_req(rec, "id", kind)),
+            "from_bus": check_bus(_as_id(_req(rec, "from", kind)), where),
+            "to_bus": check_bus(_as_id(_req(rec, "to", kind)), where),
+            "x": float(_req(rec, "x", where)),
+            "rate": float(_req(rec, "rate", where)),
+        }
+
     branches = tuple(
-        Branch(
-            id=_as_id(_req(rec, "id", "branch")),
-            from_bus=check_bus(_as_id(_req(rec, "from", "branch")), f"branch {rec.get('id')}"),
-            to_bus=check_bus(_as_id(_req(rec, "to", "branch")), f"branch {rec.get('id')}"),
-            x=float(_req(rec, "x", f"branch {rec.get('id')}")),
-            rate=float(_req(rec, "rate", f"branch {rec.get('id')}")),
-            switchable=bool(rec.get("switchable", True)),
-        )
+        Branch(**line_fields(rec, "branch"), switchable=bool(rec.get("switchable", True)))
         for rec in _req(raw, "branches", "case")
     )
     candidates = tuple(
         CandidateLine(
-            id=_as_id(_req(rec, "id", "candidate")),
-            from_bus=check_bus(_as_id(_req(rec, "from", "candidate")), f"candidate {rec.get('id')}"),
-            to_bus=check_bus(_as_id(_req(rec, "to", "candidate")), f"candidate {rec.get('id')}"),
-            x=float(_req(rec, "x", f"candidate {rec.get('id')}")),
-            rate=float(_req(rec, "rate", f"candidate {rec.get('id')}")),
+            **line_fields(rec, "candidate"),
             capital_cost=float(_req(rec, "cost", f"candidate {rec.get('id')}")),
             parallel_to=(_as_id(rec["parallel_to"]) if rec.get("parallel_to") is not None else None),
         )
@@ -229,10 +230,12 @@ def parse_case(document: str) -> Case:
 
     hraw = raw.get("horizon", {})
     hargs = {}
-    for file_key, field_name in _HORIZON_KEYS.items():
+    for file_key, (field_name, kind) in _HORIZON_KEYS.items():
         if file_key in hraw:
             value = hraw[file_key]
-            hargs[field_name] = float(value) if "rate" in file_key or "growth" in file_key else int(value)
+            if kind is int and type(value) is not int:  # a float or a bool is no count
+                raise CaseError(f"horizon '{file_key}' must be an integer, got {value!r}")
+            hargs[field_name] = kind(value)
     horizon = Horizon(**hargs)
 
     load_raw = raw.get("load", {})
@@ -351,6 +354,17 @@ def _check_duplicates(ids: list[str], kind: str, report: ValidationReport) -> No
         seen.add(item)
 
 
+def _check_line(line, kind: str, known: set, report: ValidationReport) -> None:
+    if line.from_bus not in known or line.to_bus not in known:
+        report.errors.append(f"{kind} '{line.id}' references an unknown bus")
+    if line.from_bus == line.to_bus:
+        report.errors.append(f"{kind} '{line.id}' connects bus '{line.from_bus}' to itself")
+    if line.x <= 0:
+        report.errors.append(f"{kind} '{line.id}' has nonpositive reactance {line.x}")
+    if line.rate <= 0:
+        report.errors.append(f"{kind} '{line.id}' has nonpositive rate {line.rate}")
+
+
 def validate_case(case: Case) -> ValidationReport:
     """Check case invariants; fatal findings go to ``errors``, advice to ``warnings``.
 
@@ -369,6 +383,16 @@ def validate_case(case: Case) -> ValidationReport:
     if n_refs != 1:
         report.errors.append(f"exactly one reference bus required, found {n_refs}")
 
+    # json.loads takes NaN and Infinity, so every number is checked here
+    kinds = (("generator", case.generators), ("branch", case.branches),
+             ("candidate", case.candidates))
+    owners = [("case", case), ("horizon", case.horizon)]
+    owners += [(f"{kind} '{item.id}'", item) for kind, items in kinds for item in items]
+    for owner, item in owners:
+        for name, value in vars(item).items():
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                report.errors.append(f"{owner} has non-finite {name} {value}")
+
     for g in case.generators:
         if g.bus not in known:
             report.errors.append(f"generator '{g.id}' references unknown bus '{g.bus}'")
@@ -385,25 +409,10 @@ def validate_case(case: Case) -> ValidationReport:
             )
 
     for k in case.branches:
-        if k.from_bus not in known or k.to_bus not in known:
-            report.errors.append(f"branch '{k.id}' references an unknown bus")
-        if k.from_bus == k.to_bus:
-            report.errors.append(f"branch '{k.id}' connects bus '{k.from_bus}' to itself")
-        if k.x <= 0:
-            report.errors.append(f"branch '{k.id}' has nonpositive reactance {k.x}")
-        if k.rate <= 0:
-            report.errors.append(f"branch '{k.id}' has nonpositive rate {k.rate}")
-
+        _check_line(k, "branch", known, report)
     branch_ids = {k.id for k in case.branches}
     for j in case.candidates:
-        if j.from_bus not in known or j.to_bus not in known:
-            report.errors.append(f"candidate '{j.id}' references an unknown bus")
-        if j.from_bus == j.to_bus:
-            report.errors.append(f"candidate '{j.id}' connects bus '{j.from_bus}' to itself")
-        if j.x <= 0:
-            report.errors.append(f"candidate '{j.id}' has nonpositive reactance {j.x}")
-        if j.rate <= 0:
-            report.errors.append(f"candidate '{j.id}' has nonpositive rate {j.rate}")
+        _check_line(j, "candidate", known, report)
         if j.capital_cost < 0:
             report.errors.append(f"candidate '{j.id}' has negative capital cost {j.capital_cost}")
         if j.parallel_to is not None and j.parallel_to not in branch_ids:
@@ -428,6 +437,8 @@ def validate_case(case: Case) -> ValidationReport:
             report.errors.append(f"load profile references unknown bus '{bus}'")
         if not (1 <= t <= h.n_hours) or not (1 <= s <= h.n_seasons):
             report.errors.append(f"load entry ({bus}, t={t}, s={s}) is outside the horizon")
+        if not math.isfinite(mw):
+            report.errors.append(f"non-finite load {mw} at bus '{bus}', hour {t}, season {s}")
         if mw < 0:
             report.errors.append(f"negative load {mw} at bus '{bus}', hour {t}, season {s}")
 

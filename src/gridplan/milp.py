@@ -21,6 +21,9 @@ EQ = "="
 
 _SENSES = (LE, GE, EQ)
 
+# largest violation of a row, bound or integrality a feasible assignment has
+FEASIBILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -154,12 +157,13 @@ class Evaluation:
     feasible: bool
 
 
-def evaluate_assignment(model: Milp, assignment, tol: float = 1e-6) -> Evaluation:
+def evaluate_assignment(model: Milp, assignment) -> Evaluation:
     """Exact bookkeeping of how well ``assignment`` satisfies ``model``.
 
     Pure function of its inputs: identical inputs give bit-identical results.
-    Feasible means every violation maximum is at most ``tol``; all violations
-    are absolute.
+    Feasible means every violation maximum is at most ``FEASIBILITY_TOL``;
+    all violations are absolute.  A NaN or infinite entry violates its
+    bounds by infinity, so it is never feasible.
     """
     if len(assignment) != model.n_variables:
         raise ValueError(
@@ -172,6 +176,8 @@ def evaluate_assignment(model: Milp, assignment, tol: float = 1e-6) -> Evaluatio
     integrality_violation = 0.0
     for v in model.variables:
         x = assignment[v.column]
+        if not math.isfinite(x):
+            bound_violation = math.inf  # max() would drop a NaN
         bound_violation = max(bound_violation, v.lower - x, x - v.upper)
     bound_violation = max(bound_violation, 0.0)
     for v in model.variables:
@@ -184,8 +190,8 @@ def evaluate_assignment(model: Milp, assignment, tol: float = 1e-6) -> Evaluatio
         max_bound_violation=bound_violation,
         max_integrality_violation=integrality_violation,
         feasible=(
-            row_violation <= tol
-            and bound_violation <= tol
-            and integrality_violation <= tol
+            row_violation <= FEASIBILITY_TOL
+            and bound_violation <= FEASIBILITY_TOL
+            and integrality_violation <= FEASIBILITY_TOL
         ),
     )

@@ -358,7 +358,8 @@ def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list
     """Parse ``name value`` lines into a dense assignment.
 
     Lines starting with ``#`` and blank lines are skipped.  A name absent
-    from ``name_table`` is an error; columns never mentioned default to 0.
+    from ``name_table`` or a value that is not a finite number is an error;
+    columns never mentioned default to 0.
     """
     assignment = [0.0] * n_columns
     seen: set[str] = set()
@@ -376,7 +377,10 @@ def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list
             raise MpsError(f"solution line {lineno}: duplicate variable '{name}'")
         seen.add(name)
         try:
-            assignment[name_table[name]] = float(value)
+            number = float(value)
         except ValueError:
-            raise MpsError(f"solution line {lineno}: bad value '{value}'") from None
+            number = math.nan
+        if not math.isfinite(number):
+            raise MpsError(f"solution line {lineno}: bad value '{value}'")
+        assignment[name_table[name]] = number
     return assignment

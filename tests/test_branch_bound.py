@@ -36,6 +36,14 @@ def test_params_validation():
     assert SolveParams().time_limit == 3000.0
 
 
+def test_enumeration_refuses_more_than_twenty_binaries():
+    m = Milp()
+    for i in range(21):
+        m.add_variable(BINARY, 0.0, 1.0, f"b{i}")
+    with pytest.raises(ValueError, match="21 binaries, above the enumeration cap 20"):
+        enumerate_exact(m)
+
+
 def _knapsack(values, weights, capacity):
     m = Milp()
     for i, v in enumerate(values):

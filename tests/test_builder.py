@@ -1,6 +1,8 @@
 """Model assembly: variant semantics, counts, costs, physics, freezing."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,10 @@ from gridplan.builder import (
     freeze_switching,
     investment_multiplier,
 )
-from gridplan.case import parse_case
+from gridplan.case import load_case, parse_case
+from gridplan.cases import load_bundled
 from gridplan.milp import BINARY
+from gridplan.mps import write_mps
 
 EXACT = SolveParams(mip_gap=0.0)
 
@@ -272,3 +276,69 @@ def test_eight_bus_switching_changes_investment(bundled, oracle):
     assert static_plan.builds == [("c1", 1)]
     assert sw_existing_plan.builds == [("c2", 1)]
     assert ("k8", 1, 1) in sw_existing_plan.open_existing
+
+
+# sha256 of ``write_mps(build_milp(case, variant)[0])``: a refactor of the
+# builder must not reorder, rename or rescale a single column or row.
+# "probe" is tests/data/probe_10x2x2x2x3_s1.json.
+MODEL_DIGESTS = {
+    ("braess_build", "static"):
+        "68e16f38c84b0e4bd43f4c74abc1e07aee1de8df35e36b211f8e7f53ac812f9a",
+    ("braess_build", "switch-existing"):
+        "68e16f38c84b0e4bd43f4c74abc1e07aee1de8df35e36b211f8e7f53ac812f9a",
+    ("braess_build", "switch-all"):
+        "5913210914a5d0967f208f0b4c490b48b34312560b448a9c8fc19671e75577ad",
+    ("defer_build", "static"):
+        "ff231491af9d74ad1be924f46269bd2bd933b463c09d3dd5444d7ffad75fac00",
+    ("defer_build", "switch-existing"):
+        "eea37bcf28e4823b6fc3839e98a379f847ddd717bdb1eda2a44594fccc729b98",
+    ("defer_build", "switch-all"):
+        "56b4c93c11a1a3176ef3cada5b26d89424842a302d370bc482e1a43504054cb8",
+    ("diamond", "static"):
+        "9026d8f4ae91c3f5e2fb4942ad1b66d7e0a9a3cc0bc7abf35c21d3a9dfb2a1ed",
+    ("diamond", "switch-existing"):
+        "29238c2e3a2124daa06547a6434ee7da0de9407db4ac2a51d02b746a7be42d49",
+    ("diamond", "switch-all"):
+        "debc1000785301ec9d341361c86bf99a00a711d7053ecf878b3118bccb461da3",
+    ("eight_bus", "static"):
+        "7bf4fbe49b305db138304e6a0b5d75dacc6d4bee6e0ce68b5d80042de1b97a59",
+    ("eight_bus", "switch-existing"):
+        "ce290f3c5d0c8864ff1f74c3036c617915f2f024bb1badbaff47d89da1675951",
+    ("eight_bus", "switch-all"):
+        "1ecd609cdc5138102d9112fe070363ead5b8bd6ecfd5b9b1eaf4876cd522508e",
+    ("season_flip", "static"):
+        "ce91f65a08d9d13c52e748889352241391d7b98a3d4d8c75b6045d005a8a6bc8",
+    ("season_flip", "switch-existing"):
+        "672a4ffa6bb680f375c0a4434e8163f804263158cc7d69c44b4887eeb5edd81f",
+    ("season_flip", "switch-all"):
+        "1ea56a51f7e2a12a6b389cc85cb3e6908cac7a27cc3c5ba3750bb85bf3667f74",
+    ("tri_switch", "static"):
+        "90801d98a165d80acfc152c3554b38aca0aabfeab19f8c8f2b27eabf6b4083b0",
+    ("tri_switch", "switch-existing"):
+        "d696c15b3b886960f9f3e1232901de40814c940ccc8d100c6b112fc95f324fd0",
+    ("tri_switch", "switch-all"):
+        "f54317c64a1d9ec248a8616dabdb3e9400380eeb2efaf9b29bda3d42c756ae8c",
+    ("two_bus", "static"):
+        "a4f83bc902eb3fe27ffed902c3b81c60ed4941c287b8cb4c1062e359bb4fb4f6",
+    ("two_bus", "switch-existing"):
+        "2d394570944b33be334456caa54ee2d2121a160a15533575e309f5167384295e",
+    ("two_bus", "switch-all"):
+        "e9e19e37614511ff14e8f39b1fc667e6a3e2877b1302d4f9ea2f23313d73bfd9",
+    ("probe", "static"):
+        "3d1349df32f68adcf8bb617697c09b963dc4b9c5c6ed58b0b20d8fe414dadacc",
+    ("probe", "switch-existing"):
+        "1001e50eddbfa7c31af36631bcf41f6498bfa2f872f1204ef571abcefb864381",
+    ("probe", "switch-all"):
+        "5bcfe4ea452c146f38d9902774cff148f165e42aab547ef723803b37414081f0",
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(MODEL_DIGESTS))
+def test_model_text_is_pinned(name, variant):
+    if name == "probe":
+        case = load_case(Path(__file__).parent / "data" / "probe_10x2x2x2x3_s1.json")
+    else:
+        case = load_bundled(name)
+    model, _index = build_milp(case, Variant.from_token(variant))
+    digest = hashlib.sha256(write_mps(model).encode()).hexdigest()
+    assert digest == MODEL_DIGESTS[(name, variant)]

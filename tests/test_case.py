@@ -1,5 +1,6 @@
 """Case parsing, serialization round-trips, load growth, and validation."""
 
+import json
 import math
 
 import pytest
@@ -21,6 +22,7 @@ from gridplan.case import (
     render_case,
     validate_case,
 )
+from gridplan.builder import Variant, build_milp
 
 MINIMAL = """
 {
@@ -60,6 +62,16 @@ def test_parse_dense_load_shape_checked():
     doc = MINIMAL.rstrip().rstrip("}") + ', "load": {"b": [[1, 2]]}}'
     with pytest.raises(CaseError, match="4x24"):
         parse_case(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("hours", 2.7), ("epochs", True), ("seasons", 4.0), ("years_per_epoch", "5")]
+)
+def test_parse_rejects_non_integer_horizon_counts(key, value):
+    doc = json.loads(MINIMAL)
+    doc["horizon"] = {key: value}
+    with pytest.raises(CaseError, match=f"horizon '{key}' must be an integer"):
+        parse_case(json.dumps(doc))
 
 
 def test_load_case_round_trip(tmp_path, bundled):
@@ -140,6 +152,25 @@ def test_validate_flags_fatal_findings():
         "negative load",
     ):
         assert fragment in text, fragment
+
+
+def test_validate_flags_non_finite_numbers():
+    # json.loads accepts the NaN and Infinity literals
+    doc = (MINIMAL.replace('"x": 0.002', '"x": NaN').replace('"p_max": 10', '"p_max": Infinity')
+           .rstrip().rstrip("}") + ', "angle_bound": -Infinity, "horizon": {"hours": 1, '
+           '"seasons": 1, "load_growth": NaN}, "load": {"b": [[NaN]]}}')
+    case = parse_case(doc)
+    text = str(validate_case(case))
+    for fragment in (
+        "generator 'g' has non-finite p_max inf",
+        "branch 'k' has non-finite x nan",
+        "case has non-finite angle_bound -inf",
+        "horizon has non-finite load_growth nan",
+        "non-finite load nan at bus 'b', hour 1, season 1",
+    ):
+        assert f"error: {fragment}" in text, fragment
+    with pytest.raises(ValueError, match="non-finite x nan"):
+        build_milp(case, Variant.STATIC)
 
 
 def test_validate_requires_one_reference_bus():

@@ -80,6 +80,18 @@ def test_evaluate_assignment_reports_violations():
     assert out.max_bound_violation == pytest.approx(0.2)
 
 
+def test_evaluate_assignment_rejects_non_finite_entries():
+    m = Milp()
+    x = m.add_variable(CONTINUOUS, -math.inf, math.inf, "x")
+    y = m.add_variable(CONTINUOUS, 0.0, 10.0, "y")
+    m.add_constraint([(x, 1.0), (y, 1.0)], EQ, 5.0)
+    assert evaluate_assignment(m, [4.0, 1.0]).feasible
+    for bad in ([math.nan, 1.0], [4.0, math.nan], [math.inf, 1.0], [4.0, -math.inf]):
+        report = evaluate_assignment(m, bad)
+        assert not report.feasible, bad
+        assert report.max_bound_violation == math.inf, bad
+
+
 def test_copy_is_independent():
     m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 1.0, "x")

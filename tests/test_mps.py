@@ -237,6 +237,12 @@ def test_read_solution_rules():
         read_solution("a wat", table, 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_read_solution_rejects_non_finite_values(value):
+    with pytest.raises(MpsError, match=f"solution line 2: bad value '{value}'"):
+        read_solution(f"a 1.0\nb {value}\n", {"a": 0, "b": 1}, 2)
+
+
 def test_values_round_trip_exactly():
     m = Milp()
     m.add_variable(CONTINUOUS, -1.0 / 3.0, 1e300, "x")
