@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 
 class CaseError(ValueError):
@@ -140,39 +140,95 @@ def grow_load(d_base: float, a_d: float, n_ye: int, e: int) -> float:
 # Case document format (JSON)
 # ---------------------------------------------------------------------------
 
-_HORIZON_KEYS = {
-    "epochs": ("n_epochs", int),
-    "years_per_epoch": ("years_per_epoch", int),
-    "seasons": ("n_seasons", int),
-    "hours": ("n_hours", int),
-    "load_growth": ("load_growth", float),
-    "maintenance_rate": ("maintenance_rate", float),
+# Each record's JSON keys, in document order, mapped to (field, type).  The
+# dataclass defaults say which keys are optional; a ``Bus`` field holds the
+# id of a declared bus.
+_FORMAT = {
+    Case: {"name": ("name", str), "description": ("description", str),
+           "angle_bound": ("angle_bound", float)},
+    Bus: {"id": ("id", str), "reference": ("is_reference", bool)},
+    Generator: {"id": ("id", str), "bus": ("bus", Bus), "p_max": ("p_max", float),
+                "cost": ("cost", float), "p_min": ("p_min", float)},
+    Branch: {"id": ("id", str), "from": ("from_bus", Bus), "to": ("to_bus", Bus),
+             "x": ("x", float), "rate": ("rate", float), "switchable": ("switchable", bool)},
+    CandidateLine: {"id": ("id", str), "from": ("from_bus", Bus), "to": ("to_bus", Bus),
+                    "x": ("x", float), "rate": ("rate", float),
+                    "cost": ("capital_cost", float), "parallel_to": ("parallel_to", str)},
+    Horizon: {"epochs": ("n_epochs", int), "years_per_epoch": ("years_per_epoch", int),
+              "seasons": ("n_seasons", int), "hours": ("n_hours", int),
+              "load_growth": ("load_growth", float),
+              "maintenance_rate": ("maintenance_rate", float)},
 }
+_DEFAULTS = {cls: {f.name: f.default for f in fields(cls)} for cls in _FORMAT}
+
+# field type -> (the JSON value types it accepts, how an error names them);
+# a JSON bool is never a number and a JSON float is never a count or an id
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str, int), "a string or an integer"),
+}
+_JSON_TYPES[Bus] = _JSON_TYPES[str]
 
 
-def _req(record: dict, key: str, where: str):
-    if key not in record:
-        raise CaseError(f"missing required field '{key}' in {where}")
-    return record[key]
+def _known(bus_id: str, known: set, where: str) -> str:
+    if bus_id not in known:
+        raise CaseError(f"unknown bus reference '{bus_id}' in {where}")
+    return bus_id
 
 
-def _as_id(value) -> str:
-    return str(value)
+def _read(cls, rec, where: str, known=frozenset()) -> dict:
+    """Every ``cls`` field of the JSON object ``rec``: type-checked, or its default."""
+    if type(rec) is not dict:
+        raise CaseError(f"{where} must be a JSON object, got {rec!r}")
+    values = {}
+    for key, (name, kind) in _FORMAT[cls].items():
+        default = _DEFAULTS[cls][name]
+        value = rec.get(key, default)
+        if value is MISSING:
+            raise CaseError(f"missing required field '{key}' in {where}")
+        if key not in rec or (value is None and default is None):
+            values[name] = value
+        elif type(value) not in _JSON_TYPES[kind][0]:
+            raise CaseError(f"{where} '{key}' must be {_JSON_TYPES[kind][1]}, got {value!r}")
+        else:
+            values[name] = _known(str(value), known, where) if kind is Bus else kind(value)
+        if key == "id":
+            where = f"{where} {values['id']}"
+    return values
+
+
+def _write(item) -> dict:
+    """Every ``_FORMAT`` field of ``item`` under its JSON key."""
+    return {key: getattr(item, name) for key, (name, _) in _FORMAT[type(item)].items()}
+
+
+def _records(raw: dict, key: str, cls, where: str, known=frozenset(), default=None) -> tuple:
+    """The ``cls`` records in the array ``raw[key]``; required unless ``default``."""
+    if key not in raw and default is None:
+        raise CaseError(f"missing required field '{key}' in case")
+    recs = raw.get(key, default)
+    if type(recs) is not list:
+        raise CaseError(f"case '{key}' must be an array, got {recs!r}")
+    return tuple(cls(**_read(cls, rec, where, known)) for rec in recs)
 
 
 def parse_case(document: str) -> Case:
     """Parse a JSON case document into a :class:`Case`.
 
-    Defaults are applied while parsing: branches are switchable, generator
-    minimum output is 0, the angle bound is 0.6 rad, and the horizon falls
-    back to 3 five-year epochs with 4 seasons of 24 hours, 2 percent annual
-    load growth and 4 percent annual maintenance.
+    Each value must have its field's JSON type, with no coercion: ids are
+    strings or integers, counts integers, numbers integers or floats, flags
+    ``true`` or ``false``; only ``parallel_to`` may be ``null``.  Omitted
+    optional fields take the dataclass defaults: switchable branches, zero
+    generator minimum, a 0.6 rad angle bound, and 3 five-year epochs of 4
+    seasons x 24 hours with 2 % annual load growth and 4 % maintenance.
 
     Raises
     ------
     CaseError
-        On JSON syntax errors (with position), missing required fields, or
-        references to undeclared buses/branches.
+        On JSON syntax errors (with position), a value of the wrong JSON
+        type, missing required fields, or references to undeclared buses.
     """
     try:
         raw = json.loads(document)
@@ -183,136 +239,50 @@ def parse_case(document: str) -> Case:
     if not isinstance(raw, dict):
         raise CaseError("case document must be a JSON object")
 
-    buses = tuple(
-        Bus(id=_as_id(_req(rec, "id", "bus")), is_reference=bool(rec.get("reference", False)))
-        for rec in _req(raw, "buses", "case")
-    )
+    buses = _records(raw, "buses", Bus, "bus")
     known = {b.id for b in buses}
-
-    def check_bus(bus_id: str, where: str) -> str:
-        if bus_id not in known:
-            raise CaseError(f"unknown bus reference '{bus_id}' in {where}")
-        return bus_id
-
-    generators = tuple(
-        Generator(
-            id=_as_id(_req(rec, "id", "generator")),
-            bus=check_bus(_as_id(_req(rec, "bus", "generator")), f"generator {rec.get('id')}"),
-            p_max=float(_req(rec, "p_max", f"generator {rec.get('id')}")),
-            cost=float(_req(rec, "cost", f"generator {rec.get('id')}")),
-            p_min=float(rec.get("p_min", 0.0)),
-        )
-        for rec in _req(raw, "generators", "case")
-    )
-    def line_fields(rec: dict, kind: str) -> dict:
-        """Fields every DC line record carries: id, ends, reactance, rate."""
-        where = f"{kind} {rec.get('id')}"
-        return {
-            "id": _as_id(_req(rec, "id", kind)),
-            "from_bus": check_bus(_as_id(_req(rec, "from", kind)), where),
-            "to_bus": check_bus(_as_id(_req(rec, "to", kind)), where),
-            "x": float(_req(rec, "x", where)),
-            "rate": float(_req(rec, "rate", where)),
-        }
-
-    branches = tuple(
-        Branch(**line_fields(rec, "branch"), switchable=bool(rec.get("switchable", True)))
-        for rec in _req(raw, "branches", "case")
-    )
-    candidates = tuple(
-        CandidateLine(
-            **line_fields(rec, "candidate"),
-            capital_cost=float(_req(rec, "cost", f"candidate {rec.get('id')}")),
-            parallel_to=(_as_id(rec["parallel_to"]) if rec.get("parallel_to") is not None else None),
-        )
-        for rec in raw.get("candidates", [])
-    )
-
-    hraw = raw.get("horizon", {})
-    hargs = {}
-    for file_key, (field_name, kind) in _HORIZON_KEYS.items():
-        if file_key in hraw:
-            value = hraw[file_key]
-            if kind is int and type(value) is not int:  # a float or a bool is no count
-                raise CaseError(f"horizon '{file_key}' must be an integer, got {value!r}")
-            hargs[field_name] = kind(value)
-    horizon = Horizon(**hargs)
+    generators = _records(raw, "generators", Generator, "generator", known)
+    branches = _records(raw, "branches", Branch, "branch", known)
+    candidates = _records(raw, "candidates", CandidateLine, "candidate", known, default=[])
+    horizon = Horizon(**_read(Horizon, raw.get("horizon", {}), "horizon"))
 
     load_raw = raw.get("load", {})
-    per_bus: dict[str, list[list[float]]] = {}
     if isinstance(load_raw, dict):
-        for bus_id, grid in load_raw.items():
-            check_bus(_as_id(bus_id), "load")
-            per_bus[_as_id(bus_id)] = grid
+        per_bus = {_known(bus_id, known, "load"): grid for bus_id, grid in load_raw.items()}
     elif isinstance(load_raw, list):
         if len(load_raw) != len(buses):
-            raise CaseError(
-                f"dense load array has {len(load_raw)} bus entries, case has {len(buses)} buses"
-            )
+            raise CaseError(f"dense load array has {len(load_raw)} bus entries, "
+                            f"case has {len(buses)} buses")
         per_bus = {bus.id: grid for bus, grid in zip(buses, load_raw)}
     else:
         raise CaseError("'load' must be an object keyed by bus id or a dense array")
     for bus_id, grid in per_bus.items():
-        if len(grid) != horizon.n_seasons or any(len(row) != horizon.n_hours for row in grid):
-            raise CaseError(
-                f"load for bus '{bus_id}' must be a dense "
-                f"{horizon.n_seasons}x{horizon.n_hours} [season][hour] array"
-            )
+        if type(grid) is not list or len(grid) != horizon.n_seasons or any(
+                type(row) is not list or len(row) != horizon.n_hours for row in grid):
+            raise CaseError(f"load for bus '{bus_id}' must be a dense {horizon.n_seasons}x"
+                            f"{horizon.n_hours} [season][hour] array")
+        bad = [mw for row in grid for mw in row if type(mw) not in _JSON_TYPES[float][0]]
+        if bad:
+            raise CaseError(f"load for bus '{bus_id}' must hold numbers, got {bad[0]!r}")
 
-    return Case(
-        buses=buses,
-        generators=generators,
-        branches=branches,
-        candidates=candidates,
-        horizon=horizon,
-        load_profile=LoadProfile.from_arrays(per_bus),
-        angle_bound=float(raw.get("angle_bound", 0.6)),
-        name=str(raw.get("name", "")),
-        description=str(raw.get("description", "")),
-    )
+    return Case(buses=buses, generators=generators, branches=branches,
+                candidates=candidates, horizon=horizon,
+                load_profile=LoadProfile.from_arrays(per_bus), **_read(Case, raw, "case"))
 
 
 def render_case(case: Case) -> str:
     """Serialize a case back to its JSON document form.
 
-    ``parse_case(render_case(c)) == c`` for every valid case: floats are
-    written with full round-trip precision and zero-only load buses are
-    omitted on both sides.
+    Every field is written, defaults included (``"switchable": true``,
+    ``"p_min": 0.0``, ``"parallel_to": null``).  ``parse_case(render_case(c))
+    == c`` for every valid case: floats are written with full round-trip
+    precision and zero-only load buses are omitted on both sides.
     """
-    doc: dict = {}
-    if case.name:
-        doc["name"] = case.name
-    if case.description:
-        doc["description"] = case.description
-    doc["buses"] = [
-        {"id": b.id, **({"reference": True} if b.is_reference else {})} for b in case.buses
-    ]
-    doc["generators"] = [
-        {"id": g.id, "bus": g.bus, "p_max": g.p_max, "cost": g.cost,
-         **({"p_min": g.p_min} if g.p_min != 0.0 else {})}
-        for g in case.generators
-    ]
-    doc["branches"] = [
-        {"id": k.id, "from": k.from_bus, "to": k.to_bus, "x": k.x, "rate": k.rate,
-         **({} if k.switchable else {"switchable": False})}
-        for k in case.branches
-    ]
-    doc["candidates"] = [
-        {"id": j.id, "from": j.from_bus, "to": j.to_bus, "x": j.x, "rate": j.rate,
-         "cost": j.capital_cost,
-         **({"parallel_to": j.parallel_to} if j.parallel_to is not None else {})}
-        for j in case.candidates
-    ]
-    doc["horizon"] = {
-        "epochs": case.horizon.n_epochs,
-        "years_per_epoch": case.horizon.years_per_epoch,
-        "seasons": case.horizon.n_seasons,
-        "hours": case.horizon.n_hours,
-        "load_growth": case.horizon.load_growth,
-        "maintenance_rate": case.horizon.maintenance_rate,
-    }
-    doc["angle_bound"] = case.angle_bound
-    doc["load"] = case.load_profile.to_arrays(case.horizon.n_hours, case.horizon.n_seasons)
+    h = case.horizon
+    doc = _write(case)
+    for key in ("buses", "generators", "branches", "candidates"):
+        doc[key] = [_write(item) for item in getattr(case, key)]
+    doc.update(horizon=_write(h), load=case.load_profile.to_arrays(h.n_hours, h.n_seasons))
     return json.dumps(doc, indent=2)
 
 

@@ -130,14 +130,8 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
                 return line.rstrip()
             return f"{line}  {value!r}"
 
-        if v.kind == BINARY:
-            if lo == 0.0 and up == 1.0:
-                out.append(bound("BV"))
-            elif lo == up:
-                out.append(bound("FX", lo))
-            else:
-                out.append(bound("LO", lo))
-                out.append(bound("UP", up))
+        if v.kind == BINARY and lo == 0.0 and up == 1.0:
+            out.append(bound("BV"))
         elif lo == up:
             out.append(bound("FX", lo))
         elif not math.isfinite(lo) and not math.isfinite(up):

@@ -1,7 +1,10 @@
 """Case parsing, serialization round-trips, load growth, and validation."""
 
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,70 @@ def test_parse_rejects_non_integer_horizon_counts(key, value):
     doc["horizon"] = {key: value}
     with pytest.raises(CaseError, match=f"horizon '{key}' must be an integer"):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("branches", 0, "switchable"), "false", "branch k 'switchable'"),
+        (("buses", 0, "reference"), "false", "bus a 'reference'"),
+        (("horizon", "load_growth"), True, "horizon 'load_growth'"),
+        (("generators", 0, "p_max"), "10", "generator g 'p_max'"),
+        (("angle_bound",), "0.6", "case 'angle_bound'"),
+        (("buses", 1, "id"), 1.5, "bus 'id'"),
+        (("candidates", 0, "parallel_to"), 3.0, "candidate c 'parallel_to'"),
+    ],
+)
+def test_parse_rejects_wrong_json_types(path, value, where):
+    doc = json.loads(MINIMAL)
+    doc["candidates"] = [{"id": "c", "from": "a", "to": "b", "x": 0.1, "rate": 2, "cost": 5}]
+    doc["horizon"] = {}
+    *parents, key = path
+    record = doc
+    for step in parents:
+        record = record[step]
+    record[key] = value
+    with pytest.raises(CaseError, match=re.escape(f"{where} must be ") + ".*, got "
+                       + re.escape(repr(value))):
+        parse_case(json.dumps(doc))
+
+
+# sha256 of repr(parse_case(document)): any change to a parsed value, a type
+# or a default of the case format changes it
+PARSED_CASE_SHA256 = {
+    "braess_build": "c40be172d366d0014cc7aa1685d269859c0d20cc641b0e0677c78e0b753cb2d6",
+    "defer_build": "c9bb5a8e4d6ac3aefff7ec5d834849cf5d1e7eba1a2383f34e201a83d7088cc8",
+    "diamond": "fa3f19c36ff0595a069e94e574fd429c43be2f7e97f2e578fe64405dd150aabf",
+    "eight_bus": "8af555ac121f537cd5ff260258b32f6872aefaa90ddea5826fa5d6c6973c6641",
+    "season_flip": "2448e03b743f855a8ca24d83a5ddde2d54355e41b7d039db6949473a47513e26",
+    "tri_switch": "7a1687140de0b12596e6c060e3fcc1d0881be7a65c6e8e08228dbc2f38b1907e",
+    "two_bus": "9152d33704e4a104f8bef6ac2721d44e4566b38d6399e38626fbc68d690f94cb",
+    "probe_10x2x2x2x3_s1": "35cceadbee93d622d79b38a55336f27fcffd91c1f76555014bc3a5c926a6b06d",
+}
+
+
+def test_parsed_cases_are_pinned(bundled):
+    from conftest import ALL_CASES
+
+    probe = Path(__file__).parent / "data" / "probe_10x2x2x2x3_s1.json"
+    cases = {name: bundled(name) for name in ALL_CASES}
+    cases[probe.stem] = load_case(probe)
+    digests = {name: hashlib.sha256(repr(case).encode()).hexdigest()
+               for name, case in cases.items()}
+    assert digests == PARSED_CASE_SHA256
+
+
+def test_render_writes_defaulted_fields():
+    case = parse_case(MINIMAL.rstrip().rstrip("}") + ', "candidates": [{"id": "c", '
+                      '"from": "a", "to": "b", "x": 0.1, "rate": 2, "cost": 5}]}')
+    doc = json.loads(render_case(case))
+    assert doc["branches"][0]["switchable"] is True
+    assert doc["generators"][0]["p_min"] == 0.0
+    assert doc["candidates"][0]["parallel_to"] is None
+    assert doc["buses"][1]["reference"] is False
+    assert doc["horizon"] == {"epochs": 3, "years_per_epoch": 5, "seasons": 4, "hours": 24,
+                              "load_growth": 0.02, "maintenance_rate": 0.04}
+    assert parse_case(render_case(case)) == case
 
 
 def test_load_case_round_trip(tmp_path, bundled):

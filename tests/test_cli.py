@@ -51,6 +51,42 @@ def test_input_errors_exit_2(case_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+_MINIMAL = {
+    "buses": [{"id": "a", "reference": True}, {"id": "b"}],
+    "generators": [{"id": "g", "bus": "a", "p_max": 10, "cost": 3}],
+    "branches": [{"id": "k", "from": "a", "to": "b", "x": 0.002, "rate": 5}],
+    "horizon": {"seasons": 1, "hours": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"buses": 5}, "case 'buses' must be an array, got 5"),
+        ({"buses": [5]}, "bus must be a JSON object, got 5"),
+        ({"horizon": 5}, "horizon must be a JSON object, got 5"),
+        ({"load": {"a": [5]}}, "load for bus 'a' must be a dense 1x1"),
+        ({"load": {"a": [["5"]]}}, "load for bus 'a' must hold numbers, got '5'"),
+        ({"load": {"a": [[True]]}}, "load for bus 'a' must hold numbers, got True"),
+        ({"generators": [{"id": "g", "bus": "a", "p_max": "10", "cost": 3}]},
+         "generator g 'p_max' must be a number, got '10'"),
+        ({"branches": [{"id": "k", "from": "a", "to": "b", "x": 0.002, "rate": 5,
+                        "switchable": "false"}]},
+         "branch k 'switchable' must be true or false, got 'false'"),
+        ({"buses": [{"id": "a", "reference": True}, {"id": "b", "reference": "false"}]},
+         "bus b 'reference' must be true or false, got 'false'"),
+        ({"horizon": {"load_growth": True}}, "horizon 'load_growth' must be a number, got True"),
+    ],
+)
+def test_malformed_case_documents_exit_2(tmp_path, capsys, change, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({**_MINIMAL, **change}))
+    assert run_cli(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_build_writes_mps(case_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run_cli(["build", case_file("two_bus"), "--variant", "switch-all",

@@ -88,6 +88,32 @@ def test_unused_column_is_still_declared():
     assert model.variables[table["x_unused"]].upper == 5.0
 
 
+def test_bounds_lines_are_pinned():
+    m = Milp()
+    m.add_variable(BINARY, 0.0, 1.0, "b_free")
+    m.add_variable(BINARY, 1.0, 1.0, "b_on")
+    m.add_variable(BINARY, 0.0, 0.5, "b_half")
+    m.add_variable(CONTINUOUS, -math.inf, math.inf, "x_free")
+    m.add_variable(CONTINUOUS, -math.inf, 4.0, "x_upper")
+    m.add_variable(CONTINUOUS, -6.0, math.inf, "x_lower")
+    m.add_variable(CONTINUOUS, 2.5, 2.5, "x_fixed")
+    text = write_mps(m)
+    assert text[text.index("BOUNDS"):].splitlines() == [
+        "BOUNDS",
+        " BV BND      b_free",
+        " FX BND      b_on     1.0",
+        " LO BND      b_half   0.0",
+        " UP BND      b_half   0.5",
+        " FR BND      x_free",
+        " MI BND      x_upper",
+        " UP BND      x_upper  4.0",
+        " LO BND      x_lower  -6.0",
+        " PL BND      x_lower",
+        " FX BND      x_fixed  2.5",
+        "ENDATA",
+    ]
+
+
 def test_offset_written_as_negated_objective_rhs():
     text = write_mps(_feature_model())
     assert "-7.5" in text
