@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 
@@ -172,6 +173,11 @@ _JSON_TYPES = {
 _JSON_TYPES[Bus] = _JSON_TYPES[str]
 
 
+def _too_large(value) -> bool:
+    """A JSON integer that no float can hold (``float(value)`` would overflow)."""
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
 def _known(bus_id: str, known: set, where: str) -> str:
     if bus_id not in known:
         raise CaseError(f"unknown bus reference '{bus_id}' in {where}")
@@ -192,6 +198,8 @@ def _read(cls, rec, where: str, known=frozenset()) -> dict:
             values[name] = value
         elif type(value) not in _JSON_TYPES[kind][0]:
             raise CaseError(f"{where} '{key}' must be {_JSON_TYPES[kind][1]}, got {value!r}")
+        elif kind in (int, float) and _too_large(value):
+            raise CaseError(f"{where} '{key}' is an integer too large for a float")
         else:
             values[name] = _known(str(value), known, where) if kind is Bus else kind(value)
         if key == "id":
@@ -264,6 +272,8 @@ def parse_case(document: str) -> Case:
         bad = [mw for row in grid for mw in row if type(mw) not in _JSON_TYPES[float][0]]
         if bad:
             raise CaseError(f"load for bus '{bus_id}' must hold numbers, got {bad[0]!r}")
+        if any(_too_large(mw) for row in grid for mw in row):
+            raise CaseError(f"load for bus '{bus_id}' holds an integer too large for a float")
 
     return Case(buses=buses, generators=generators, branches=branches,
                 candidates=candidates, horizon=horizon,

@@ -12,7 +12,16 @@ whitespace-delimited tokens, duplicate entries are errors rather than
 silently summed, every number must be finite (infinite bounds are spelled
 MI, PL or FR), and integer columns must be binary-ranged (the model type
 has no general integers).  RANGES sections are accepted and expanded into
-constraint pairs.
+constraint pairs.  A column name must not start with ``*``, since a line
+whose first token does is a comment.
+
+The parser makes one pass over the lines.  A column gets its index, its
+binary flag (from the marker state) and its default bounds on its first
+COLUMNS line.  COLUMNS, RHS and RANGES lines share one reader of
+``<name> <row> <value> [<row> <value>]`` pairs, which files each value
+under its row.  A BOUNDS line updates its column's bounds when read.  After
+the loop only the model is assembled: variables, then rows, then the
+objective and its offset.
 
 Solutions from external solvers come back as plain ``name value`` lines;
 names that do not belong to the model are rejected so a stale file cannot
@@ -40,23 +49,22 @@ class MpsError(ValueError):
     """Malformed MPS text or names unusable in MPS."""
 
 
-_PRINTABLE = re.compile(r"[!-~]+")     # ASCII 33..126: no space, no control
-
-
-def _printable(name: str) -> bool:
-    return _PRINTABLE.fullmatch(name) is not None
+# ASCII 33..126 (no space, no control), not starting with '*': a line whose
+# first token starts with '*' is a comment
+_NAME = re.compile(r"(?!\*)[!-~]+")
 
 
 def column_name_table(model: Milp) -> dict[str, int]:
     """Map variable names to columns, insisting the names are usable.
 
-    Raises when a name is empty, contains whitespace or non-ASCII, or
-    collides with another column; generated names are injective, so a
-    collision signals an indexing bug upstream.
+    Raises when a name is empty, contains whitespace or non-ASCII, starts
+    with ``*`` (MPS reads such a line as a comment), or collides with another
+    column; generated names are injective, so a collision signals an
+    indexing bug upstream.
     """
     table: dict[str, int] = {}
     for v in model.variables:
-        if not _printable(v.name):
+        if _NAME.fullmatch(v.name) is None:
             raise MpsError(
                 f"column {v.column} has name {v.name!r}, unusable in MPS"
             )
@@ -150,6 +158,28 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     return "\n".join(out) + "\n"
 
 
+def _finite(text: str) -> float | None:
+    """``text`` as a float, or None unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+# BOUNDS tag -> its effect on a column's (lower, upper), given the line's value
+_BOUND_TYPES = {
+    "LO": lambda lo, up, v: (v, up),
+    "UP": lambda lo, up, v: (lo, v),
+    "FX": lambda lo, up, v: (v, v),
+    "FR": lambda lo, up, v: (-math.inf, math.inf),
+    "MI": lambda lo, up, v: (-math.inf, up),
+    "PL": lambda lo, up, v: (lo, math.inf),
+    "BV": lambda lo, up, v: (0.0, 1.0),
+}
+_VALUED_BOUNDS = ("LO", "UP", "FX")
+
+
 def parse_mps(text: str):
     """Parse MPS text into a model plus its column-name table.
 
@@ -158,178 +188,107 @@ def parse_mps(text: str):
     same rows (RANGES rows expand into a ≤/≥ pair), same objective.
     """
     section = None
-    model_rows: list[tuple[str, str]] = []          # (sense tag, name)
-    row_sense: dict[str, str] = {}
+    senses: dict[str, str] = {}                     # constraint row -> sense
     obj_row: str | None = None
-    col_order: list[str] = []
-    col_terms: dict[str, dict[str, float]] = {}
-    col_integer: dict[str, bool] = {}
-    rhs: dict[str, float] = {}
-    ranges: dict[str, float] = {}
-    bounds: list[tuple[str, str, float | None]] = []
+    # row -> {column index: coefficient, "RHS": rhs, "RANGES": range}; the
+    # objective row is kept here too, with its RHS the negated offset
+    rows: dict[str, dict] = {}
+    table: dict[str, int] = {}                      # column name -> index
+    binary: list[bool] = []                         # per column
+    col_bounds: list[tuple[float, float]] = []      # per column (lower, upper)
     integer_mode = False
-    ended = False
 
     def fail(lineno: int, why: str):
         raise MpsError(f"line {lineno}: {why}")
 
-    def number(lineno: int, text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            fail(lineno, f"bad numeric value '{text}'")
+    def number(lineno: int, word: str) -> float:
+        value = _finite(word)
+        if value is None:
+            fail(lineno, f"bad numeric value '{word}'")
         return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
-        if ended:
+        if section == "ENDATA":
             fail(lineno, "content after ENDATA")
-        if raw[0] not in (" ", "\t"):
-            tokens = raw.split()
-            keyword = tokens[0]
-            if keyword == "NAME":
-                continue
-            if keyword == "ENDATA":
-                ended = True
-                continue
-            if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                section = keyword
-                continue
-            fail(lineno, f"unknown section '{keyword}'")
         tokens = raw.split()
-        if section == "ROWS":
+        if raw[0] not in (" ", "\t"):
+            keyword = tokens[0]
+            if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
+                section = keyword
+            elif keyword != "NAME":
+                fail(lineno, f"unknown section '{keyword}'")
+        elif section == "ROWS":
             if len(tokens) != 2:
                 fail(lineno, "expected '<sense> <row>'")
-            tag, row_name = tokens[0].upper(), tokens[1]
-            if row_name in row_sense or row_name == obj_row:
-                fail(lineno, f"duplicate row '{row_name}'")
+            tag, row = tokens[0].upper(), tokens[1]
+            if row in rows:
+                fail(lineno, f"duplicate row '{row}'")
             if tag == "N":
                 if obj_row is not None:
                     fail(lineno, "multiple objective rows")
-                obj_row = row_name
+                obj_row = row
             elif tag in _TAG_TO_SENSE:
-                row_sense[row_name] = tag
-                model_rows.append((tag, row_name))
+                senses[row] = _TAG_TO_SENSE[tag]
             else:
                 fail(lineno, f"unknown row sense '{tokens[0]}'")
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                if tokens[2] == "'INTORG'":
-                    integer_mode = True
-                elif tokens[2] == "'INTEND'":
-                    integer_mode = False
-                else:
-                    fail(lineno, f"unknown marker {tokens[2]}")
-                continue
-            if len(tokens) not in (3, 5):
-                fail(lineno, "expected '<col> <row> <value>' pairs")
-            col = tokens[0]
-            if col not in col_terms:
-                col_terms[col] = {}
-                col_order.append(col)
-                col_integer[col] = integer_mode
-            for at in range(1, len(tokens), 2):
-                row_name, value = tokens[at], tokens[at + 1]
-                if row_name != obj_row and row_name not in row_sense:
-                    fail(lineno, f"column references undeclared row '{row_name}'")
-                if row_name in col_terms[col]:
-                    fail(lineno, f"duplicate entry for column '{col}' row '{row_name}'")
-                col_terms[col][row_name] = number(lineno, value)
-        elif section == "RHS":
-            if len(tokens) not in (3, 5):
-                fail(lineno, "expected '<set> <row> <value>' pairs")
-            for at in range(1, len(tokens), 2):
-                row_name, value = tokens[at], tokens[at + 1]
-                if row_name != obj_row and row_name not in row_sense:
-                    fail(lineno, f"rhs references undeclared row '{row_name}'")
-                if row_name in rhs:
-                    fail(lineno, f"duplicate rhs for row '{row_name}'")
-                rhs[row_name] = number(lineno, value)
-        elif section == "RANGES":
-            if len(tokens) not in (3, 5):
-                fail(lineno, "expected '<set> <row> <value>' pairs")
-            for at in range(1, len(tokens), 2):
-                row_name, value = tokens[at], tokens[at + 1]
-                if row_name not in row_sense:
-                    fail(lineno, f"range references undeclared row '{row_name}'")
-                if row_name in ranges:
-                    fail(lineno, f"duplicate range for row '{row_name}'")
-                ranges[row_name] = number(lineno, value)
+            rows[row] = {}
         elif section == "BOUNDS":
             tag = tokens[0].upper()
-            if tag in ("FR", "MI", "PL", "BV"):
-                if len(tokens) != 3:
-                    fail(lineno, f"bound {tag} takes no value")
-                bounds.append((tag, tokens[2], None))
-            elif tag in ("LO", "UP", "FX"):
-                if len(tokens) != 4:
-                    fail(lineno, f"bound {tag} needs a value")
-                bounds.append((tag, tokens[2], number(lineno, tokens[3])))
-            else:
+            if tag not in _BOUND_TYPES:
                 fail(lineno, f"unknown bound type '{tokens[0]}'")
+            valued = tag in _VALUED_BOUNDS
+            if len(tokens) != 3 + valued:
+                fail(lineno, f"bound {tag} needs a value" if valued
+                     else f"bound {tag} takes no value")
+            value = number(lineno, tokens[3]) if valued else None
+            col = table.get(tokens[2])
+            if col is None:
+                fail(lineno, f"bound on undeclared column '{tokens[2]}'")
+            col_bounds[col] = _BOUND_TYPES[tag](*col_bounds[col], value)
+            binary[col] = binary[col] or tag == "BV"
+        elif section == "COLUMNS" and len(tokens) >= 3 and tokens[1] == "'MARKER'":
+            if tokens[2] not in ("'INTORG'", "'INTEND'"):
+                fail(lineno, f"unknown marker {tokens[2]}")
+            integer_mode = tokens[2] == "'INTORG'"
+        elif section is not None:
+            # COLUMNS, RHS and RANGES lines: <name> <row> <value> [<row> <value>]
+            if len(tokens) not in (3, 5):
+                fail(lineno, "expected '<name> <row> <value>' pairs")
+            key = section
+            if section == "COLUMNS":
+                key = table.setdefault(tokens[0], len(table))
+                if key == len(binary):
+                    binary.append(integer_mode)
+                    col_bounds.append((0.0, 1.0 if integer_mode else math.inf))
+            for row, word in zip(tokens[1::2], tokens[2::2]):
+                entries = rows.get(row)
+                if entries is None or (row == obj_row and section == "RANGES"):
+                    fail(lineno, f"undeclared row '{row}' in {section}")
+                if key in entries:
+                    fail(lineno, f"duplicate entry for row '{row}' in {section}")
+                entries[key] = number(lineno, word)
         else:
             fail(lineno, "data line outside any section")
 
-    lo: dict[str, float] = {}
-    up: dict[str, float] = {}
-    for col in col_order:
-        if col_integer[col]:
-            lo[col], up[col] = 0.0, 1.0
-        else:
-            lo[col], up[col] = 0.0, math.inf
-    for tag, col, value in bounds:
-        if col not in col_terms:
-            raise MpsError(f"bound on undeclared column '{col}'")
-        if tag == "LO":
-            lo[col] = value
-        elif tag == "UP":
-            up[col] = value
-        elif tag == "FX":
-            lo[col] = up[col] = value
-        elif tag == "FR":
-            lo[col], up[col] = -math.inf, math.inf
-        elif tag == "MI":
-            lo[col] = -math.inf
-        elif tag == "PL":
-            up[col] = math.inf
-        elif tag == "BV":
-            col_integer[col] = True
-            lo[col], up[col] = 0.0, 1.0
-
     model = Milp()
-    table: dict[str, int] = {}
-    for col in col_order:
-        kind = BINARY if col_integer[col] else CONTINUOUS
-        if kind == BINARY and not (0.0 <= lo[col] and up[col] <= 1.0):
-            raise MpsError(
-                f"integer column '{col}' has bounds [{lo[col]}, {up[col]}]; "
-                "only binary-ranged integers are supported"
-            )
-        if lo[col] > up[col]:
+    for col, integer, (lo, up) in zip(table, binary, col_bounds):
+        if integer and not (0.0 <= lo and up <= 1.0):
+            raise MpsError(f"integer column '{col}' has bounds [{lo}, {up}]; "
+                           "only binary-ranged integers are supported")
+        if lo > up:
             raise MpsError(f"column '{col}' has crossed bounds")
-        table[col] = model.add_variable(kind, lo[col], up[col], col)
+        model.add_variable(BINARY if integer else CONTINUOUS, lo, up, col)
 
-    row_terms: dict[str, list[tuple[int, float]]] = {rn: [] for rn in row_sense}
-    obj_terms: list[tuple[int, float]] = []
-    for col in col_order:
-        for row_name, coef in col_terms[col].items():
-            if row_name == obj_row:
-                obj_terms.append((table[col], coef))
-            else:
-                row_terms[row_name].append((table[col], coef))
-
-    for tag, row_name in model_rows:
-        sense = _TAG_TO_SENSE[tag]
-        base = rhs.get(row_name, 0.0)
-        terms = row_terms[row_name]
-        if row_name not in ranges:
+    for row, sense in senses.items():
+        entries = rows[row]
+        base = entries.pop("RHS", 0.0)
+        r = entries.pop("RANGES", None)
+        terms = sorted(entries.items())
+        if r is None:
             model.add_constraint(terms, sense, base)
-            continue
-        r = ranges[row_name]
-        if sense == LE:
+        elif sense == LE:
             model.add_constraint(terms, LE, base)
             model.add_constraint(terms, GE, base - abs(r))
         elif sense == GE:
@@ -340,11 +299,12 @@ def parse_mps(text: str):
             model.add_constraint(terms, GE, lo_r)
             model.add_constraint(terms, LE, up_r)
 
-    for col_idx, coef in obj_terms:
+    objective = rows.get(obj_row, {})
+    if "RHS" in objective:
+        model.objective_offset = -objective.pop("RHS")
+    for col, coef in sorted(objective.items()):
         if coef != 0.0:
-            model.set_objective_coefficient(col_idx, coef)
-    if obj_row is not None and obj_row in rhs:
-        model.objective_offset = -rhs[obj_row]
+            model.set_objective_coefficient(col, coef)
     return model, table
 
 
@@ -370,11 +330,8 @@ def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list
         if name in seen:
             raise MpsError(f"solution line {lineno}: duplicate variable '{name}'")
         seen.add(name)
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
+        number = _finite(value)
+        if number is None:
             raise MpsError(f"solution line {lineno}: bad value '{value}'")
         assignment[name_table[name]] = number
     return assignment

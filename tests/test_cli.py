@@ -76,6 +76,11 @@ _MINIMAL = {
         ({"buses": [{"id": "a", "reference": True}, {"id": "b", "reference": "false"}]},
          "bus b 'reference' must be true or false, got 'false'"),
         ({"horizon": {"load_growth": True}}, "horizon 'load_growth' must be a number, got True"),
+        ({"generators": [{"id": "g", "bus": "a", "p_max": 10**400, "cost": 3}]},
+         "generator g 'p_max' is an integer too large for a float"),
+        ({"load": {"a": [[10**400]]}}, "load for bus 'a' holds an integer too large for a float"),
+        ({"horizon": {"seasons": 1, "hours": 1, "epochs": 10**400}},
+         "horizon 'epochs' is an integer too large for a float"),
     ],
 )
 def test_malformed_case_documents_exit_2(tmp_path, capsys, change, message):

@@ -1,8 +1,11 @@
 """MPS writer/parser: byte fixed point, strictness, solution import."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
@@ -121,34 +124,112 @@ def test_offset_written_as_negated_objective_rhs():
     assert model.objective_offset == 7.5
 
 
+_RANGES_TEXT = "\n".join([
+    "NAME          T",
+    "ROWS",
+    " N  COST",
+    " L  R1",
+    " G  R2",
+    " E  R3",
+    "COLUMNS",
+    "    X  R1  1.0  R2  1.0",
+    "    X  R3  1.0  COST  1.0",
+    "RHS",
+    "    RHS  R1  4.0  R2  1.0",
+    "    RHS  R3  2.0",
+    "RANGES",
+    "    RNG  R1  2.0  R2  3.0",
+    "    RNG  R3  -1.5",
+    "BOUNDS",
+    " FR BND  X",
+    "ENDATA",
+])
+
+
 def test_ranges_expand_to_row_pairs():
-    text = "\n".join([
-        "NAME          T",
-        "ROWS",
-        " N  COST",
-        " L  R1",
-        " G  R2",
-        " E  R3",
-        "COLUMNS",
-        "    X  R1  1.0  R2  1.0",
-        "    X  R3  1.0  COST  1.0",
-        "RHS",
-        "    RHS  R1  4.0  R2  1.0",
-        "    RHS  R3  2.0",
-        "RANGES",
-        "    RNG  R1  2.0  R2  3.0",
-        "    RNG  R3  -1.5",
-        "BOUNDS",
-        " FR BND  X",
-        "ENDATA",
-    ])
-    model, _table = parse_mps(text)
+    model, _table = parse_mps(_RANGES_TEXT)
     got = [(c.sense, c.rhs) for c in model.constraints]
     assert got == [
         (LE, 4.0), (GE, 2.0),      # L row with range 2
         (GE, 1.0), (LE, 4.0),      # G row with range 3
         (GE, 0.5), (LE, 2.0),      # E row with negative range
     ]
+
+
+_NONCONTIGUOUS_TEXT = "\n".join([
+    "ROWS", " N  COST", " L  R1", " G  R2",
+    "COLUMNS", "    X  R2  1.0", "    Y  R1  2.0", "    X  R1  3.0  COST  1.0",
+    "RHS", "    RHS  R1  4.0",
+    "BOUNDS", " UP BND  Y  5.0",
+    "ENDATA",
+])
+
+# sha256 of repr((variables, constraints, objective, objective_offset, table))
+# of each parsed model
+PARSED_MODEL_SHA256 = {
+    ("braess_build", "static"):
+        "29a3f88235abf2a7b66c55f2e8c4d52d301735a2eb129012f68284bac8b90e2c",
+    ("braess_build", "switch-existing"):
+        "29a3f88235abf2a7b66c55f2e8c4d52d301735a2eb129012f68284bac8b90e2c",
+    ("braess_build", "switch-all"):
+        "48d414644ced3c8374b02866323fb697d16a5210001d002bd90bb3f977ac4c58",
+    ("defer_build", "static"):
+        "b485b966e732c58101c3e06052aed4aed5ef6a29aec97a21e600e84c41a85ad2",
+    ("defer_build", "switch-existing"):
+        "2374379833279aa15eddc4c85d5559ea3c763614abef1d8b147a22fc8b89981e",
+    ("defer_build", "switch-all"):
+        "5604f52dea435c863ba3622e1c92de01da42df97a7d31aa3509fa025e15f096b",
+    ("diamond", "static"):
+        "c35141ea08cc26958f076b11eb741c49361a2cd216d9d5afd1e23e6ce134cf80",
+    ("diamond", "switch-existing"):
+        "b4c4e7399629a2631cf84003e3891fe946c7eab783356b8cc6d4e7d11359e48b",
+    ("diamond", "switch-all"):
+        "469588db0003c587b09c9e919847bb9ddd11487ee48bb0db9c9d61fc6e1e4be8",
+    ("eight_bus", "static"):
+        "52eea77a6eae670fa0750d553bc0b0cdb2516a91e6f6660d03d56bccbdbaa655",
+    ("eight_bus", "switch-existing"):
+        "894eeba44131ff6f1c919ddff4c1437e138c6d6eecae3fa19d5ea37fd6759c41",
+    ("eight_bus", "switch-all"):
+        "da525a7147de2bffb627c31960dfcb025da5083a784d28c4f1ccbf656316337b",
+    ("season_flip", "static"):
+        "803f83890479488fbe594088e435e6fff486d834faca1fd18ca46c0dde39ed0f",
+    ("season_flip", "switch-existing"):
+        "ae483c82e9fbbe0efe9ec253671f8b3a61cc5af7b00bc3333e6ff98531118158",
+    ("season_flip", "switch-all"):
+        "36ac31ad9f96461c87171d2b10161d2bb44438f548f237bc66fbf3e11b5d3e8f",
+    ("tri_switch", "static"):
+        "1f82adb1168045171cb222e45471b404a063824af2977d86e0155aaeec17624f",
+    ("tri_switch", "switch-existing"):
+        "c76ef298aec702bcac247badf872fad55a3e3dfa73a49b7ebd050b46803fdde7",
+    ("tri_switch", "switch-all"):
+        "2f7a3e86791521d2e8f3bca68f1ef60ab35312539ef5107f8130df43388f17a1",
+    ("two_bus", "static"):
+        "98eb419b2b6587f2fffab05996d4ae58ce341d315a8cea260bd421e969d2fe2e",
+    ("two_bus", "switch-existing"):
+        "3b189fa549cae917fc96aaa3348d1455a629e8c4036538ea65b2cf59506c4a95",
+    ("two_bus", "switch-all"):
+        "d7b41f6e06a25f85617b24c049fcd07754aaa3b2acb599b2bb5beead1a8a3eb2",
+    "feature":
+        "98632f83974cf7d59cfd621c3b64984557a21cb6ab184f2ca890123432ee8f7d",
+    "ranges":
+        "b714fbc276540bbebf81fea9a3c51537abe0e4c9e3cdcfb9da6297348202db4e",
+    "noncontiguous":
+        "f69f0dfc599d74f174e92a2ddd1b60b39b68c57c7edc339c6c89845a183e04f0",
+}
+
+
+def test_parsed_models_are_pinned(bundled):
+    texts = {(name, variant.value): write_mps(build_milp(bundled(name), variant)[0])
+             for name in ALL_CASES for variant in Variant}
+    texts["feature"] = write_mps(_feature_model())
+    texts["ranges"] = _RANGES_TEXT
+    texts["noncontiguous"] = _NONCONTIGUOUS_TEXT
+    digests = {}
+    for key, text in texts.items():
+        m, table = parse_mps(text)
+        parsed = (m.variables, m.constraints, m.objective, m.objective_offset, table)
+        digests[key] = hashlib.sha256(repr(parsed).encode()).hexdigest()
+    assert digests == PARSED_MODEL_SHA256
 
 
 @pytest.mark.parametrize(
@@ -160,6 +241,39 @@ def test_ranges_expand_to_row_pairs():
         (lambda t: t + "junk\n", "content after ENDATA"),
         (lambda t: t.replace("RHS\n", "RHS\n    RHS1      NOPE  1.0\n", 1),
          "undeclared row 'NOPE'"),
+        (lambda t: t.replace(" N  COST\n", " N  COST\n N  COST2\n"),
+         r"^line 4: multiple objective rows$"),
+        (lambda t: t.replace(" G  R0000002", " Q  R0000002"),
+         r"^line 5: unknown row sense 'Q'$"),
+        (lambda t: t.replace(" G  R0000002", " G  R0000002  extra"),
+         r"^line 5: expected '<sense> <row>'$"),
+        (lambda t: t.replace("'INTEND'", "'INTWAT'"), r"^line 12: unknown marker 'INTWAT'$"),
+        (lambda t: t.replace("x_free    R0000002", "x_free    R0000009"),
+         r"^line 14: .*undeclared row 'R0000009'"),
+        (lambda t: t.replace("x_unused  COST      0.0", "x_unused  COST      0.0  R0000001"),
+         r"^line 20: expected '<\w+> <row> <value>' pairs$"),
+        (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002"),
+         r"^line 24: expected '<\w+> <row> <value>' pairs$"),
+        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0  R0000002\nBOUNDS\n"),
+         r"^line 26: expected '<\w+> <row> <value>' pairs$"),
+        (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002  -2.0  R0000001  1.0"),
+         r"^line 24: duplicate .*row 'R0000001'"),
+        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0\n"
+                                         "    RNG2  R0000001  2.0\nBOUNDS\n"),
+         r"^line 27: duplicate .*row 'R0000001'"),
+        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  COST  1.0\nBOUNDS\n"),
+         r"^line 26: .*undeclared row 'COST'"),
+        (lambda t: t.replace(" FR BND       x_free", " FR BND       x_free    1.0"),
+         r"^line 29: bound FR takes no value$"),
+        (lambda t: t.replace(" UP BND       x_upper   4.0", " UP BND       x_upper"),
+         r"^line 31: bound UP needs a value$"),
+        (lambda t: t.replace(" FR BND", " XX BND"), r"^line 29: unknown bound type 'XX'$"),
+        (lambda t: t.replace("x_boxed   8.0", "x_boxed   0.125"),
+         r"^column 'x_boxed' has crossed bounds$"),
+        (lambda t: t.replace("ROWS\n", "    stray  line\nROWS\n", 1),
+         r"^line 2: data line outside any section$"),
+        (lambda t: t.replace(" UP BND       x_boxed ", " UP BND       nope    "),
+         r"^line 35: bound on undeclared column 'nope'$"),
     ],
 )
 def test_parser_rejects_malformed_text(mutate, message):
@@ -247,6 +361,11 @@ def test_name_table_rejects_bad_names():
     m2.add_variable(CONTINUOUS, 0.0, 1.0, "same")
     with pytest.raises(MpsError, match="duplicate column name"):
         column_name_table(m2)
+    m3 = Milp()
+    m3.add_variable(CONTINUOUS, 0.0, 1.0, "x*")
+    m3.add_variable(CONTINUOUS, 0.0, 1.0, "*x")
+    with pytest.raises(MpsError, match=r"^column 1 has name '\*x', unusable"):
+        column_name_table(m3)
 
 
 def test_read_solution_rules():
@@ -279,3 +398,47 @@ def test_values_round_trip_exactly():
     assert again.constraints[0].coefficients[0] == 0.1
     assert again.constraints[0].rhs == 2.2250738585072014e-308
     assert again.objective[0] == 1.0000000000000002
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NAMES = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
+                 max_size=6).filter(lambda name: not name.startswith("*"))
+
+
+@st.composite
+def _milps(draw):
+    """Small models with every bound form; row terms in column order."""
+    m = Milp()
+    for name in draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True)):
+        if draw(st.booleans()):
+            unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+            lo, up = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
+            m.add_variable(BINARY, lo, up, name)
+            continue
+        form = draw(st.sampled_from(["free", "upper", "lower", "fixed", "boxed"]))
+        a, b = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2)))
+        lo, up = {"free": (-math.inf, math.inf), "upper": (-math.inf, b),
+                  "lower": (a, math.inf), "fixed": (a, a), "boxed": (a, b)}[form]
+        m.add_variable(CONTINUOUS, lo, up, name)
+    n = m.n_variables
+    for _ in range(draw(st.integers(0, 4))):
+        cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        m.add_constraint([(j, draw(_FINITE)) for j in cols],
+                         draw(st.sampled_from([LE, GE, EQ])), draw(_FINITE))
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        m.set_objective_coefficient(j, draw(_FINITE))
+    m.objective_offset = draw(_FINITE)
+    return m
+
+
+@given(_milps())
+@settings(max_examples=150, deadline=None)
+def test_write_parse_write_property(model):
+    text = write_mps(model)
+    again, table = parse_mps(text)
+    assert write_mps(again) == text
+    assert again.variables == model.variables
+    assert again.constraints == model.constraints
+    assert again.objective == model.objective
+    assert again.objective_offset == model.objective_offset
+    assert table == column_name_table(model)
