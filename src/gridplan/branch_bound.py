@@ -3,17 +3,18 @@
 ``solve_milp`` is a plain LP-based branch and bound: most-fractional
 branching (ties to the lowest column), best-bound node selection with
 depth-first plunging until the first incumbent, and no cuts or presolve.
-Every LP is a bounded dual simplex: the root starts from the model's
-all-slack basis, every other node LP from its parent's optimal basis (each
-open node carries that basis, not a tableau) and, if that attempt fails,
-from the slack basis, under the same certificate.  A node LP that still
-fails leaves its subtree unsolved: the parent's estimate stays in the
-bound, which stays valid, so the gap target and the limits stop the search
-as usual, but a search that runs out of nodes returns ``lp_failure``, never
-``optimal``.  Every incumbent is re-solved, warm from its node's basis,
-with its binaries pinned to exact 0/1 and must pass the model evaluator
-before it is accepted, so reported solutions are integral to machine
-precision, not merely within the rounding tolerance.
+Every LP is a bounded dual simplex, in one node loop whose first node is
+the root: the root starts from the model's all-slack basis, every other
+node LP from its parent's optimal basis (each open node carries that basis,
+not a tableau) and, if that attempt fails, from the slack basis, under the
+same certificate.  A node LP that still fails, or an incumbent candidate
+that fails the model evaluator, leaves its subtree unsolved: the node's
+value stays in the bound, which stays valid, so the gap target and the
+limits stop the search as usual, but a search that runs out of nodes
+returns ``lp_failure``, never ``optimal``.  Every incumbent is re-solved,
+warm from its node's basis, with its binaries pinned to exact 0/1 and must
+pass the model evaluator before it is accepted, so reported solutions are
+integral to machine precision, not merely within the rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
@@ -77,8 +78,10 @@ class SolveOutcome:
     """Incumbent, proof bound, and how the search stopped.
 
     ``gap`` is (objective - bound) / max(|objective|, 1e-9); ``bound`` never
-    exceeds the incumbent objective.  ``nondeterministic`` marks runs cut
-    off by wall-clock time, whose incumbent may vary between machines.
+    exceeds the incumbent objective and is None when no LP gave one (a time
+    limit before the root, or a root LP that failed).  ``nondeterministic``
+    is set exactly for ``time_limit`` outcomes: runs cut off by wall-clock
+    time, whose incumbent may vary between machines.
     """
 
     status: str
@@ -148,23 +151,23 @@ class _Search:
 
     # -- incumbent handling ----------------------------------------------------
 
-    def _try_incumbent(self, lo, up, x, basis):
+    def _try_incumbent(self, lo, up, outcome):
         """Pin binaries to the rounded values, re-solve, accept if it checks out."""
         plo, pup = lo.copy(), up.copy()
-        plo[self.bins] = pup[self.bins] = np.round(x[self.bins])
-        polished = self.dense.solve(plo, pup, basis=basis)
-        if polished.status == simplex.OPTIMAL:
-            candidate = [float(v) for v in polished.x]
-        else:
-            candidate = [float(v) for v in x]
+        plo[self.bins] = pup[self.bins] = np.round(outcome.x[self.bins])
+        polished = self.dense.solve(plo, pup, basis=outcome.basis)
+        x = polished.x if polished.status == simplex.OPTIMAL else outcome.x
+        candidate = [float(v) for v in x]
         report = evaluate_assignment(self.model, candidate)
         if not report.feasible:
-            raise RuntimeError(
-                "branch and bound produced an incumbent that fails evaluation "
+            # refused: the node's LP value stays in the bound
+            self.lowest_pruned = min(self.lowest_pruned, outcome.objective)
+            self.lp_failure = (
+                "incumbent fails evaluation "
                 f"(row {report.max_constraint_violation:.3e}, "
                 f"bound {report.max_bound_violation:.3e})"
             )
-        if report.objective < self.incumbent_obj:
+        elif report.objective < self.incumbent_obj:
             if self.incumbent is None:
                 heapq.heapify(self.open)
             self.incumbent = candidate
@@ -174,19 +177,11 @@ class _Search:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> SolveOutcome:
-        root = self.dense.solve()
-        self.nodes = 1
-        if root.status == simplex.INFEASIBLE:
-            return self._outcome(INFEASIBLE, root.message)
-        if root.status == simplex.UNBOUNDED:
-            raise RuntimeError("MILP relaxation is unbounded; refusing to search")
-        if root.status == simplex.FAILURE:
-            raise RuntimeError(f"root LP failed: {root.message}")
-        self._branch_or_bound(self.dense.lo, self.dense.up, root)
-
+        # the root is the first open node: model bounds, slack basis
+        self._push(-np.inf, self.dense.lo, self.dense.up, None)
         while self.open:
             if time.monotonic() - self.started > self.params.time_limit:
-                return self._outcome(TIME_LIMIT, "time limit reached", nondeterministic=True)
+                return self._outcome(TIME_LIMIT, "time limit reached")
             if self.params.node_limit is not None and self.nodes >= self.params.node_limit:
                 return self._outcome(NODE_LIMIT, "node limit reached")
             if self.incumbent is not None:
@@ -204,8 +199,11 @@ class _Search:
             self.nodes += 1
             if outcome.status == simplex.INFEASIBLE:
                 continue
+            if outcome.status == simplex.UNBOUNDED:
+                # a node only narrows bounds, so the relaxation is unbounded
+                raise RuntimeError("MILP relaxation is unbounded; refusing to search")
             if outcome.status != simplex.OPTIMAL:
-                # the unsolved subtree keeps its parent's estimate as bound
+                # the unsolved subtree keeps its estimate in the bound
                 self.lowest_pruned = min(self.lowest_pruned, est)
                 self.lp_failure = f"node LP {outcome.status}: {outcome.message}"
                 continue
@@ -222,7 +220,7 @@ class _Search:
         x = outcome.x
         frac = np.abs(x[self.bins] - np.round(x[self.bins]))
         if not frac.size or frac.max() <= _INT_TOL:
-            self._try_incumbent(lo, up, x, outcome.basis)
+            self._try_incumbent(lo, up, outcome)
             return
         # most fractional binary; argmax sends ties to the lowest column
         frac_col = self.bins[int(np.argmax(frac))]
@@ -239,16 +237,16 @@ class _Search:
             self._push(est, up_lo, up_up, basis)
             self._push(est, down_lo, down_up, basis)
 
-    def _outcome(self, status, message="", nondeterministic=False) -> SolveOutcome:
+    def _outcome(self, status, message="") -> SolveOutcome:
         """Every way ``run`` ends: the incumbent, if any, and the proof bound."""
         bound = self._global_bound()
-        if self.incumbent is None:
-            return SolveOutcome(status, None, None, bound if np.isfinite(bound) else None,
-                                None, nodes=self.nodes, nondeterministic=nondeterministic,
-                                message=message)
-        return SolveOutcome(status, self.incumbent, self.incumbent_obj, bound,
-                            _relative_gap(self.incumbent_obj, bound), nodes=self.nodes,
-                            nondeterministic=nondeterministic, message=message)
+        objective = None if self.incumbent is None else self.incumbent_obj
+        return SolveOutcome(
+            status, self.incumbent, objective,
+            bound if np.isfinite(bound) else None,
+            None if objective is None else _relative_gap(objective, bound),
+            nodes=self.nodes, nondeterministic=status == TIME_LIMIT, message=message,
+        )
 
 
 def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
@@ -259,7 +257,8 @@ def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
     order can break a near-tie in the search the other way.  Any incumbent
     returned satisfies every row, bound, and integrality requirement within
     1e-6.  An unbounded relaxation raises instead of guessing (planning
-    models are always bounded).
+    models are always bounded); any other LP trouble, at the root or below,
+    ends the search as ``lp_failure``.
     """
     return _Search(model, params or SolveParams()).run()
 
@@ -305,21 +304,14 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
 
     totals = np.full(n_masks, model.objective_offset) + bits @ dense.c[bins]
 
-    # connected components of continuous columns over the coupled rows
-    parent = list(range(n))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    for i in np.nonzero(coupled)[0]:
-        cols = np.nonzero(cont_nz[i])[0]
-        root = find(cols[0])
-        for c in cols[1:]:
-            parent[find(c)] = root
-    comp = np.array([find(j) for j in range(n)], dtype=np.int64)
+    # connected components of continuous columns over the coupled rows: each
+    # column takes the lowest label it shares such a row with, until no label
+    # changes
+    comp, previous = np.arange(n), None
+    while not np.array_equal(comp, previous):
+        previous = comp
+        row_label = np.where(cont_nz, comp, n).min(axis=1, initial=n)
+        comp = np.minimum(comp, np.where(cont_nz, row_label[:, None], n).min(axis=0, initial=n))
     row_comp = np.max(np.where(cont_nz, comp, -1), axis=1, initial=-1)
 
     never_feasible = np.zeros(n_masks, dtype=bool)

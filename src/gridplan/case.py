@@ -423,22 +423,31 @@ def validate_case(case: Case) -> ValidationReport:
             report.errors.append(f"negative load {mw} at bus '{bus}', hour {t}, season {s}")
 
     # Adequacy is a warning, not an error: an infeasible model is a legal answer.
-    total_pmax = sum(g.p_max for g in case.generators)
-    if h.load_growth >= 0 and all(c >= 1 for c in (h.n_epochs, h.n_seasons, h.n_hours)):
-        for e in range(1, h.n_epochs + 1):
-            peak = 0.0
-            for s in range(1, h.n_seasons + 1):
-                for t in range(1, h.n_hours + 1):
-                    total = sum(
-                        grow_load(case.load_profile.get(b, t, s), h.load_growth,
-                                  h.years_per_epoch, e)
-                        for b in known
-                    )
-                    peak = max(peak, total)
-            if peak > total_pmax:
-                report.warnings.append(
-                    f"inadequate generation in epoch {e}: peak load {peak:.3f} MW exceeds "
-                    f"total capacity {total_pmax:.3f} MW"
-                )
-    return report
+    # Load only grows with the epoch: one pass over the base-year load gives the
+    # system peak, and a bisection over the epochs finds the first inadequate one.
+    if h.load_growth < 0 or not all(c >= 1 for c in (h.n_epochs, h.n_seasons, h.n_hours)):
+        return report
+    system: dict[tuple[int, int], float] = {}
+    for (bus, t, s), mw in case.load_profile.base_load.items():
+        if bus in known:
+            system[t, s] = system.get((t, s), 0.0) + mw
+    base_peak = max([0.0, *system.values()])
+    capacity = sum(g.p_max for g in case.generators)
 
+    def peak(e: int) -> float:
+        return grow_load(base_peak, h.load_growth, h.years_per_epoch, e)
+
+    try:
+        if not peak(h.n_epochs) > capacity:
+            return report
+    except OverflowError:
+        report.errors.append(f"load growth {h.load_growth} over {h.n_epochs} epochs of "
+                             f"{h.years_per_epoch} years overflows a float")
+        return report
+    first, last = 1, h.n_epochs     # the first inadequate epoch is in [first, last]
+    while first < last:
+        mid = (first + last) // 2
+        first, last = (first, mid) if peak(mid) > capacity else (mid + 1, last)
+    report.warnings.append(f"inadequate generation from epoch {first} on: peak load "
+                           f"{peak(first):.3f} MW exceeds total capacity {capacity:.3f} MW")
+    return report

@@ -1,7 +1,14 @@
 """Shared fixtures: bundled cases, a cached enumeration oracle, and the
 physics checks applied to every incumbent the solver hands back."""
 
-import pytest
+import os
+
+# one BLAS thread, fixed before numpy is first imported: LAPACK's summation
+# order depends on the thread count, and the pinned solver counters on it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 from gridplan.branch_bound import enumerate_exact
 from gridplan.builder import Variant, build_milp

@@ -1,11 +1,13 @@
 """Search correctness: mutual oracle checks, scipy cross-checks, statuses."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from gridplan import branch_bound
 from gridplan.branch_bound import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -116,6 +118,8 @@ def test_time_limit_marks_nondeterminism():
     out = solve_milp(m, SolveParams(mip_gap=0.0, time_limit=1e-9))
     assert out.status == TIME_LIMIT
     assert out.nondeterministic is True
+    # the limit expires before the root LP, which is the first node
+    assert out.nodes == 0 and out.bound is None and out.assignment is None
 
 
 def test_loose_gap_still_within_target():
@@ -149,9 +153,10 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 279 LPs, 2,090 pivots, 236 nodes with one BLAS thread;
-    # with more, LAPACK sums in another order and eight_bus switch-all takes
-    # a different path of 2 more nodes, for 281, 2,120 and 238
+    # 279 LPs, 2,090 pivots, 236 nodes under the one BLAS thread conftest
+    # sets.  The caps keep the two-thread figures (LAPACK sums in another
+    # order and eight_bus switch-all takes a path of 2 more nodes: 281, 2,120
+    # and 238), so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 
@@ -171,25 +176,46 @@ def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     assert nodes <= 238
 
 
-def test_failed_node_lp_keeps_incumbent_and_a_valid_bound(bundled, monkeypatch):
+@pytest.mark.parametrize("failing_call", [1, 2])   # the root, its first child
+def test_failed_node_lp_keeps_incumbent_and_a_valid_bound(bundled, monkeypatch, failing_call):
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     calls = []
     solve = DenseLp.solve
 
-    def failing_first_child(self, *args, **kwargs):
+    def failing(self, *args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:         # the first node LP after the root
+        if len(calls) == failing_call:
             return LpOutcome(FAILURE, message="injected")
         return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(DenseLp, "solve", failing_first_child)
+    monkeypatch.setattr(DenseLp, "solve", failing)
     out = solve_milp(model)
     monkeypatch.undo()
     assert out.status == LP_FAILURE
     assert "injected" in out.message
+    if failing_call == 1:
+        # nothing below a failed root is searched, so nothing bounds it
+        assert out.assignment is None and out.bound is None
+        assert out.nodes == 1
+        return
     assert evaluate_assignment(model, out.assignment).feasible
     assert out.bound <= out.objective
     assert out.bound <= enumerate_exact(model).objective + 1e-6
+
+
+def test_rejected_incumbents_end_as_lp_failure(bundled, monkeypatch):
+    model, _index = build_milp(bundled("tri_switch"), Variant.SWITCH_ALL)
+    optimum = enumerate_exact(model).objective
+
+    def rejecting(*args):
+        return dataclasses.replace(evaluate_assignment(*args), feasible=False)
+
+    monkeypatch.setattr(branch_bound, "evaluate_assignment", rejecting)
+    out = solve_milp(model)
+    assert out.status == LP_FAILURE
+    assert "fails evaluation" in out.message
+    assert out.assignment is None and out.objective is None
+    assert out.bound <= optimum + 1e-6
 
 
 def test_progress_lines_go_to_stderr(capfd):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,13 @@ def test_parse_dense_load_shape_checked():
     doc = MINIMAL.rstrip().rstrip("}") + ', "load": {"b": [[1, 2]]}}'
     with pytest.raises(CaseError, match="4x24"):
         parse_case(doc)
+
+
+def test_parse_dense_load_array_follows_bus_order():
+    doc = json.loads(MINIMAL)
+    doc.update(horizon={"seasons": 1, "hours": 2}, load=[[[0, 0]], [[1.5, 2]]])
+    case = parse_case(json.dumps(doc))
+    assert case.load_profile.base_load == {("b", 1, 1): 1.5, ("b", 2, 1): 2.0}
 
 
 @pytest.mark.parametrize(
@@ -195,12 +203,18 @@ def test_validate_flags_fatal_findings():
     case = _valid_case()
     bad = Case(
         buses=case.buses,
-        generators=(Generator("g", "a", p_max=10, cost=-1),),
+        generators=(Generator("g", "a", p_max=10, cost=-1),
+                    Generator("g2", "z", p_max=10, cost=1),
+                    Generator("g3", "a", p_max=10, cost=1, p_min=-1),
+                    Generator("g4", "a", p_max=1, cost=1, p_min=5)),
         branches=(Branch("k", "a", "b", x=-0.002, rate=5),
-                  Branch("k", "a", "b", x=0.002, rate=5)),
-        candidates=(CandidateLine("c", "a", "a", x=0.002, rate=0, capital_cost=-3),),
-        horizon=Horizon(n_epochs=0, load_growth=-0.1),
-        load_profile=LoadProfile({("b", 1, 1): -5.0}),
+                  Branch("k", "a", "b", x=0.002, rate=5),
+                  Branch("k2", "a", "z", x=0.002, rate=5)),
+        candidates=(CandidateLine("c", "a", "a", x=0.002, rate=0, capital_cost=-3),
+                    CandidateLine("c2", "z", "b", x=0.1, rate=1, capital_cost=1,
+                                  parallel_to="nope")),
+        horizon=Horizon(n_epochs=0, load_growth=-0.1, maintenance_rate=-0.04),
+        load_profile=LoadProfile({("b", 1, 1): -5.0, ("z", 1, 1): 3.0, ("b", 99, 1): 1.0}),
         angle_bound=0.0,
     )
     report = validate_case(bad)
@@ -217,6 +231,16 @@ def test_validate_flags_fatal_findings():
         "load growth must be >= 0",
         "angle bound must be > 0",
         "negative load",
+        "error: generator 'g2' references unknown bus 'z'",
+        "error: branch 'k2' references an unknown bus",
+        "error: candidate 'c2' references an unknown bus",
+        "error: load profile references unknown bus 'z'",
+        "error: generator 'g3' has negative minimum output -1",
+        "error: generator 'g4' has p_min 5 above p_max 1",
+        "warning: generator 'g4' has p_min 5 > 0; commitment decisions are not modeled",
+        "warning: candidate 'c2' marked parallel to unknown branch 'nope'",
+        "error: maintenance rate must be >= 0, got -0.04",
+        "error: load entry (b, t=99, s=1) is outside the horizon",
     ):
         assert fragment in text, fragment
 
@@ -265,3 +289,28 @@ def test_bundled_cases_all_valid(bundled):
         assert case.name == name
         assert case.description
         assert parse_case(render_case(case)) == case
+
+
+def _grown(epochs, growth, load):
+    doc = json.loads(MINIMAL)
+    doc.update(horizon={"epochs": epochs, "load_growth": growth, "seasons": 1, "hours": 1},
+               load={"b": [[load]]})
+    return parse_case(json.dumps(doc))
+
+
+def test_validate_warns_once_at_the_first_inadequate_epoch():
+    # 8 MW grows 50 % a year: 60.75 MW in epoch 2 against 10 MW of capacity
+    report = validate_case(_grown(6, 0.5, 8.0))
+    assert report.ok
+    assert report.warnings == ["inadequate generation from epoch 2 on: peak load "
+                               "60.750 MW exceeds total capacity 10.000 MW"]
+    assert validate_case(_grown(6, 0.5, 11.0)).warnings[0].startswith(
+        "inadequate generation from epoch 1 on")
+    assert validate_case(_grown(6, 0.0, 10.0)).warnings == []
+
+
+def test_validate_takes_no_walk_over_epochs():
+    start = time.perf_counter()
+    report = validate_case(_grown(10**8, 0.0, 1.0))
+    assert report.ok and not report.warnings
+    assert time.perf_counter() - start < 1.0

@@ -81,6 +81,9 @@ _MINIMAL = {
         ({"load": {"a": [[10**400]]}}, "load for bus 'a' holds an integer too large for a float"),
         ({"horizon": {"seasons": 1, "hours": 1, "epochs": 10**400}},
          "horizon 'epochs' is an integer too large for a float"),
+        ({"load": [[[5]]]}, "dense load array has 1 bus entries, case has 2 buses"),
+        ({"load": [[[5]], 5]}, "load for bus 'b' must be a dense 1x1"),
+        ({"load": 5}, "'load' must be an object keyed by bus id or a dense array"),
     ],
 )
 def test_malformed_case_documents_exit_2(tmp_path, capsys, change, message):
@@ -177,7 +180,27 @@ def test_time_limit_exits_1(case_file, tmp_path, capsys):
                     "--timelim", "1e-9", "--out", str(tmp_path / "t")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "time_limit" in err
+    assert "switch-all: time_limit; no plan to write" in err
+
+
+def test_compare_time_limit_exits_1(case_file, tmp_path, capsys):
+    # the limit expires before any root LP, so no variant has a plan
+    code = run_cli(["compare", case_file("eight_bus"), "--timelim", "1e-9",
+                    "--out", str(tmp_path / "t")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("no plan for static, switch-existing, switch-all (static: time_limit, "
+            "switch-existing: time_limit, switch-all: time_limit)") in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_validate_overflowing_load_growth_exits_2(tmp_path, capsys):
+    doc = dict(_MINIMAL, horizon={"epochs": 10000, "load_growth": 0.02})
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path)]) == 2
+    assert "error: load growth 0.02 over 10000 epochs of 5 years overflows a float" \
+        in capsys.readouterr().out
 
 
 def test_runtime_imports_need_only_numpy():
