@@ -28,9 +28,12 @@ tableau simplex over general variable bounds:
   when moving those columns further out improves the objective and moves
   no basic value toward a finite true bound;
 * a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
-  the tableau ``B^-1 [A | I]`` from original data; since the slack columns
-  are the identity, the tableau's slack block is ``B^-1``, and duals and
-  basic values are read off it;
+  the tableau ``B^-1 [A | I]`` from original data.  B is block triangular
+  once the rows whose slack is basic come last, so only the k x k block of
+  A under the k basic structural columns is inverted (none for the slack
+  basis).  Since the slack columns are the identity, the tableau's slack
+  block is ``B^-1``, and duals and basic values are read off it.  A pivot
+  updates only the tableau rows where the entering column is nonzero;
 * before any outcome is reported, it is checked against the original data
   with the tableau's duals: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
@@ -40,8 +43,8 @@ tableau simplex over general variable bounds:
   anything that still fails is reported as ``failure``, never as a wrong
   ``optimal``.
 
-Robustness is favored over speed; the target problems are small, and the
-tableau is refactored from original data whenever drift is detected.
+The tableau is dense, and it is refactored from original data whenever drift
+is detected.
 """
 
 from __future__ import annotations
@@ -238,12 +241,23 @@ class _Simplex:
 
     def _refresh(self):
         """Refactor the basis: rebuild tableau and basic values from original
-        data.  This is the only factorization; everything else reads B^-1 off
-        the tableau's slack block (the slack columns of ``a_all`` are I)."""
+        data.  This is the only factorization.  With S the rows whose slack
+        is basic and R the others, B is ``[[A_RJ, 0], [A_SJ, I]]`` for the k
+        basic structural columns J, so only the k x k block A_RJ is
+        inverted.  Slack positions that repeat a row leave A_RJ non-square,
+        and ``np.linalg.inv`` refuses it as it refuses a singular one."""
+        struct = self.basis < self.n
+        cols, slack_rows = self.basis[struct], self.basis[~struct] - self.n
+        rows = np.ones(self.m, dtype=bool)
+        rows[slack_rows] = False
+        a = self.problem.a
         try:
-            self.tableau = np.linalg.solve(self.a_all[:, self.basis], self.a_all)
+            top = np.linalg.inv(a[np.ix_(rows, cols)]) @ self.a_all[rows]
         except np.linalg.LinAlgError:
             return False
+        self.tableau = np.empty_like(self.a_all)
+        self.tableau[struct] = top
+        self.tableau[~struct] = self.a_all[slack_rows] - a[np.ix_(slack_rows, cols)] @ top
         self._basic_values()
         return True
 
@@ -297,12 +311,14 @@ class _Simplex:
     # -- the pivot loop ------------------------------------------------------
 
     def _exchange(self, r, q):
-        """Make column ``q`` basic in row ``r``: rank-1 tableau and drow update."""
+        """Make column ``q`` basic in row ``r``: rank-1 tableau and drow
+        update, over only the rows where column ``q`` is nonzero."""
         piv = self.tableau[r, q]
         self.tableau[r] /= piv
         col = self.tableau[:, q].copy()
         col[r] = 0.0
-        self.tableau -= np.outer(col, self.tableau[r])
+        rows = np.nonzero(col)[0]
+        self.tableau[rows] -= np.outer(col[rows], self.tableau[r])
         self.tableau[:, q] = 0.0
         self.tableau[r, q] = 1.0
         dq = self.drow[q]
@@ -415,9 +431,7 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return LpOutcome(FAILURE, message="start basis does not fit the model")
         self.basis = cols.copy()
-        if start is self.problem.slack_basis:
-            self.tableau = self.a_all.copy()        # B = I needs no factoring
-        elif not self._refresh():
+        if not self._refresh():
             return LpOutcome(FAILURE, message="singular start basis")
 
         max_iter = 50 * (n + 2 * m) + 10_000

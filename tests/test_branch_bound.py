@@ -153,10 +153,11 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 279 LPs, 2,090 pivots, 236 nodes under the one BLAS thread conftest
-    # sets.  The caps keep the two-thread figures (LAPACK sums in another
-    # order and eight_bus switch-all takes a path of 2 more nodes: 281, 2,120
-    # and 238), so a run with more threads passes too
+    # 279 LPs, 2,106 pivots, 236 nodes under the one BLAS thread conftest
+    # sets, and the same under two threads.  The caps keep the two-thread
+    # figures of the full m x m factor (LAPACK summed in another order and
+    # eight_bus switch-all took a path of 2 more nodes: 281, 2,120 and 238),
+    # so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 

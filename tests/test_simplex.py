@@ -430,10 +430,10 @@ def test_warm_children_match_cold_on_bundle(bundled):
             root = dense.solve()
             assert root.status == OPTIMAL and root.basis is not None
             for lo, up in _branch_children(dense, root, model.binary_columns()):
-                with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, \
                         mock.patch.object(np, "hstack", wraps=np.hstack) as hstack:
                     warm = dense.solve(lo, up, basis=root.basis)
-                warm_factorizations += solve.call_count
+                warm_factorizations += inv.call_count
                 warm_stacks += hstack.call_count
                 children += 1
                 cold = dense.solve(lo, up)
@@ -449,10 +449,12 @@ def test_warm_children_match_cold_on_bundle(bundled):
     # re-optimising a child takes a few dual pivots, not a fresh solve from
     # the slack basis
     assert 5 * warm_pivots <= cold_pivots
-    # a warm child factors its start basis once; the duals, basic values and
-    # certificate all read B^-1 off the tableau instead of refactoring
+    # a warm child factors its start basis once, one np.linalg.inv of the
+    # k x k block of A under its basic structural columns; the duals, basic
+    # values and certificate all read B^-1 off the tableau instead of
+    # refactoring
     assert children == 42
-    assert warm_factorizations <= 1.5 * children
+    assert children <= warm_factorizations <= 1.5 * children
     # the standard form [A | I] belongs to the DenseLp; a warm solve only
     # swaps in its bounds and never rebuilds it
     assert warm_stacks == 0
@@ -476,7 +478,105 @@ def test_warm_start_into_infeasible_child_is_certified():
     assert child.message.startswith("certified infeasible")
 
 
-@pytest.mark.parametrize("defect", ["repeated column", "out-of-range column", "short"])
+def _factor(dense, columns):
+    """The ``_refresh`` tableau of basis ``columns`` next to a dense solve of
+    B T = [A | I]."""
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = np.array(columns)
+    assert simplex._refresh()
+    return simplex.tableau, np.linalg.solve(dense.a_all[:, columns], dense.a_all)
+
+
+def _assert_factor_matches(dense, columns, label):
+    tableau, dense_solve = _factor(dense, columns)
+    scale = np.abs(dense_solve).max()
+    assert np.abs(tableau - dense_solve).max() <= 1e-9 * scale, label
+
+
+def test_block_factor_matches_a_dense_solve(bundled):
+    n_bases = 0
+    for name in ALL_CASES:
+        for variant in Variant:
+            model, _index = build_milp(bundled(name), variant)
+            dense = DenseLp.from_milp(model)
+            root = dense.solve()
+            bases = [root.basis]
+            for lo, up in _branch_children(dense, root, model.binary_columns()):
+                child = dense.solve(lo, up, basis=root.basis)
+                if child.status == OPTIMAL:
+                    bases.append(child.basis)
+            for basis in bases:
+                assert (basis.columns < dense.a.shape[1]).any()
+                _assert_factor_matches(dense, basis.columns, (name, variant.value))
+            n_bases += len(bases)
+    assert n_bases == 63          # 21 roots and all 42 of their children
+    case = parse_case((DATA / "probe_10x2x2x2x3_s1.json").read_text())
+    rows = []
+    for variant in Variant:
+        model, _index = build_milp(case, variant)
+        dense = DenseLp.from_milp(model)
+        rows.append(dense.a.shape[0])
+        _assert_factor_matches(dense, dense.solve().basis.columns, variant.value)
+    assert max(rows) == 344
+
+
+def test_block_factor_of_the_slack_basis_is_the_standard_form(bundled):
+    # k = 0: nothing to factor, and the tableau is [A | I] itself
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    tableau, _dense_solve = _factor(dense, dense.slack_basis.columns)
+    assert np.array_equal(tableau, dense.a_all)
+    # one slack in two positions leaves a row with no basic column
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    simplex.basis[1] = simplex.basis[0]
+    assert not simplex._refresh()
+
+
+def test_block_factor_of_an_all_structural_basis():
+    # k = m: both rows bind at the optimum (2.5, 1.5), strictly inside the
+    # column box, so both structural columns are basic and no slack is
+    m = _model([(0, 10), (0, 10)],
+               [([(0, 1.0), (1, 1.0)], LE, 4.0), ([(0, 1.0), (1, -1.0)], LE, 1.0)],
+               [(0, -1.0), (1, -0.5)])
+    dense = DenseLp.from_milp(m)
+    out = dense.solve()
+    assert out.status == OPTIMAL
+    assert out.x == pytest.approx([2.5, 1.5], abs=1e-12)
+    assert sorted(out.basis.columns) == [0, 1]
+    _assert_factor_matches(dense, out.basis.columns, "k = m")
+
+
+def test_exchange_updates_only_rows_the_pivot_column_touches():
+    # rows where the entering column is zero are skipped; the rows it touches
+    # get exactly the dense rank-1 formula's values
+    rng = np.random.default_rng(20261018)
+    m, n = 40, 25
+    dense = DenseLp(np.zeros((m, n)), [LE] * m, np.zeros(m), np.zeros(n),
+                    np.ones(n), np.zeros(n))
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    simplex.tableau = rng.standard_normal((m, n + m))
+    simplex.drow = rng.standard_normal(n + m)
+    r, q = 7, 3
+    zero = rng.random(m) < 0.8
+    zero[r] = False
+    simplex.tableau[zero, q] = 0.0
+    assert 0 < zero.sum() < m - 1
+    expected = simplex.tableau.copy()
+    expected[r] /= expected[r, q]
+    col = expected[:, q].copy()
+    col[r] = 0.0
+    expected -= np.outer(col, expected[r])
+    expected[:, q] = 0.0
+    expected[r, q] = 1.0
+    simplex._exchange(r, q)
+    assert np.array_equal(simplex.tableau, expected)
+    assert simplex.basis[r] == q
+
+
+@pytest.mark.parametrize("defect", ["repeated column", "repeated slack column",
+                                    "out-of-range column", "short"])
 def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     dense = DenseLp.from_milp(model)
@@ -486,6 +586,9 @@ def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
     cols = root.basis.columns.copy()
     if defect == "repeated column":         # a singular basis matrix
         cols[1] = cols[0]
+    elif defect == "repeated slack column":  # one row's slack in two positions
+        slack = np.nonzero(cols >= dense.a.shape[1])[0]
+        cols[slack[1]] = cols[slack[0]]
     elif defect == "out-of-range column":
         cols[0] = sum(dense.a.shape)
     else:
