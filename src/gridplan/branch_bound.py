@@ -11,10 +11,13 @@ same certificate.  A node LP that still fails, or an incumbent candidate
 that fails the model evaluator, leaves its subtree unsolved: the node's
 value stays in the bound, which stays valid, so the gap target and the
 limits stop the search as usual, but a search that runs out of nodes
-returns ``lp_failure``, never ``optimal``.  Every incumbent is re-solved,
-warm from its node's basis, with its binaries pinned to exact 0/1 and must
-pass the model evaluator before it is accepted, so reported solutions are
-integral to machine precision, not merely within the rounding tolerance.
+returns ``lp_failure``, never ``optimal``.  An incumbent whose binaries
+are not exactly 0/1 is re-solved, warm from its node's basis, with its
+binaries pinned to the rounded values; one whose binaries already are
+exactly 0/1 is kept as solved, since it already solves that pinned LP.
+Every incumbent must pass the model evaluator before it is accepted, so
+reported solutions are integral to machine precision, not merely within the
+rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
@@ -152,11 +155,17 @@ class _Search:
     # -- incumbent handling ----------------------------------------------------
 
     def _try_incumbent(self, lo, up, outcome):
-        """Pin binaries to the rounded values, re-solve, accept if it checks out."""
-        plo, pup = lo.copy(), up.copy()
-        plo[self.bins] = pup[self.bins] = np.round(outcome.x[self.bins])
-        polished = self.dense.solve(plo, pup, basis=outcome.basis)
-        x = polished.x if polished.status == simplex.OPTIMAL else outcome.x
+        """Pin binaries to the rounded values, re-solve unless they already
+        are, accept if it checks out."""
+        x = outcome.x
+        pinned = np.round(x[self.bins])
+        # exactly integral binaries: x already solves the pinned LP
+        if not np.array_equal(pinned, x[self.bins]):
+            plo, pup = lo.copy(), up.copy()
+            plo[self.bins] = pup[self.bins] = pinned
+            polished = self.dense.solve(plo, pup, basis=outcome.basis)
+            if polished.status == simplex.OPTIMAL:
+                x = polished.x
         candidate = [float(v) for v in x]
         report = evaluate_assignment(self.model, candidate)
         if not report.feasible:

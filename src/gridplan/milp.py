@@ -10,6 +10,7 @@ referee between solvers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 CONTINUOUS = "continuous"
@@ -42,7 +43,8 @@ class LinearConstraint:
     rhs: float
 
     def activity(self, x) -> float:
-        return math.fsum(c * x[j] for j, c in zip(self.columns, self.coefficients))
+        return math.fsum(map(operator.mul, self.coefficients,
+                             map(x.__getitem__, self.columns)))
 
     def violation(self, x) -> float:
         """Absolute constraint violation at ``x`` (0 when satisfied).

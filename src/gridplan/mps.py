@@ -5,7 +5,10 @@ appear in model order with one (row, value) pair per line, every variable
 gets an explicit BOUNDS entry (no reliance on reader defaults), binaries sit
 inside INTORG/INTEND markers, and values are printed with ``repr`` so they
 round-trip exactly.  Writing a parsed model reproduces the original text
-byte for byte.
+byte for byte.  Each line is formatted once: every row name is padded to
+the field width once, every column name once per column, and a COLUMNS,
+RHS or BOUNDS line is one concatenation of padded fields ending in the
+value's ``repr``.
 
 The parser is deliberately stricter than the zoo of MPS dialects: names are
 whitespace-delimited tokens, duplicate entries are errors rather than
@@ -21,7 +24,11 @@ COLUMNS line.  COLUMNS, RHS and RANGES lines share one reader of
 ``<name> <row> <value> [<row> <value>]`` pairs, which files each value
 under its row.  A BOUNDS line updates its column's bounds when read.  After
 the loop only the model is assembled: variables, then rows, then the
-objective and its offset.
+objective and its offset.  Pair lines are most of a file, so the loop
+tests for them first: a COLUMNS line that continues the previous line's
+column reuses its index without a table lookup, and each value is read
+inline with one ``float`` and one ``isfinite``.  Blank and comment lines
+are recognised from the split tokens.
 
 Solutions from external solvers come back as plain ``name value`` lines;
 names that do not belong to the model are rejected so a stale file cannot
@@ -84,78 +91,72 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     Output is a pure function of the model: identical models give identical
     bytes.
     """
-    columns = column_name_table(model)
-    names = [v.name for v in model.variables]
+    column_name_table(model)        # refuses names MPS cannot carry
     rows = _row_names(model)
-    width = max((len(s) for s in names + rows + [_OBJ_ROW, _RHS_SET, _BOUND_SET]),
-                default=8)
-
-    def pair(a: str, b: str, value: float) -> str:
-        return f"    {a:<{width}}  {b:<{width}}  {value!r}"
+    width = max((len(s) for s in [v.name for v in model.variables] + rows
+                 + [_OBJ_ROW, _RHS_SET, _BOUND_SET]), default=8)
+    obj_field = f"{_OBJ_ROW:<{width}}  "
 
     out = [f"NAME          {name}", "ROWS", f" N  {_OBJ_ROW}"]
-    for row_name, con in zip(rows, model.constraints):
-        out.append(f" {_SENSE_TO_TAG[con.sense]}  {row_name}")
+    out += [f" {_SENSE_TO_TAG[con.sense]}  {row}"
+            for row, con in zip(rows, model.constraints)]
 
-    terms_by_col: dict[int, list[tuple[str, float]]] = {
-        v.column: [] for v in model.variables
-    }
-    for row_name, con in zip(rows, model.constraints):
+    # each column's (padded row name, coefficient) entries, in row order
+    terms_by_col: list[list[tuple[str, float]]] = [[] for _ in model.variables]
+    row_fields = [f"{row:<{width}}  " for row in rows]
+    for row_field, con in zip(row_fields, model.constraints):
         for col, coef in zip(con.columns, con.coefficients):
-            terms_by_col[col].append((row_name, coef))
+            terms_by_col[col].append((row_field, coef))
     for col, coef in model.objective.items():
-        terms_by_col[col].append((_OBJ_ROW, coef))
+        terms_by_col[col].append((obj_field, coef))
 
     out.append("COLUMNS")
     integer_mode = False
-    for v in model.variables:
+    for v, entries in zip(model.variables, terms_by_col):
         if (v.kind == BINARY) != integer_mode:
             out.append(_MARKER_ON if v.kind == BINARY else _MARKER_OFF)
             integer_mode = v.kind == BINARY
-        entries = terms_by_col[v.column]
-        if not entries:
-            # declare otherwise-unreferenced columns via a zero objective term
-            entries = [(_OBJ_ROW, 0.0)]
-        for row_name, coef in entries:
-            out.append(pair(v.name, row_name, coef))
+        head = f"    {v.name:<{width}}  "
+        # declare otherwise-unreferenced columns via a zero objective term
+        out += [head + row_field + repr(coef)
+                for row_field, coef in entries or [(obj_field, 0.0)]]
     if integer_mode:
         out.append(_MARKER_OFF)
+    del terms_by_col            # freed before the text is joined: a lower peak
 
     out.append("RHS")
+    head = f"    {_RHS_SET:<{width}}  "
     if model.objective_offset:
-        out.append(pair(_RHS_SET, _OBJ_ROW, -model.objective_offset))
-    for row_name, con in zip(rows, model.constraints):
-        if con.rhs != 0.0:
-            out.append(pair(_RHS_SET, row_name, con.rhs))
+        out.append(head + obj_field + repr(-model.objective_offset))
+    out += [head + row_field + repr(con.rhs)
+            for row_field, con in zip(row_fields, model.constraints)
+            if con.rhs != 0.0]
 
     out.append("BOUNDS")
+    bound_set = f"{_BOUND_SET:<{width}}  "
     for v in model.variables:
         lo, up = v.lower, v.upper
-
-        def bound(tag: str, value: float | None = None, _name: str = v.name) -> str:
-            line = f" {tag:<2} {_BOUND_SET:<{width}}  {_name:<{width}}"
-            if value is None:
-                return line.rstrip()
-            return f"{line}  {value!r}"
-
+        # a valued line pads the column name; a bare one ends with it
+        valued = bound_set + f"{v.name:<{width}}  "
+        bare = bound_set + v.name
         if v.kind == BINARY and lo == 0.0 and up == 1.0:
-            out.append(bound("BV"))
+            out.append(" BV " + bare)
         elif lo == up:
-            out.append(bound("FX", lo))
+            out.append(" FX " + valued + repr(lo))
         elif not math.isfinite(lo) and not math.isfinite(up):
-            out.append(bound("FR"))
+            out.append(" FR " + bare)
         elif not math.isfinite(lo):
-            out.append(bound("MI"))
-            out.append(bound("UP", up))
+            out.append(" MI " + bare)
+            out.append(" UP " + valued + repr(up))
         elif not math.isfinite(up):
-            out.append(bound("LO", lo))
-            out.append(bound("PL"))
+            out.append(" LO " + valued + repr(lo))
+            out.append(" PL " + bare)
         else:
-            out.append(bound("LO", lo))
-            out.append(bound("UP", up))
+            out.append(" LO " + valued + repr(lo))
+            out.append(" UP " + valued + repr(up))
 
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out += ["ENDATA", ""]       # the empty last line ends the text with a newline
+    return "\n".join(out)
 
 
 def _finite(text: str) -> float | None:
@@ -197,6 +198,10 @@ def parse_mps(text: str):
     binary: list[bool] = []                         # per column
     col_bounds: list[tuple[float, float]] = []      # per column (lower, upper)
     integer_mode = False
+    pairs = False               # in COLUMNS, RHS or RANGES
+    column = None               # name of the COLUMNS line before, if any
+    key = None                  # where a pair line files its values
+    isfinite = math.isfinite
 
     def fail(lineno: int, why: str):
         raise MpsError(f"line {lineno}: {why}")
@@ -208,15 +213,47 @@ def parse_mps(text: str):
         return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if section == "ENDATA":
-            fail(lineno, "content after ENDATA")
         tokens = raw.split()
-        if raw[0] not in (" ", "\t"):
+        if not tokens or tokens[0][0] == "*":
+            continue
+        if pairs and raw[0] in " \t":
+            # COLUMNS, RHS and RANGES lines: <name> <row> <value> [<row> <value>]
+            n = len(tokens)
+            if n >= 3 and tokens[1] == "'MARKER'" and section == "COLUMNS":
+                if tokens[2] not in ("'INTORG'", "'INTEND'"):
+                    fail(lineno, f"unknown marker {tokens[2]}")
+                integer_mode = tokens[2] == "'INTORG'"
+                continue
+            if n != 3 and n != 5:
+                fail(lineno, "expected '<name> <row> <value>' pairs")
+            if section == "COLUMNS" and tokens[0] != column:
+                column = tokens[0]
+                key = table.setdefault(column, len(table))
+                if key == len(binary):
+                    binary.append(integer_mode)
+                    col_bounds.append((0.0, 1.0 if integer_mode else math.inf))
+            for i in range(1, n, 2):
+                row = tokens[i]
+                entries = rows.get(row)
+                if entries is None or (row == obj_row and section == "RANGES"):
+                    fail(lineno, f"undeclared row '{row}' in {section}")
+                if key in entries:
+                    fail(lineno, f"duplicate entry for row '{row}' in {section}")
+                try:
+                    value = float(tokens[i + 1])
+                except ValueError:
+                    value = math.nan
+                if not isfinite(value):
+                    fail(lineno, f"bad numeric value '{tokens[i + 1]}'")
+                entries[key] = value
+        elif section == "ENDATA":
+            fail(lineno, "content after ENDATA")
+        elif raw[0] not in " \t":
             keyword = tokens[0]
             if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
                 section = keyword
+                pairs = keyword in ("COLUMNS", "RHS", "RANGES")
+                column, key = None, keyword
             elif keyword != "NAME":
                 fail(lineno, f"unknown section '{keyword}'")
         elif section == "ROWS":
@@ -248,27 +285,6 @@ def parse_mps(text: str):
                 fail(lineno, f"bound on undeclared column '{tokens[2]}'")
             col_bounds[col] = _BOUND_TYPES[tag](*col_bounds[col], value)
             binary[col] = binary[col] or tag == "BV"
-        elif section == "COLUMNS" and len(tokens) >= 3 and tokens[1] == "'MARKER'":
-            if tokens[2] not in ("'INTORG'", "'INTEND'"):
-                fail(lineno, f"unknown marker {tokens[2]}")
-            integer_mode = tokens[2] == "'INTORG'"
-        elif section is not None:
-            # COLUMNS, RHS and RANGES lines: <name> <row> <value> [<row> <value>]
-            if len(tokens) not in (3, 5):
-                fail(lineno, "expected '<name> <row> <value>' pairs")
-            key = section
-            if section == "COLUMNS":
-                key = table.setdefault(tokens[0], len(table))
-                if key == len(binary):
-                    binary.append(integer_mode)
-                    col_bounds.append((0.0, 1.0 if integer_mode else math.inf))
-            for row, word in zip(tokens[1::2], tokens[2::2]):
-                entries = rows.get(row)
-                if entries is None or (row == obj_row and section == "RANGES"):
-                    fail(lineno, f"undeclared row '{row}' in {section}")
-                if key in entries:
-                    fail(lineno, f"duplicate entry for row '{row}' in {section}")
-                entries[key] = number(lineno, word)
         else:
             fail(lineno, "data line outside any section")
 

@@ -153,7 +153,7 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 279 LPs, 2,106 pivots, 236 nodes under the one BLAS thread conftest
+    # 254 LPs, 2,106 pivots, 236 nodes under the one BLAS thread conftest
     # sets, and the same under two threads.  The caps keep the two-thread
     # figures of the full m x m factor (LAPACK summed in another order and
     # eight_bus switch-all took a path of 2 more nodes: 281, 2,120 and 238),
@@ -175,6 +175,29 @@ def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     assert len(outcomes) <= 281
     assert sum(o.iterations for o in outcomes) <= 2120
     assert nodes <= 238
+
+
+def test_exactly_integral_node_is_not_polished(monkeypatch):
+    # the root LP's binary is exactly 1, so its x already solves the LP
+    # with that binary pinned: the root is the only LP of the search
+    m = Milp()
+    b = m.add_variable(BINARY, 0.0, 1.0, "b")
+    y = m.add_variable(CONTINUOUS, 0.0, 1.0, "y")
+    m.add_constraint([(b, 1.0), (y, 1.0)], LE, 3.0)
+    m.set_objective_coefficient(b, -1.0)
+    m.set_objective_coefficient(y, -0.5)
+    calls = []
+    solve = DenseLp.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(solve(self, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(DenseLp, "solve", counting)
+    out = solve_milp(m)
+    assert out.status == OPTIMAL
+    assert out.assignment == [1.0, 1.0]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])   # the root, its first child

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,18 @@ def test_evaluate_assignment_rejects_non_finite_entries():
         report = evaluate_assignment(m, bad)
         assert not report.feasible, bad
         assert report.max_bound_violation == math.inf, bad
+
+
+def test_evaluate_assignment_is_the_same_for_lists_and_arrays():
+    m = Milp()
+    cols = [m.add_variable(CONTINUOUS, -10.0, 10.0, f"x{i}") for i in range(4)]
+    b = m.add_variable(BINARY, 0.0, 1.0, "b")
+    m.add_constraint([(cols[0], 0.1), (cols[2], -0.7), (b, 3.0)], LE, 0.3)
+    m.add_constraint([(cols[3], 1e-3), (cols[1], 2.5), (cols[0], 1.0 / 3.0)], GE, -1.0)
+    m.add_constraint([(c, 0.2) for c in cols], EQ, 0.4)
+    m.set_objective_coefficient(cols[1], -1.25)
+    values = [0.1, -7.3, 1.0 / 7.0, 9.99, 0.5]
+    assert evaluate_assignment(m, values) == evaluate_assignment(m, np.array(values))
 
 
 def test_copy_is_independent():

@@ -302,9 +302,16 @@ _NUMBERS = [
         (5, "    X  R1  1.0  COST  nan", "nan"),
         (7, "    RHS  R1  inf", "inf"),
         (11, " UP BND  X  nan", "nan"),
+    ] + [
+        # the second value of a 5-token line reports that line
+        (lineno, line + bad, bad)
+        for lineno, line in [(5, "    X  R1  1.0  COST  "), (7, "    RHS  R1  4.0  COST  ")]
+        for bad in ["nan", "inf", "1e999", "abc"]
     ],
     ids=["rhs-word", "range-word", "bound-word", "coefficient-inf",
-         "objective-nan", "rhs-inf", "bound-nan"],
+         "objective-nan", "rhs-inf", "bound-nan"]
+    + [f"{where}-second-{bad}" for where in ["columns", "rhs"]
+       for bad in ["nan", "inf", "1e999", "abc"]],
 )
 def test_parser_rejects_bad_and_nonfinite_numbers(lineno, line, bad):
     parse_mps("\n".join(_NUMBERS))
@@ -322,6 +329,45 @@ def test_parser_rejects_duplicate_column_entry():
     ])
     with pytest.raises(MpsError, match="duplicate entry"):
         parse_mps(text)
+
+
+def test_parser_rejects_a_split_duplicate_column_entry():
+    text = "\n".join([
+        "ROWS", " N  COST", " L  R1",
+        "COLUMNS", "    X  R1  1.0", "    Y  R1  2.0", "    X  COST  1.0  R1  3.0",
+        "ENDATA",
+    ])
+    with pytest.raises(MpsError, match=r"^line 7: duplicate entry for row 'R1' in COLUMNS$"):
+        parse_mps(text)
+
+
+def test_parser_keeps_the_first_index_of_a_split_column():
+    model, table = parse_mps("\n".join([
+        "ROWS", " N  COST", " L  R1", " G  R2",
+        "COLUMNS", "    A  R1  1.0", "    B  R1  2.0", "    A  R2  3.0  COST  4.0",
+        "ENDATA",
+    ]))
+    assert table == {"A": 0, "B": 1}
+    assert [(c.columns, c.coefficients) for c in model.constraints] == [
+        ((0, 1), (1.0, 2.0)), ((0,), (3.0,)),
+    ]
+    assert model.objective == {0: 4.0}
+
+
+def test_column_straddling_a_marker_keeps_its_first_kind():
+    on = "    MARKER                 'MARKER'                 'INTORG'"
+    off = "    MARKER                 'MARKER'                 'INTEND'"
+    model, table = parse_mps("\n".join([
+        "ROWS", " N  COST", " L  R1", " L  R2",
+        "COLUMNS",
+        "    X  R1  1.0", on, "    X  R2  1.0", "    B  R1  1.0",
+        "    C  R1  1.0", off, "    C  R2  1.0",
+        "ENDATA",
+    ]))
+    assert table == {"X": 0, "B": 1, "C": 2}
+    assert [(v.kind, v.lower, v.upper) for v in model.variables] == [
+        (CONTINUOUS, 0.0, math.inf), (BINARY, 0.0, 1.0), (BINARY, 0.0, 1.0),
+    ]
 
 
 def test_parser_rejects_general_integers():
