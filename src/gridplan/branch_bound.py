@@ -7,14 +7,17 @@ Every LP is a bounded dual simplex, in one node loop whose first node is
 the root: the root starts from the model's all-slack basis, every other
 node LP from its parent's optimal basis (each open node carries that basis,
 not a tableau) and, if that attempt fails, from the slack basis, under the
-same certificate.  A node LP that still fails, or an incumbent candidate
-that fails the model evaluator, leaves its subtree unsolved: the node's
-value stays in the bound, which stays valid, so the gap target and the
-limits stop the search as usual, but a search that runs out of nodes
-returns ``lp_failure``, never ``optimal``.  An incumbent whose binaries
-are not exactly 0/1 is re-solved, warm from its node's basis, with its
-binaries pinned to the rounded values; one whose binaries already are
-exactly 0/1 is kept as solved, since it already solves that pinned LP.
+same certificate.  The ``DenseLp`` keeps the tableau of the last optimal
+LP, so a plunge child popped right after its parent, and a polish LP,
+start from that tableau with no refactor.  A node LP that still fails, or
+an incumbent candidate that fails the model evaluator, leaves its subtree
+unsolved: the node's value stays in the bound, which stays valid, so the
+gap target and the limits stop the search as usual, but a search that
+runs out of nodes returns ``lp_failure``, never ``optimal``.  An
+incumbent whose binaries are not exactly 0/1 is re-solved, warm from its
+node's basis, with its binaries pinned to the rounded values; one whose
+binaries already are exactly 0/1 is kept as solved, since it already
+solves that pinned LP.
 Every incumbent must pass the model evaluator before it is accepted, so
 reported solutions are integral to machine precision, not merely within the
 rounding tolerance.

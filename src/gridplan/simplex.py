@@ -31,9 +31,14 @@ tableau simplex over general variable bounds:
   the tableau ``B^-1 [A | I]`` from original data.  B is block triangular
   once the rows whose slack is basic come last, so only the k x k block of
   A under the k basic structural columns is inverted (none for the slack
-  basis).  Since the slack columns are the identity, the tableau's slack
-  block is ``B^-1``, and duals and basic values are read off it.  A pivot
+  basis), and only the structural block is a product.  Since the slack
+  columns are the identity, the tableau's slack block is ``B^-1``, placed
+  from that inverse, and duals and basic values are read off it.  A pivot
   updates only the tableau rows where the entering column is nonzero;
+* a ``DenseLp`` keeps the tableau of its last certified optimum, and a
+  solve that starts from that very ``Basis`` (a plunge child, a polish LP)
+  pivots on from it with no refactor.  The refactor cadence counts pivots
+  since the tableau was factored, across solves;
 * before any outcome is reported, it is checked against the original data
   with the tableau's duals: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
@@ -44,7 +49,7 @@ tableau simplex over general variable bounds:
   ``optimal``.
 
 The tableau is dense, and it is refactored from original data whenever drift
-is detected.
+is detected and every ``_REFRESH_EVERY`` pivots.
 """
 
 from __future__ import annotations
@@ -126,6 +131,14 @@ class DenseLp:
     of each row, the cost scaled by ``sigma`` with zero slack costs, and the
     all-slack start basis.  Solves read these arrays and never write into
     them; a solve varies only the structural bounds.
+
+    A solve writes one field, ``_slot``: the ``Basis`` and tableau of the
+    last solve that ended certified optimal, with the pivots made since that
+    tableau was factored.  The next solve takes it and reuses the tableau
+    only if it starts from that very ``Basis`` object; any other start, an
+    equal copy included, refactors.  So at most one tableau is kept, and a
+    warm solve's rounding depends on whether it starts from the last basis
+    returned.
     """
 
     def __init__(self, a, senses, b, lo, up, c, c0=0.0):
@@ -157,6 +170,7 @@ class DenseLp:
         self.slack_basis = Basis(slacks, status)
         for shared in (box, self.a_all, self.cost, slacks, status):
             shared.flags.writeable = False
+        self._slot = None
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
@@ -244,20 +258,31 @@ class _Simplex:
         data.  This is the only factorization.  With S the rows whose slack
         is basic and R the others, B is ``[[A_RJ, 0], [A_SJ, I]]`` for the k
         basic structural columns J, so only the k x k block A_RJ is
-        inverted.  Slack positions that repeat a row leave A_RJ non-square,
-        and ``np.linalg.inv`` refuses it as it refuses a singular one."""
-        struct = self.basis < self.n
-        cols, slack_rows = self.basis[struct], self.basis[~struct] - self.n
+        inverted, and only the structural block is a product: B^-1's columns
+        R are ``inv(A_RJ)`` in the J positions and ``-A_SJ inv(A_RJ)`` in
+        the S positions, whose columns S are unit.  Slack positions that
+        repeat a row leave A_RJ non-square, and ``np.linalg.inv`` refuses it
+        as it refuses a singular one."""
+        n = self.n
+        struct = self.basis < n
+        cols, slack_rows = self.basis[struct], self.basis[~struct] - n
         rows = np.ones(self.m, dtype=bool)
         rows[slack_rows] = False
+        rows = np.flatnonzero(rows)
         a = self.problem.a
         try:
-            top = np.linalg.inv(a[np.ix_(rows, cols)]) @ self.a_all[rows]
+            inv = np.linalg.inv(a[np.ix_(rows, cols)])
         except np.linalg.LinAlgError:
             return False
-        self.tableau = np.empty_like(self.a_all)
-        self.tableau[struct] = top
-        self.tableau[~struct] = self.a_all[slack_rows] - a[np.ix_(slack_rows, cols)] @ top
+        a_sj = a[np.ix_(slack_rows, cols)]
+        top = inv @ a[rows]
+        self.tableau = tableau = np.zeros_like(self.a_all)
+        tableau[struct, :n] = top
+        tableau[~struct, :n] = a[slack_rows] - a_sj @ top
+        tableau[np.ix_(struct, n + rows)] = inv
+        tableau[np.ix_(~struct, n + rows)] = -(a_sj @ inv)
+        tableau[~struct, n + slack_rows] = 1.0
+        self.factor_age = 0
         self._basic_values()
         return True
 
@@ -373,7 +398,8 @@ class _Simplex:
                 self.status[leaving] = _AT_LO if rise else _AT_UP
             self._exchange(r, q)
             self.iterations += 1
-            if self.iterations % _REFRESH_EVERY == 0:
+            self.factor_age += 1
+            if self.factor_age >= _REFRESH_EVERY:
                 if not self._refresh():
                     return FAILURE, None, None
                 self.drow = self.cost - self.cost[self.basis] @ self.tableau
@@ -412,7 +438,8 @@ class _Simplex:
 
     def run(self, start: Basis) -> LpOutcome:
         """Solve from ``start`` in rounds of the dual simplex, at most
-        ``_MAX_ROUNDS``.
+        ``_MAX_ROUNDS``, on the problem's kept tableau when ``start`` is its
+        basis and on a fresh factor otherwise.
 
         Each round starts dual feasible: every nonbasic column sits at the
         bound its exact reduced cost calls for (boxed ties keep their side),
@@ -431,7 +458,11 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return LpOutcome(FAILURE, message="start basis does not fit the model")
         self.basis = cols.copy()
-        if not self._refresh():
+        # the slot is taken whatever the start: a tableau is reused at most once
+        slot, self.problem._slot = self.problem._slot, None
+        if slot is not None and slot[0] is start:
+            _basis, self.tableau, self.factor_age = slot
+        elif not self._refresh():
             return LpOutcome(FAILURE, message="singular start basis")
 
         max_iter = 50 * (n + 2 * m) + 10_000
@@ -495,13 +526,17 @@ class _Simplex:
                 message=f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})",
             )
         objective = obj_scaled * self.problem.sigma + self.problem.c0
+        basis = Basis(self.basis.copy(), self.status.copy())
+        # read-only, so the kept tableau stays the factor of this basis
+        basis.columns.flags.writeable = basis.status.flags.writeable = False
+        self.problem._slot = (basis, self.tableau, self.factor_age)
         return LpOutcome(
             OPTIMAL,
             x=self.x[: self.n].copy(),
             objective=objective,
             dual_bound=bound_scaled * self.problem.sigma + self.problem.c0,
             iterations=self.iterations,
-            basis=Basis(self.basis.copy(), self.status[: self.n + self.m].copy()),
+            basis=basis,
         )
 
     def _certify_infeasible(self, y) -> LpOutcome:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,11 +154,11 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 254 LPs, 2,106 pivots, 236 nodes under the one BLAS thread conftest
-    # sets, and the same under two threads.  The caps keep the two-thread
-    # figures of the full m x m factor (LAPACK summed in another order and
-    # eight_bus switch-all took a path of 2 more nodes: 281, 2,120 and 238),
-    # so a run with more threads passes too
+    # 257 LPs, 2,111 pivots, 238 nodes under the one BLAS thread conftest
+    # sets, and the same under two threads (eight_bus switch-all takes 58
+    # nodes, as it did with two threads and the full m x m factor).  The
+    # caps keep the two-thread figures of that full factor (281, 2,120 and
+    # 238), so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 
@@ -172,9 +173,11 @@ def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
             model, _index = build_milp(bundled(name), variant)
             nodes += solve_milp(model).nodes
     assert not [o.message for o in outcomes if o.status == FAILURE]
-    assert len(outcomes) <= 281
-    assert sum(o.iterations for o in outcomes) <= 2120
-    assert nodes <= 238
+    lps, pivots = len(outcomes), sum(o.iterations for o in outcomes)
+    figures = f"{lps} LPs, {pivots} pivots, {nodes} nodes"
+    assert lps <= 281, figures
+    assert pivots <= 2120, figures
+    assert nodes <= 238, figures
 
 
 def test_exactly_integral_node_is_not_polished(monkeypatch):
@@ -381,3 +384,50 @@ def test_random_milps_match_scipy():
         elif ref.status == 2:
             assert ours.status == INFEASIBLE, f"trial {trial}"
     assert agreed >= 15
+
+
+def test_polish_and_plunge_lps_reuse_the_last_tableau(bundled, monkeypatch):
+    # a polish LP and a plunge child start from the basis of the LP solved
+    # just before them, so they take over its tableau and factor nothing
+    model, _index = build_milp(bundled("diamond"), Variant.SWITCH_EXISTING)
+    inv = mock.Mock(wraps=np.linalg.inv)
+    polishing = []
+    try_incumbent = branch_bound._Search._try_incumbent
+
+    def flagged(self, *args):
+        polishing.append(True)
+        try:
+            return try_incumbent(self, *args)
+        finally:
+            polishing.pop()
+
+    calls = []
+    solve = DenseLp.solve
+
+    def recording(self, lo=None, up=None, basis=None):
+        reuse = self._slot is not None and basis is self._slot[0]
+        before = inv.call_count
+        outcome = solve(self, lo, up, basis=basis)
+        calls.append((reuse, bool(polishing), inv.call_count - before))
+        return outcome
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(branch_bound._Search, "_try_incumbent", flagged)
+    monkeypatch.setattr(DenseLp, "solve", recording)
+    out = solve_milp(model)
+    assert out.status in (OPTIMAL, GAP_LIMIT)
+    polish = [c for c in calls if c[1]]
+    plunge = [c for c in calls if c[0] and not c[1]]
+    assert polish and plunge
+    assert all(reuse for reuse, _polish, _factors in polish)
+    assert all(n == 0 for reuse, _polish, n in calls if reuse)
+    # every other LP factors its start
+    assert all(n >= 1 for reuse, _polish, n in calls if not reuse)
+
+
+def test_solve_milp_twice_on_one_model_is_identical(bundled):
+    # the search keeps no state between runs, the kept tableau included
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    first, second = solve_milp(model), solve_milp(model)
+    assert first.status in (OPTIMAL, GAP_LIMIT)
+    assert first == second

@@ -20,6 +20,7 @@ from gridplan.simplex import (
     UNBOUNDED,
     Basis,
     DenseLp,
+    LpOutcome,
     _Simplex,
     solve_lp,
 )
@@ -449,12 +450,15 @@ def test_warm_children_match_cold_on_bundle(bundled):
     # re-optimising a child takes a few dual pivots, not a fresh solve from
     # the slack basis
     assert 5 * warm_pivots <= cold_pivots
-    # a warm child factors its start basis once, one np.linalg.inv of the
-    # k x k block of A under its basic structural columns; the duals, basic
-    # values and certificate all read B^-1 off the tableau instead of
-    # refactoring
+    # the first child of each root starts from the basis of the solve just
+    # before it and takes over that solve's tableau, with no factor at all;
+    # the cold solve in between leaves the second child a basis that is no
+    # longer the last one returned, so it factors its start once, one
+    # np.linalg.inv of the k x k block of A under its basic structural
+    # columns.  The duals, basic values and certificate all read B^-1 off
+    # the tableau instead of refactoring
     assert children == 42
-    assert children <= warm_factorizations <= 1.5 * children
+    assert warm_factorizations == 21
     # the standard form [A | I] belongs to the DenseLp; a warm solve only
     # swaps in its bounds and never rebuilds it
     assert warm_stacks == 0
@@ -476,6 +480,106 @@ def test_warm_start_into_infeasible_child_is_certified():
     assert attempts.call_count == 1
     assert child.status == INFEASIBLE
     assert child.message.startswith("certified infeasible")
+
+
+def _inv_calls():
+    """Count the ``np.linalg.inv`` calls, the only factorization."""
+    return mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv)
+
+
+def _eight_bus_child(bundled):
+    """eight_bus switch-all, its root, and the bounds of its first child."""
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    root = dense.solve()
+    return dense, root, _branch_children(dense, root, model.binary_columns())[0]
+
+
+def test_start_from_the_last_basis_reuses_its_tableau(bundled):
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    with pytest.raises(ValueError, match="read-only"):
+        root.basis.columns[0] = root.basis.columns[1]
+    with _inv_calls() as inv:
+        warm = dense.solve(lo, up, basis=root.basis)
+    cold = dense.solve(lo, up)
+    assert inv.call_count == 0
+    assert warm.status == cold.status == OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+
+
+def test_equal_basis_of_another_object_refactors(bundled):
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    twin = Basis(root.basis.columns.copy(), root.basis.status.copy())
+    with _inv_calls() as inv:
+        warm = dense.solve(lo, up, basis=twin)
+    assert inv.call_count == 1
+    cold = dense.solve(lo, up)
+    assert warm.status == cold.status == OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+
+
+@pytest.mark.parametrize("ending", [INFEASIBLE, FAILURE])
+def test_no_tableau_is_kept_past_an_unsolved_lp(ending):
+    # min 2x + y  s.t.  x + y >= 1.5,  x, y in [0, 1]: the child x <= 0 is
+    # infeasible, and a certificate forced to fail makes a re-solve of the
+    # root end in failure.  Either solve starts from the root's basis and
+    # takes its tableau, so the child x >= 1 from that basis factors afresh
+    m = _model([(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.5)],
+               [(0, 2.0), (1, 1.0)])
+    dense = DenseLp.from_milp(m)
+    root = dense.solve()
+    assert root.status == OPTIMAL
+    up = dense.up.copy()
+    up[0] = 0.0
+    if ending == INFEASIBLE:
+        unsolved = dense.solve(dense.lo, up, basis=root.basis)
+    else:
+        with mock.patch.object(_Simplex, "_finish_optimal",
+                               return_value=LpOutcome(FAILURE, message="forced")):
+            unsolved = dense.solve(basis=root.basis)
+    assert unsolved.status == ending
+    lo = dense.lo.copy()
+    lo[0] = 1.0
+    with _inv_calls() as inv:
+        warm = dense.solve(lo, dense.up, basis=root.basis)
+    assert inv.call_count == 1
+    cold = dense.solve(lo, dense.up)
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.objective == pytest.approx(2.5, abs=1e-12)
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypatch):
+    # a dive whose every LP starts from the basis its predecessor returned
+    # never refactors at its start, so the cadence must count the pivots
+    # made since the tableau was factored, whichever solve made them
+    cadence = 3
+    monkeypatch.setattr("gridplan.simplex._REFRESH_EVERY", cadence)
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    bins = model.binary_columns()
+    dense, fresh = DenseLp.from_milp(model), DenseLp.from_milp(model)
+    last = dense.solve()
+    lo, up = dense.lo.copy(), dense.up.copy()
+    age, chain, refactors = dense._slot[2], 0, 0
+    while True:
+        frac = np.abs(last.x[bins] - np.round(last.x[bins]))
+        if frac.max() <= 1e-6:
+            break
+        col = bins[int(np.argmax(frac))]
+        lo[col] = up[col] = np.round(last.x[col])
+        with _inv_calls() as inv:
+            out = dense.solve(lo, up, basis=last.basis)
+        cold = fresh.solve(lo, up)
+        assert out.status == cold.status == OPTIMAL
+        assert abs(out.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+        # one refactor each time the factor's age reaches the cadence
+        assert inv.call_count == (age + out.iterations) // cadence
+        assert dense._slot[2] == (age + out.iterations) % cadence
+        age = dense._slot[2]
+        chain += out.iterations
+        refactors += inv.call_count
+        last = out
+    assert refactors >= 2 and chain >= 2 * cadence
 
 
 def _factor(dense, columns):
