@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .milp import GE, LE, Milp, evaluate_assignment
+from .milp import FEASIBILITY_TOL, Milp, evaluate_assignment
 from .simplex import DenseLp
 
 OPTIMAL = "optimal"
@@ -56,7 +56,6 @@ NODE_LIMIT = "node_limit"
 INFEASIBLE = "infeasible"
 LP_FAILURE = "lp_failure"
 
-_INT_TOL = 1e-6
 _GAP_EPS = 1e-9
 # 2**20 binary assignments is the most ``enumerate_exact`` will sweep
 _MAX_ENUM_BINARIES = 20
@@ -231,7 +230,7 @@ class _Search:
             return
         x = outcome.x
         frac = np.abs(x[self.bins] - np.round(x[self.bins]))
-        if not frac.size or frac.max() <= _INT_TOL:
+        if not frac.size or frac.max() <= FEASIBILITY_TOL:
             self._try_incumbent(lo, up, outcome)
             return
         # most fractional binary; argmax sends ties to the lowest column
@@ -305,14 +304,12 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
     lo_b, up_b = dense.lo[bins], dense.up[bins]
     feasible = (np.all((bits > 0.5) | (lo_b <= 0.5), axis=1)
                 & np.all((bits < 0.5) | (up_b >= 0.5), axis=1))
+    # a mask passes a row when the row's slack, b - a.bits, fits the slack
+    # box the simplex gives it, within the evaluator's tolerance
     screen = np.nonzero(~coupled)[0]
-    activity = bits @ dense.a[np.ix_(screen, bins)].T
-    rhs = dense.b[screen]
-    sense = np.asarray(dense.senses, dtype="<U2")[screen]
-    holds = np.where(sense == LE, activity <= rhs + _INT_TOL,
-                     np.where(sense == GE, activity >= rhs - _INT_TOL,
-                              np.abs(activity - rhs) <= _INT_TOL))
-    feasible &= holds.all(axis=1)
+    slack = dense.b[screen] - bits @ dense.a[np.ix_(screen, bins)].T
+    feasible &= np.all((slack >= dense.slack_lo[screen] - FEASIBILITY_TOL)
+                       & (slack <= dense.slack_up[screen] + FEASIBILITY_TOL), axis=1)
 
     totals = np.full(n_masks, model.objective_offset) + bits @ dense.c[bins]
 
@@ -338,7 +335,7 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
         k, nc = block_bits.size, cols.size
         sub_cols = np.concatenate([cols, bins[block_bits]])
         sub = DenseLp(dense.a[np.ix_(rows, sub_cols)],
-                      [dense.senses[i] for i in rows], dense.b[rows],
+                      [model.constraints[i].sense for i in rows], dense.b[rows],
                       dense.lo[sub_cols], dense.up[sub_cols],
                       np.concatenate([dense.c[cols], np.zeros(k)]))
         objs = np.empty(1 << k)

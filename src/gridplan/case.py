@@ -119,12 +119,6 @@ class Case:
     def bus_ids(self) -> list[str]:
         return [b.id for b in self.buses]
 
-    def reference_bus(self) -> str:
-        refs = [b.id for b in self.buses if b.is_reference]
-        if len(refs) != 1:
-            raise CaseError(f"case must declare exactly one reference bus, found {len(refs)}")
-        return refs[0]
-
 
 def grow_load(d_base: float, a_d: float, n_ye: int, e: int) -> float:
     """Load at epoch ``e`` from the base-year value ``d_base``.

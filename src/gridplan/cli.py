@@ -69,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gap", type=float, default=1e-5,
-                   help="relative optimality gap to prove (default 1e-5)")
-    p.add_argument("--timelim", type=float, default=3000.0,
-                   help="wall-clock limit in seconds (default 3000)")
+    defaults = SolveParams()
+    p.add_argument("--gap", type=float, default=defaults.mip_gap,
+                   help=f"relative optimality gap to prove (default {defaults.mip_gap:g})")
+    p.add_argument("--timelim", type=float, default=defaults.time_limit,
+                   help=f"wall-clock limit in seconds (default {defaults.time_limit:g})")
     p.add_argument("--out", default="gridplan-out", help="output directory")
 
 

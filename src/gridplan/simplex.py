@@ -6,9 +6,9 @@ tableau simplex over general variable bounds:
 * every row gets a slack (``<=`` rows a nonnegative one, ``>=`` rows a
   nonpositive one, ``=`` rows a slack fixed at zero), giving an equality
   system ``[A | I] z = b`` with box bounds on ``z``.  ``DenseLp`` owns this
-  standard form: it builds ``[A | I]``, the slack box and the scaled cost
-  once per model, and every solve shares them read-only, so LPs of one model
-  differ only in the structural bounds a solve passes in;
+  standard form as ``A`` and the slack box (``I`` stays implicit), built
+  with the scaled cost once per model and shared read-only by every solve,
+  so LPs of one model differ only in the structural bounds a solve passes in;
 * every solve is a bounded dual simplex from a start basis: the caller's
   (a branch and bound parent, whose child differs only in variable bounds),
   and, only if that attempt fails, the all-slack basis ``B = I``, whose
@@ -127,10 +127,10 @@ class DenseLp:
 
     Integrality is dropped here: binary columns are carried as continuous
     columns with their [0, 1] (or pinned) bounds.  The standard form that
-    every solve shares is built here once: ``a_all = [A | I]``, the slack box
-    of each row, the cost scaled by ``sigma`` with zero slack costs, and the
-    all-slack start basis.  Solves read these arrays and never write into
-    them; a solve varies only the structural bounds.
+    every solve shares is built here once: ``A`` and the slack box of each
+    row (``I`` stays implicit), the cost scaled by ``sigma`` with zero slack
+    costs, and the all-slack start basis.  Solves read these arrays and
+    never write into them; a solve varies only the structural bounds.
 
     A solve writes one field, ``_slot``: the ``Basis`` and tableau of the
     last solve that ended certified optimal, with the pivots made since that
@@ -143,9 +143,6 @@ class DenseLp:
 
     def __init__(self, a, senses, b, lo, up, c, c0=0.0):
         self.a = np.asarray(a, dtype=float)
-        if self.a.ndim != 2:
-            self.a = self.a.reshape(len(b), -1)
-        self.senses = list(senses)
         self.b = np.asarray(b, dtype=float)
         self.lo = np.asarray(lo, dtype=float)
         self.up = np.asarray(up, dtype=float)
@@ -154,11 +151,10 @@ class DenseLp:
 
         m, n = self.a.shape
         try:
-            box = np.array([_SLACK_BOX[sense] for sense in self.senses]).reshape(m, 2)
+            box = np.array([_SLACK_BOX[sense] for sense in senses]).reshape(m, 2)
         except KeyError as exc:
             raise ValueError(f"unknown sense {exc.args[0]!r}") from None
         self.slack_lo, self.slack_up = box[:, 0], box[:, 1]
-        self.a_all = np.hstack([self.a, np.eye(m)])
         # objective scaling keeps reduced-cost tolerances meaningful when
         # capital costs (1e6..1e9 dollars) share a model with MW quantities
         self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
@@ -168,7 +164,7 @@ class DenseLp:
         status = np.full(n + m, _AT_LO, dtype=np.int8)
         status[n:] = _BASIC
         self.slack_basis = Basis(slacks, status)
-        for shared in (box, self.a_all, self.cost, slacks, status):
+        for shared in (box, self.cost, slacks, status):
             shared.flags.writeable = False
         self._slot = None
 
@@ -231,7 +227,7 @@ class _Simplex:
         if np.any(self.lo > self.up):
             raise ValueError("crossed variable bounds")
         # shared with the problem and never written
-        self.a_all = problem.a_all
+        self.a = problem.a
         self.b = problem.b
         self.cost = problem.cost
         # the bounds the dual simplex works in: the true ones, narrowed by a
@@ -269,14 +265,14 @@ class _Simplex:
         rows = np.ones(self.m, dtype=bool)
         rows[slack_rows] = False
         rows = np.flatnonzero(rows)
-        a = self.problem.a
+        a = self.a
         try:
             inv = np.linalg.inv(a[np.ix_(rows, cols)])
         except np.linalg.LinAlgError:
             return False
         a_sj = a[np.ix_(slack_rows, cols)]
         top = inv @ a[rows]
-        self.tableau = tableau = np.zeros_like(self.a_all)
+        self.tableau = tableau = np.zeros((self.m, n + self.m))
         tableau[struct, :n] = top
         tableau[~struct, :n] = a[slack_rows] - a_sj @ top
         tableau[np.ix_(struct, n + rows)] = inv
@@ -290,12 +286,20 @@ class _Simplex:
         """x_B = B^-1 (b - N x_N), with B^-1 taken from the tableau."""
         self.x[self.basis] = 0.0
         binv = self.tableau[:, self.n:self.n + self.m]
-        self.x[self.basis] = binv @ (self.b - self.a_all @ self.x)
+        self.x[self.basis] = binv @ (self.b - self._activity(self.x))
+
+    def _activity(self, z):
+        """``[A | I] z``: row activities plus the slacks."""
+        return self.a @ z[:self.n] + z[self.n:]
+
+    def _combine(self, y):
+        """``y [A | I]``: the row combination ``y`` of every column."""
+        return np.concatenate([y @ self.a, y])
 
     def _exact_duals(self):
         """Duals y = c_B B^-1 off the tableau; reduced costs from original data."""
         y = self.cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
-        return y, self.cost - y @ self.a_all
+        return y, self.cost - self._combine(y)
 
     def _dual_infeasibility(self, d):
         """Per column, how far its reduced cost pulls it off its bound."""
@@ -305,7 +309,7 @@ class _Simplex:
         return np.maximum(down, upm)
 
     def _primal_error(self):
-        resid = self.b - self.a_all @ self.x if self.m else np.zeros(0)
+        resid = self.b - self._activity(self.x)
         row_err = float(np.max(np.abs(resid), initial=0.0))
         bound_err = float(
             max(
@@ -542,7 +546,7 @@ class _Simplex:
     def _certify_infeasible(self, y) -> LpOutcome:
         # combination y of the rows bounds y.b from above by sup over the box;
         # a positive shortfall proves no point in the box satisfies the rows
-        w = y @ self.a_all
+        w = self._combine(y)
         side = np.where(w > 0, self.up, self.lo)
         big = np.abs(w) > 1e-11
         sup = float(w[big] @ side[big])

@@ -295,6 +295,67 @@ def test_enumerate_respects_pinned_binaries():
     assert out.objective == pytest.approx(-9.0)   # weight leaves room for item 2
 
 
+def test_row_free_binary_model():
+    m = Milp()
+    m.add_variable(BINARY, 0.0, 1.0, "b0")
+    m.set_objective_coefficient(0, -1.0)
+    for out in (solve_milp(m), enumerate_exact(m)):
+        assert out.status == OPTIMAL
+        assert out.objective == -1.0
+        assert out.assignment == [1.0]
+
+
+_BINARY_BOXES = ((0.0, 1.0),) * 4 + ((0.0, 0.0), (1.0, 1.0))
+# right-hand side offsets from an anchor mask's activity: fractions, and
+# amounts inside and outside the evaluator's 1e-6 tolerance
+_RHS_OFFSETS = (0.0, 0.0, 0.5, -0.5, 0.25, -1.5, 4e-7, -4e-7, 3e-6, -3e-6)
+
+
+def _random_binary_model(rng):
+    """Binaries only, some pinned by their bounds, with <=, >= and = rows
+    whose right-hand sides sit near the activity of a random mask."""
+    n = int(rng.integers(1, 8))
+    m = Milp()
+    for i in range(n):
+        lo, up = _BINARY_BOXES[int(rng.integers(len(_BINARY_BOXES)))]
+        m.add_variable(BINARY, lo, up, f"b{i}")
+    anchor = rng.integers(0, 2, size=n)
+    for _ in range(int(rng.integers(0, 5))):
+        coefs = rng.integers(-3, 4, size=n) * 0.5
+        sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
+        rhs = float(coefs @ anchor) + _RHS_OFFSETS[int(rng.integers(len(_RHS_OFFSETS)))]
+        m.add_constraint([(j, v) for j, v in enumerate(coefs) if v], sense, rhs)
+    for j in range(n):
+        m.set_objective_coefficient(j, float(rng.integers(-3, 4)))
+    m.objective_offset = float(rng.integers(-2, 3)) * 0.5
+    return m
+
+
+def test_enumeration_screen_matches_the_evaluator():
+    # with no continuous columns every row is screened without an LP, so
+    # the oracle must pick the brute-force minimum of the evaluator over
+    # every mask, ties to the lowest mask (first binary least significant)
+    rng = np.random.default_rng(20261019)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0}
+    for trial in range(300):
+        m = _random_binary_model(rng)
+        n = m.n_variables
+        best = None
+        for mask in range(1 << n):
+            x = [float((mask >> j) & 1) for j in range(n)]
+            report = evaluate_assignment(m, x)
+            if report.feasible and (best is None or report.objective < best[0]):
+                best = (report.objective, x)
+        out = enumerate_exact(m)
+        statuses[out.status] += 1
+        if best is None:
+            assert out.status == INFEASIBLE, trial
+        else:
+            assert out.status == OPTIMAL, trial
+            assert (out.objective, out.assignment) == best, trial
+    assert min(statuses.values()) >= 60, statuses
+
+
 def _random_milp(rng, integer_rhs):
     n_bin = int(rng.integers(1, 5))
     n_cont = int(rng.integers(0, 4))

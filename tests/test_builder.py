@@ -130,7 +130,7 @@ def test_variable_blocks_have_stable_names(bundled):
 def test_reference_bus_angle_is_pinned(bundled):
     case = bundled("tri_switch")
     model, index = build_milp(case, Variant.STATIC)
-    ref = case.reference_bus()
+    (ref,) = [bus.id for bus in case.buses if bus.is_reference]
     col = index.angle[(ref, 1, 1, 1)]
     assert model.variables[col].lower == 0.0
     assert model.variables[col].upper == 0.0

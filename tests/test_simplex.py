@@ -120,6 +120,29 @@ def test_unbounded_direction():
     assert out.status == UNBOUNDED
 
 
+# -- models without rows (m = 0): the implicit identity block is empty -----------
+
+
+def test_row_free_lp_with_a_boxed_and_a_free_column():
+    out = solve_lp(_model([(-1, 2), (-math.inf, math.inf)], [], [(0, 1.0)]))
+    assert out.status == OPTIMAL
+    assert out.objective == -1.0
+    assert list(out.x) == [-1.0, 0.0]
+    assert out.basis.columns.size == 0
+
+
+def test_row_free_lp_with_an_improving_unbounded_column():
+    out = solve_lp(_model([(0.0, math.inf)], [], [(0, -1.0)]))
+    assert out.status == UNBOUNDED
+
+
+def test_empty_model_is_optimal_at_zero():
+    out = solve_lp(Milp())
+    assert out.status == OPTIMAL
+    assert out.objective == 0.0
+    assert out.x.size == 0
+
+
 def test_dual_bound_matches_objective_at_optimum():
     m = _model(
         [(0, 3), (0, 2), (0, 4)],
@@ -298,8 +321,9 @@ def test_probe_grid_root_lps_match_highs():
         dense = DenseLp.from_milp(model)
         ours = dense.solve()
         assert ours.status == OPTIMAL, (variant.value, ours.message)
+        senses = [con.sense for con in model.constraints]
         ref = _scipy_solve(list(zip(dense.lo, dense.up)),
-                           list(zip(dense.a, dense.senses, dense.b)), dense.c)
+                           list(zip(dense.a, senses, dense.b)), dense.c)
         assert ref.status == 0, variant.value
         expected = ref.fun + dense.c0
         assert abs(ours.objective - expected) <= 1e-9 * abs(expected), variant.value
@@ -582,13 +606,19 @@ def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypa
     assert refactors >= 2 and chain >= 2 * cadence
 
 
+def _standard_form(dense):
+    """The explicit ``[A | I]`` that ``DenseLp`` leaves implicit."""
+    return np.hstack([dense.a, np.eye(dense.a.shape[0])])
+
+
 def _factor(dense, columns):
     """The ``_refresh`` tableau of basis ``columns`` next to a dense solve of
     B T = [A | I]."""
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis = np.array(columns)
     assert simplex._refresh()
-    return simplex.tableau, np.linalg.solve(dense.a_all[:, columns], dense.a_all)
+    a_all = _standard_form(dense)
+    return simplex.tableau, np.linalg.solve(a_all[:, columns], a_all)
 
 
 def _assert_factor_matches(dense, columns, label):
@@ -629,7 +659,7 @@ def test_block_factor_of_the_slack_basis_is_the_standard_form(bundled):
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     dense = DenseLp.from_milp(model)
     tableau, _dense_solve = _factor(dense, dense.slack_basis.columns)
-    assert np.array_equal(tableau, dense.a_all)
+    assert np.array_equal(tableau, _standard_form(dense))
     # one slack in two positions leaves a row with no basic column
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis = dense.slack_basis.columns.copy()
@@ -649,6 +679,59 @@ def test_block_factor_of_an_all_structural_basis():
     assert out.x == pytest.approx([2.5, 1.5], abs=1e-12)
     assert sorted(out.basis.columns) == [0, 1]
     _assert_factor_matches(dense, out.basis.columns, "k = m")
+
+
+def test_implicit_identity_products_match_the_explicit_standard_form(bundled):
+    # every product with [A | I] is formed from A and the identity apart:
+    # basic values, residuals, duals with reduced costs, and the row
+    # combination an infeasibility certificate reads.  Random bases come
+    # from random pivots off the slack basis, each refactored afresh
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    a_all = _standard_form(dense)
+    m, n = dense.a.shape
+    rng = np.random.default_rng(20261019)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+
+    def close(ours, ref):
+        return np.abs(ours - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    n_structural = 0
+    for _basis in range(12):
+        for _pivot in range(8):
+            r = int(rng.integers(m))
+            nonbasic = np.setdiff1d(np.arange(n + m), simplex.basis)
+            usable = nonbasic[np.abs(simplex.tableau[r, nonbasic]) > 0.1]
+            if usable.size:
+                simplex.drow = np.zeros(n + m)
+                simplex._exchange(r, int(rng.choice(usable)))
+        assert simplex._refresh()
+        n_structural = max(n_structural, int((simplex.basis < n).sum()))
+        binv = simplex.tableau[:, n:]
+
+        # residuals at a random point, where no cancellation hides an error
+        simplex.x = rng.uniform(-5.0, 5.0, n + m)
+        assert close(simplex._activity(simplex.x), a_all @ simplex.x)
+        row_err, _bound_err = simplex._primal_error()
+        ref_err = np.abs(dense.b - a_all @ simplex.x).max()
+        assert abs(row_err - ref_err) <= 1e-12 * ref_err
+
+        nonbasic_x = simplex.x.copy()
+        nonbasic_x[simplex.basis] = 0.0
+        simplex._basic_values()
+        assert close(simplex.x[simplex.basis], binv @ (dense.b - a_all @ nonbasic_x))
+
+        y, d = simplex._exact_duals()
+        ref_y = dense.cost[simplex.basis] @ binv
+        assert close(y, ref_y)
+        assert close(d, dense.cost - ref_y @ a_all)
+
+        # _certify_infeasible combines the rows by a signed row of B^-1
+        farkas = binv[int(rng.integers(m))] * rng.choice([-1.0, 1.0])
+        assert close(simplex._combine(farkas), farkas @ a_all)
+    assert n_structural >= 40
 
 
 def test_exchange_updates_only_rows_the_pivot_column_touches():
