@@ -13,8 +13,11 @@ tableau simplex over general variable bounds:
   (a branch and bound parent, whose child differs only in variable bounds),
   and, only if that attempt fails, the all-slack basis ``B = I``, whose
   failure is final.  The dual simplex is the only code that pivots: the
-  leaving row is the largest primal infeasibility, the entering column the
-  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|);
+  leaving row r is the largest primal infeasibility, the entering column the
+  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|, then to
+  the lowest column id) among the entries of row r above
+  ``_PIV_TOL * max(1, max_j |alpha_rj|)``, so noise beside a large entry
+  never pivots;
 * each nonbasic column sits at the bound its reduced cost calls for.  A
   column whose reduced cost pulls it toward an infinite bound (a one-sided
   or free column) gets an artificial bound a fixed width from its finite
@@ -27,14 +30,20 @@ tableau simplex over general variable bounds:
   ray.  An optimum resting on artificial bounds proves the LP unbounded
   when moving those columns further out improves the objective and moves
   no basic value toward a finite true bound;
+* the tableau is condensed: it holds ``B^-1 [A | I]`` at the n nonbasic
+  columns only (m x n), with ``nonbasic`` naming the column at each of its
+  positions; basic columns are implicit unit vectors.  A pivot exchanges
+  columns: the leaving column takes the entering one's position, and only
+  the rows where the entering column is nonzero are updated.  Positions
+  permute as columns swap, so no rule reads a position's order;
 * a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
-  the tableau ``B^-1 [A | I]`` from original data.  B is block triangular
-  once the rows whose slack is basic come last, so only the k x k block of
-  A under the k basic structural columns is inverted (none for the slack
-  basis), and only the structural block is a product.  Since the slack
-  columns are the identity, the tableau's slack block is ``B^-1``, placed
-  from that inverse, and duals and basic values are read off it.  A pivot
-  updates only the tableau rows where the entering column is nonzero;
+  the tableau from original data.  B is block triangular once the rows
+  whose slack is basic come last, so only the k x k block of A under the k
+  basic structural columns is inverted (none for the slack basis).
+  ``B^-1`` is never formed: since the slack columns are the identity, its
+  column for a row is the tableau column of that row's slack when the slack
+  is nonbasic, and a unit vector when it is basic.  Duals, basic values and
+  Farkas rows are read off it that way;
 * a ``DenseLp`` keeps the tableau of its last certified optimum, and a
   solve that starts from that very ``Basis`` (a plunge child, a polish LP)
   pivots on from it with no refactor.  The refactor cadence counts pivots
@@ -132,9 +141,9 @@ class DenseLp:
     costs, and the all-slack start basis.  Solves read these arrays and
     never write into them; a solve varies only the structural bounds.
 
-    A solve writes one field, ``_slot``: the ``Basis`` and tableau of the
-    last solve that ended certified optimal, with the pivots made since that
-    tableau was factored.  The next solve takes it and reuses the tableau
+    A solve writes one field, ``_slot``: the ``Basis`` of the last solve that
+    ended certified optimal, the column at each position of its m x n
+    tableau, that tableau, and the pivots made since it was factored.  The next solve takes it and reuses the tableau
     only if it starts from that very ``Basis`` object; any other start, an
     equal copy included, refactors.  So at most one tableau is kept, and a
     warm solve's rounding depends on whether it starts from the last basis
@@ -250,15 +259,17 @@ class _Simplex:
     # -- linear algebra helpers ---------------------------------------------
 
     def _refresh(self):
-        """Refactor the basis: rebuild tableau and basic values from original
-        data.  This is the only factorization.  With S the rows whose slack
-        is basic and R the others, B is ``[[A_RJ, 0], [A_SJ, I]]`` for the k
-        basic structural columns J, so only the k x k block A_RJ is
-        inverted, and only the structural block is a product: B^-1's columns
-        R are ``inv(A_RJ)`` in the J positions and ``-A_SJ inv(A_RJ)`` in
-        the S positions, whose columns S are unit.  Slack positions that
-        repeat a row leave A_RJ non-square, and ``np.linalg.inv`` refuses it
-        as it refuses a singular one."""
+        """Refactor the basis: rebuild the tableau, its nonbasic columns in
+        id order, and the basic values from original data.  This is the only
+        factorization.  With S the rows whose slack is basic and R the
+        others, B is ``[[A_RJ, 0], [A_SJ, I]]`` for the k basic structural
+        columns J, so only the k x k block A_RJ is inverted: a nonbasic
+        structural column N gets ``inv(A_RJ) A_RN`` in the J positions and
+        ``A_SN - A_SJ`` times that in the S positions, and the nonbasic
+        slacks, those of the rows R, get ``inv(A_RJ)`` and
+        ``-A_SJ inv(A_RJ)``.  Slack positions that repeat a row leave A_RJ
+        non-square, and ``np.linalg.inv`` refuses it as it refuses a
+        singular one."""
         n = self.n
         struct = self.basis < n
         cols, slack_rows = self.basis[struct], self.basis[~struct] - n
@@ -270,23 +281,50 @@ class _Simplex:
             inv = np.linalg.inv(a[np.ix_(rows, cols)])
         except np.linalg.LinAlgError:
             return False
+        out = np.ones(n, dtype=bool)
+        out[cols] = False
+        out = np.flatnonzero(out)
+        self.nonbasic = np.concatenate([out, n + rows])
+        a_out = a[:, out]
         a_sj = a[np.ix_(slack_rows, cols)]
-        top = inv @ a[rows]
-        self.tableau = tableau = np.zeros((self.m, n + self.m))
-        tableau[struct, :n] = top
-        tableau[~struct, :n] = a[slack_rows] - a_sj @ top
-        tableau[np.ix_(struct, n + rows)] = inv
-        tableau[np.ix_(~struct, n + rows)] = -(a_sj @ inv)
-        tableau[~struct, n + slack_rows] = 1.0
+        top = inv @ a_out[rows]
+        self.tableau = tableau = np.empty((self.m, n))
+        tableau[struct, :out.size] = top
+        tableau[~struct, :out.size] = a_out[slack_rows] - a_sj @ top
+        tableau[struct, out.size:] = inv
+        tableau[~struct, out.size:] = -(a_sj @ inv)
         self.factor_age = 0
         self._basic_values()
         return True
 
+    def _binv_times(self, v):
+        """``B^-1 v`` off the tableau: row i's column of B^-1 is the tableau
+        column of its slack when that slack is nonbasic, and the unit vector
+        of the slack's position when it is basic."""
+        n = self.n
+        slack = self.nonbasic >= n
+        w = np.zeros(n)
+        w[slack] = v[self.nonbasic[slack] - n]
+        out = self.tableau @ w
+        basic = self.basis >= n
+        out[basic] += v[self.basis[basic] - n]
+        return out
+
+    def _times_binv(self, u):
+        """``u B^-1``, read off the tableau as in ``_binv_times``."""
+        n = self.n
+        ut = u @ self.tableau
+        y = np.zeros(self.m)
+        slack = self.nonbasic >= n
+        y[self.nonbasic[slack] - n] = ut[slack]
+        basic = self.basis >= n
+        y[self.basis[basic] - n] = u[basic]
+        return y
+
     def _basic_values(self):
-        """x_B = B^-1 (b - N x_N), with B^-1 taken from the tableau."""
+        """x_B = B^-1 (b - N x_N), with B^-1 read off the tableau."""
         self.x[self.basis] = 0.0
-        binv = self.tableau[:, self.n:self.n + self.m]
-        self.x[self.basis] = binv @ (self.b - self._activity(self.x))
+        self.x[self.basis] = self._binv_times(self.b - self._activity(self.x))
 
     def _activity(self, z):
         """``[A | I] z``: row activities plus the slacks."""
@@ -298,7 +336,7 @@ class _Simplex:
 
     def _exact_duals(self):
         """Duals y = c_B B^-1 off the tableau; reduced costs from original data."""
-        y = self.cost[self.basis] @ self.tableau[:, self.n:self.n + self.m]
+        y = self._times_binv(self.cost[self.basis])
         return y, self.cost - self._combine(y)
 
     def _dual_infeasibility(self, d):
@@ -339,22 +377,37 @@ class _Simplex:
 
     # -- the pivot loop ------------------------------------------------------
 
-    def _exchange(self, r, q):
-        """Make column ``q`` basic in row ``r``: rank-1 tableau and drow
-        update, over only the rows where column ``q`` is nonzero."""
-        piv = self.tableau[r, q]
-        self.tableau[r] /= piv
-        col = self.tableau[:, q].copy()
+    def _exchange(self, r, p):
+        """Make the column at tableau position ``p`` basic in row ``r``, and
+        put the column leaving row ``r`` at position ``p``: rank-1 tableau
+        and drow update over only the rows where the entering column is
+        nonzero.  The leaving column was the unit vector of row ``r``, so
+        its new tableau column is ``-col * (1 / piv)`` with ``1 / piv`` in
+        row ``r``."""
+        tableau = self.tableau
+        col = tableau[:, p].copy()
+        piv = col[r]
+        tableau[r] /= piv
         col[r] = 0.0
         rows = np.nonzero(col)[0]
-        self.tableau[rows] -= np.outer(col[rows], self.tableau[r])
-        self.tableau[:, q] = 0.0
-        self.tableau[r, q] = 1.0
-        dq = self.drow[q]
-        self.drow -= dq * self.tableau[r]
-        self.drow[q] = 0.0
+        tableau[rows] -= np.outer(col[rows], tableau[r])
+        inv = 1.0 / piv
+        tableau[:, p] = -col * inv
+        tableau[r, p] = inv
+        dq = self.drow[p]
+        self.drow -= dq * tableau[r]
+        self.drow[p] = -dq * inv
+        q = self.nonbasic[p]
+        self.nonbasic[p] = self.basis[r]
         self.basis[r] = q
         self.status[q] = _BASIC
+
+    def _track_positions(self):
+        """Per tableau position, whether its column may rise or fall from
+        its bound; ``_dual_loop`` keeps these up to date pivot by pivot."""
+        stat = self.status[self.nonbasic]
+        self.can_inc = (stat == _AT_LO) | (stat == _FREE)
+        self.can_dec = (stat == _AT_UP) | (stat == _FREE)
 
     def _dual_loop(self, max_iter):
         """Bounded dual simplex in the working bounds, from a dual feasible
@@ -367,6 +420,7 @@ class _Simplex:
         ``rise`` and down otherwise.
         """
         lo, up = self.work_lo, self.work_up
+        self._track_positions()
         while True:
             xb = self.x[self.basis]
             below = lo[self.basis] - xb
@@ -380,33 +434,37 @@ class _Simplex:
             rise = below[r] > above[r]      # leaving variable moves up to lo
             alpha = self.tableau[r]
             sa = alpha if rise else -alpha
-            stat = self.status
-            can_inc = (stat == _AT_LO) | (stat == _FREE)
-            can_dec = (stat == _AT_UP) | (stat == _FREE)
-            cand = np.nonzero((can_inc & (sa < -_PIV_TOL)) | (can_dec & (sa > _PIV_TOL)))[0]
+            tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max(initial=0.0)))
+            cand = np.nonzero((self.can_inc & (sa < -tol)) | (self.can_dec & (sa > tol)))[0]
             if cand.size == 0:
                 return INFEASIBLE, r, rise
-            ratios = np.abs(self.drow[cand]) / np.abs(alpha[cand])
-            near = cand[ratios <= ratios.min() + 1e-12]
-            q = int(near[np.argmax(np.abs(alpha[near]))])
+            mag = np.abs(alpha[cand])
+            ratios = np.abs(self.drow[cand]) / mag
+            near = ratios <= ratios.min() + 1e-12
+            best = cand[near][mag[near] == mag[near].max()]
+            p = int(best[np.argmin(self.nonbasic[best])])
 
-            leaving = int(self.basis[r])
+            q, leaving = int(self.nonbasic[p]), int(self.basis[r])
             target = lo[leaving] if rise else up[leaving]
-            theta = (xb[r] - target) / alpha[q]
-            self.x[self.basis] -= theta * self.tableau[:, q]
+            theta = (xb[r] - target) / alpha[p]
+            self.x[self.basis] -= theta * self.tableau[:, p]
             self.x[q] += theta
             self.x[leaving] = target
             if lo[leaving] == up[leaving]:
                 self.status[leaving] = _FIXED
             else:
                 self.status[leaving] = _AT_LO if rise else _AT_UP
-            self._exchange(r, q)
+            self._exchange(r, p)
+            self.can_inc[p] = self.status[leaving] == _AT_LO
+            self.can_dec[p] = self.status[leaving] == _AT_UP
             self.iterations += 1
             self.factor_age += 1
             if self.factor_age >= _REFRESH_EVERY:
                 if not self._refresh():
                     return FAILURE, None, None
-                self.drow = self.cost - self.cost[self.basis] @ self.tableau
+                self.drow = (self.cost[self.nonbasic]
+                             - self.cost[self.basis] @ self.tableau)
+                self._track_positions()
 
     def _start_round(self, d, side, width):
         """Put every nonbasic column at the bound reduced costs ``d`` call
@@ -426,14 +484,14 @@ class _Simplex:
                              & (~np.isfinite(self.work_lo) | boxed_up))
         self.status[self.basis] = _BASIC
         self._basic_values()
-        self.drow = d
+        self.drow = d[self.nonbasic]
         return bool(art_up.any() or art_lo.any())
 
     def _improving_ray(self, step, d):
         """Whether moving the nonbasic columns by ``step`` is a ray of the
         true LP along which reduced costs ``d`` fall: no basic value it moves
         may head for a finite true bound."""
-        moved = -self.tableau @ step
+        moved = -self.tableau @ step[self.nonbasic]
         blocked = (((moved > _PIV_TOL) & np.isfinite(self.up[self.basis]))
                    | ((moved < -_PIV_TOL) & np.isfinite(self.lo[self.basis])))
         return float(d @ step) < -_OPT_TOL and not blocked.any()
@@ -465,7 +523,7 @@ class _Simplex:
         # the slot is taken whatever the start: a tableau is reused at most once
         slot, self.problem._slot = self.problem._slot, None
         if slot is not None and slot[0] is start:
-            _basis, self.tableau, self.factor_age = slot
+            _basis, self.nonbasic, self.tableau, self.factor_age = slot
         elif not self._refresh():
             return LpOutcome(FAILURE, message="singular start basis")
 
@@ -479,9 +537,10 @@ class _Simplex:
                                  message="dual: iteration limit or singular basis")
             if verdict == INFEASIBLE:
                 # Farkas ray: row r of B^-1, negated when its value must rise
-                sign = -1.0 if rise else 1.0
+                unit = np.zeros(m)
+                unit[r] = -1.0 if rise else 1.0
                 outcome = self._certified(
-                    lambda: self._certify_infeasible(sign * self.tableau[r, n:]))
+                    lambda: self._certify_infeasible(self._times_binv(unit)))
                 if outcome.status != FAILURE or not artificial:
                     return outcome
             else:
@@ -533,7 +592,7 @@ class _Simplex:
         basis = Basis(self.basis.copy(), self.status.copy())
         # read-only, so the kept tableau stays the factor of this basis
         basis.columns.flags.writeable = basis.status.flags.writeable = False
-        self.problem._slot = (basis, self.tableau, self.factor_age)
+        self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age)
         return LpOutcome(
             OPTIMAL,
             x=self.x[: self.n].copy(),

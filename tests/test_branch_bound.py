@@ -154,11 +154,11 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 257 LPs, 2,111 pivots, 238 nodes under the one BLAS thread conftest
-    # sets, and the same under two threads (eight_bus switch-all takes 58
-    # nodes, as it did with two threads and the full m x m factor).  The
-    # caps keep the two-thread figures of that full factor (281, 2,120 and
-    # 238), so a run with more threads passes too
+    # 256 LPs, 2,117 pivots, 238 nodes with the condensed m x n tableau,
+    # under the one BLAS thread conftest sets and the same under two
+    # threads (eight_bus switch-all takes 56 nodes and diamond switch-all
+    # 28).  The caps keep the two-thread figures of the full m x m factor
+    # (281, 2,120 and 238), so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 

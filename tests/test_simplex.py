@@ -584,7 +584,7 @@ def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypa
     dense, fresh = DenseLp.from_milp(model), DenseLp.from_milp(model)
     last = dense.solve()
     lo, up = dense.lo.copy(), dense.up.copy()
-    age, chain, refactors = dense._slot[2], 0, 0
+    age, chain, refactors = _kept_age(dense), 0, 0
     while True:
         frac = np.abs(last.x[bins] - np.round(last.x[bins]))
         if frac.max() <= 1e-6:
@@ -598,12 +598,23 @@ def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypa
         assert abs(out.objective - cold.objective) <= 1e-9 * abs(cold.objective)
         # one refactor each time the factor's age reaches the cadence
         assert inv.call_count == (age + out.iterations) // cadence
-        assert dense._slot[2] == (age + out.iterations) % cadence
-        age = dense._slot[2]
+        assert _kept_age(dense) == (age + out.iterations) % cadence
+        age = _kept_age(dense)
         chain += out.iterations
         refactors += inv.call_count
         last = out
     assert refactors >= 2 and chain >= 2 * cadence
+
+
+def _kept_age(dense):
+    """Pivots since the kept tableau was factored; the slot also holds that
+    m x n tableau and the column at each of its positions."""
+    basis, nonbasic, tableau, age = dense._slot
+    m, n = dense.a.shape
+    assert tableau.shape == (m, n)
+    assert np.array_equal(np.sort(np.concatenate([basis.columns, nonbasic])),
+                          np.arange(n + m))
+    return age
 
 
 def _standard_form(dense):
@@ -613,16 +624,20 @@ def _standard_form(dense):
 
 def _factor(dense, columns):
     """The ``_refresh`` tableau of basis ``columns`` next to a dense solve of
-    B T = [A | I]."""
+    B T = [A | I] at its nonbasic columns, which ``_refresh`` puts in id
+    order."""
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis = np.array(columns)
     assert simplex._refresh()
+    assert np.array_equal(simplex.nonbasic,
+                          np.setdiff1d(np.arange(sum(dense.a.shape)), columns))
     a_all = _standard_form(dense)
-    return simplex.tableau, np.linalg.solve(a_all[:, columns], a_all)
+    return simplex.tableau, np.linalg.solve(a_all[:, columns], a_all)[:, simplex.nonbasic]
 
 
 def _assert_factor_matches(dense, columns, label):
     tableau, dense_solve = _factor(dense, columns)
+    assert tableau.shape == dense.a.shape, label
     scale = np.abs(dense_solve).max()
     assert np.abs(tableau - dense_solve).max() <= 1e-9 * scale, label
 
@@ -655,11 +670,11 @@ def test_block_factor_matches_a_dense_solve(bundled):
 
 
 def test_block_factor_of_the_slack_basis_is_the_standard_form(bundled):
-    # k = 0: nothing to factor, and the tableau is [A | I] itself
+    # k = 0: nothing to factor, and the tableau is A itself
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     dense = DenseLp.from_milp(model)
     tableau, _dense_solve = _factor(dense, dense.slack_basis.columns)
-    assert np.array_equal(tableau, _standard_form(dense))
+    assert np.array_equal(tableau, dense.a)
     # one slack in two positions leaves a row with no basic column
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis = dense.slack_basis.columns.copy()
@@ -681,11 +696,22 @@ def test_block_factor_of_an_all_structural_basis():
     _assert_factor_matches(dense, out.basis.columns, "k = m")
 
 
+def _random_exchanges(simplex, rng, pivots):
+    """``pivots`` exchanges on random rows, each on a random entry of that
+    row of magnitude above 0.1."""
+    for _pivot in range(pivots):
+        r = int(rng.integers(simplex.m))
+        usable = np.flatnonzero(np.abs(simplex.tableau[r]) > 0.1)
+        if usable.size:
+            simplex.drow = np.zeros(simplex.n)
+            simplex._exchange(r, int(rng.choice(usable)))
+
+
 def test_implicit_identity_products_match_the_explicit_standard_form(bundled):
-    # every product with [A | I] is formed from A and the identity apart:
-    # basic values, residuals, duals with reduced costs, and the row
-    # combination an infeasibility certificate reads.  Random bases come
-    # from random pivots off the slack basis, each refactored afresh
+    # every product with [A | I] or B^-1 is formed without either: basic
+    # values, residuals, duals with reduced costs, and the row combination
+    # an infeasibility certificate reads.  Random bases come from random
+    # pivots off the slack basis, each refactored afresh
     model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
     dense = DenseLp.from_milp(model)
     a_all = _standard_form(dense)
@@ -700,16 +726,10 @@ def test_implicit_identity_products_match_the_explicit_standard_form(bundled):
 
     n_structural = 0
     for _basis in range(12):
-        for _pivot in range(8):
-            r = int(rng.integers(m))
-            nonbasic = np.setdiff1d(np.arange(n + m), simplex.basis)
-            usable = nonbasic[np.abs(simplex.tableau[r, nonbasic]) > 0.1]
-            if usable.size:
-                simplex.drow = np.zeros(n + m)
-                simplex._exchange(r, int(rng.choice(usable)))
+        _random_exchanges(simplex, rng, 8)
         assert simplex._refresh()
         n_structural = max(n_structural, int((simplex.basis < n).sum()))
-        binv = simplex.tableau[:, n:]
+        binv = np.linalg.inv(a_all[:, simplex.basis])
 
         # residuals at a random point, where no cancellation hides an error
         simplex.x = rng.uniform(-5.0, 5.0, n + m)
@@ -734,32 +754,120 @@ def test_implicit_identity_products_match_the_explicit_standard_form(bundled):
     assert n_structural >= 40
 
 
+def test_exchanged_tableau_reads_match_the_explicit_inverse(bundled):
+    # between refactors the tableau and everything read off it follow the
+    # basis: after runs of random exchanges with no refactor, the tableau,
+    # the basic values, the duals and every row of B^-1 (the Farkas rows)
+    # match a dense solve with the explicit B^-1
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    a_all = _standard_form(dense)
+    m, n = dense.a.shape
+    rng = np.random.default_rng(20261020)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+
+    def close(ours, ref):
+        return np.abs(ours - ref).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    n_structural = 0
+    for _run in range(6):
+        _random_exchanges(simplex, rng, 15)
+        n_structural = max(n_structural, int((simplex.basis < n).sum()))
+        assert np.array_equal(np.sort(np.concatenate([simplex.basis, simplex.nonbasic])),
+                              np.arange(n + m))
+        binv = np.linalg.inv(a_all[:, simplex.basis])
+        assert close(simplex.tableau, binv @ a_all[:, simplex.nonbasic])
+
+        simplex.x = rng.uniform(-5.0, 5.0, n + m)
+        nonbasic_x = simplex.x.copy()
+        nonbasic_x[simplex.basis] = 0.0
+        simplex._basic_values()
+        assert close(simplex.x[simplex.basis], binv @ (dense.b - a_all @ nonbasic_x))
+
+        y, _d = simplex._exact_duals()
+        assert close(y, dense.cost[simplex.basis] @ binv)
+        rows = np.array([simplex._times_binv(unit) for unit in np.eye(m)])
+        assert close(rows, binv)
+    assert n_structural >= 20
+
+
 def test_exchange_updates_only_rows_the_pivot_column_touches():
     # rows where the entering column is zero are skipped; the rows it touches
-    # get exactly the dense rank-1 formula's values
+    # get exactly the dense rank-1 formula's values, and the entering
+    # column's position takes the leaving column: -col / piv, 1 / piv in row r
     rng = np.random.default_rng(20261018)
     m, n = 40, 25
     dense = DenseLp(np.zeros((m, n)), [LE] * m, np.zeros(m), np.zeros(n),
                     np.ones(n), np.zeros(n))
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis = dense.slack_basis.columns.copy()
-    simplex.tableau = rng.standard_normal((m, n + m))
-    simplex.drow = rng.standard_normal(n + m)
-    r, q = 7, 3
+    simplex.nonbasic = np.arange(n)
+    simplex.tableau = rng.standard_normal((m, n))
+    simplex.drow = rng.standard_normal(n)
+    r, p = 7, 3
     zero = rng.random(m) < 0.8
     zero[r] = False
-    simplex.tableau[zero, q] = 0.0
+    simplex.tableau[zero, p] = 0.0
     assert 0 < zero.sum() < m - 1
     expected = simplex.tableau.copy()
-    expected[r] /= expected[r, q]
-    col = expected[:, q].copy()
+    col = expected[:, p].copy()
+    piv = col[r]
+    expected[r] /= piv
     col[r] = 0.0
     expected -= np.outer(col, expected[r])
-    expected[:, q] = 0.0
-    expected[r, q] = 1.0
-    simplex._exchange(r, q)
+    expected[:, p] = -col * (1.0 / piv)
+    expected[r, p] = 1.0 / piv
+    drow = simplex.drow.copy()
+    dq = drow[p]
+    drow -= dq * expected[r]
+    drow[p] = -dq * (1.0 / piv)
+    simplex._exchange(r, p)
     assert np.array_equal(simplex.tableau, expected)
-    assert simplex.basis[r] == q
+    assert np.array_equal(simplex.drow, drow)
+    assert simplex.basis[r] == p and simplex.nonbasic[p] == n + r
+
+
+@pytest.mark.parametrize("order", ["id order", "swapped"])
+def test_ratio_and_magnitude_ties_enter_the_lowest_column_id(order):
+    # min x0 + x1  s.t.  x0 + x1 >= 1 on [0, 1]^2: from the slack basis the
+    # row's slack leaves, and x0 and x1 tie on ratio and on |alpha|.  The
+    # lower id enters wherever the two sit in the tableau
+    m = _model([(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.0)],
+               [(0, 1.0), (1, 1.0)])
+    dense = DenseLp.from_milp(m)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+    if order == "swapped":
+        simplex.nonbasic = simplex.nonbasic[::-1].copy()
+        simplex.tableau = simplex.tableau[:, ::-1].copy()
+    assert list(simplex.nonbasic) == ([0, 1] if order == "id order" else [1, 0])
+    simplex._start_round(simplex._exact_duals()[1], dense.slack_basis.status, 1e6)
+    assert simplex._dual_loop(10)[0] == OPTIMAL
+    assert simplex.iterations == 1
+    assert list(simplex.basis) == [0]
+    assert simplex.x[:2] == pytest.approx([1.0, 0.0], abs=1e-15)
+
+
+def test_pivot_tolerance_scales_with_the_row():
+    # min x0  s.t.  1e6 x0 + 1e-6 x1 >= 1 on [0, 1]^2: x1's entry is 1e-12
+    # of its row, rounding noise next to x0's, though far above _PIV_TOL.
+    # Its zero reduced cost gives it the smaller ratio, so only a tolerance
+    # scaled by the row keeps the pivot on x0
+    m = _model([(0, 1), (0, 1)], [([(0, 1e6), (1, 1e-6)], GE, 1.0)], [(0, 1.0)])
+    dense = DenseLp.from_milp(m)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+    simplex._start_round(simplex._exact_duals()[1], dense.slack_basis.status, 1e6)
+    simplex._dual_loop(1)
+    assert simplex.iterations == 1
+    assert list(simplex.basis) == [0]
+    out = dense.solve()
+    assert out.status == OPTIMAL
+    assert out.x[0] == pytest.approx(1e-6, rel=1e-9)
 
 
 @pytest.mark.parametrize("defect", ["repeated column", "repeated slack column",
