@@ -9,15 +9,16 @@ node LP from its parent's optimal basis (each open node carries that basis,
 not a tableau) and, if that attempt fails, from the slack basis, under the
 same certificate.  The ``DenseLp`` keeps the tableau of the last optimal
 LP, so a plunge child popped right after its parent, and a polish LP,
-start from that tableau with no refactor.  A node LP that still fails, or
-an incumbent candidate that fails the model evaluator, leaves its subtree
-unsolved: the node's value stays in the bound, which stays valid, so the
-gap target and the limits stop the search as usual, but a search that
-runs out of nodes returns ``lp_failure``, never ``optimal``.  An
-incumbent whose binaries are not exactly 0/1 is re-solved, warm from its
-node's basis, with its binaries pinned to the rounded values; one whose
-binaries already are exactly 0/1 is kept as solved, since it already
-solves that pinned LP.
+start from that tableau with no refactor; it also keeps the factor of the
+last parent basis it factored, which a sibling popped right after copies.
+A node LP that still fails, or an incumbent candidate that fails the model
+evaluator, leaves its subtree unsolved: the node's value stays in the
+bound, which stays valid, so the gap target and the limits stop the search
+as usual, but a search that runs out of nodes returns ``lp_failure``, never
+``optimal``.  An incumbent whose binaries are not exactly 0/1 is re-solved,
+warm from its node's basis, with its binaries pinned to the rounded values;
+one whose binaries already are exactly 0/1 is kept as solved, since it
+already solves that pinned LP.
 Every incumbent must pass the model evaluator before it is accepted, so
 reported solutions are integral to machine precision, not merely within the
 rounding tolerance.
@@ -108,7 +109,7 @@ class _Search:
         self.model = model
         self.params = params
         self.dense = DenseLp.from_milp(model)
-        self.bins = model.binary_columns()
+        self.bins = np.asarray(model.binary_columns(), dtype=np.int64)
         self.incumbent: list[float] | None = None
         self.incumbent_obj = np.inf
         self.lowest_pruned = np.inf

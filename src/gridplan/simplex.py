@@ -43,19 +43,27 @@ tableau simplex over general variable bounds:
   ``B^-1`` is never formed: since the slack columns are the identity, its
   column for a row is the tableau column of that row's slack when the slack
   is nonbasic, and a unit vector when it is basic.  Duals, basic values and
-  Farkas rows are read off it that way;
-* a ``DenseLp`` keeps the tableau of its last certified optimum, and a
+  Farkas rows are read off it that way.  A refactor leaves the basic values
+  to its caller, which recomputes them or starts a round that does;
+* a ``DenseLp`` keeps two tableaux, and no work is repeated for either.
+  One is that of its last certified optimum, with its reduced costs: a
   solve that starts from that very ``Basis`` (a plunge child, a polish LP)
-  pivots on from it with no refactor.  The refactor cadence counts pivots
-  since the tableau was factored, across solves;
+  pivots on from it with no refactor and no new duals.  The refactor
+  cadence counts pivots since the tableau was factored, across solves.
+  The other is the fresh factor of the last caller basis a solve
+  refactored (the slack basis excepted, whose factor is free): a later
+  start from the same columns (the sibling of a node whose parent basis
+  was just factored) copies it.  A factor is a function of the basis
+  columns and ``A`` alone, so the copy is exactly the refactor it saves;
 * before any outcome is reported, it is checked against the original data
   with the tableau's duals: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
   combination whose implied bound contradicts the variable box.  Both
   checks hold for any duals, so their strength does not depend on where the
-  duals come from.  A check that fails is retried once after a refactor;
-  anything that still fails is reported as ``failure``, never as a wrong
-  ``optimal``.
+  duals come from.  An optimum is certified with the duals and residuals
+  its optimality test just computed.  A check that fails is retried once
+  after a refactor, on fresh ones; anything that still fails is reported
+  as ``failure``, never as a wrong ``optimal``.
 
 The tableau is dense, and it is refactored from original data whenever drift
 is detected and every ``_REFRESH_EVERY`` pivots.
@@ -64,6 +72,7 @@ is detected and every ``_REFRESH_EVERY`` pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -141,13 +150,17 @@ class DenseLp:
     costs, and the all-slack start basis.  Solves read these arrays and
     never write into them; a solve varies only the structural bounds.
 
-    A solve writes one field, ``_slot``: the ``Basis`` of the last solve that
-    ended certified optimal, the column at each position of its m x n
-    tableau, that tableau, and the pivots made since it was factored.  The next solve takes it and reuses the tableau
-    only if it starts from that very ``Basis`` object; any other start, an
-    equal copy included, refactors.  So at most one tableau is kept, and a
-    warm solve's rounding depends on whether it starts from the last basis
-    returned.
+    A solve writes two fields.  ``_slot`` holds the ``Basis`` of the last
+    solve that ended certified optimal, the column at each position of its
+    m x n tableau, that tableau, the pivots made since it was factored, and
+    the reduced costs of every column.  The next solve takes it and reuses
+    the tableau only if it starts from that very ``Basis`` object; any other
+    start, an equal copy included, drops it.  So a warm solve's rounding
+    depends on whether it starts from the last basis returned.
+    ``_factor`` holds the basis columns, the nonbasic columns and the
+    tableau of the last caller start that a solve refactored, as
+    ``_refresh`` left them; a start with those columns copies them instead
+    of refactoring, bit for bit the same.  So at most two tableaux are kept.
     """
 
     def __init__(self, a, senses, b, lo, up, c, c0=0.0):
@@ -175,25 +188,22 @@ class DenseLp:
         self.slack_basis = Basis(slacks, status)
         for shared in (box, self.cost, slacks, status):
             shared.flags.writeable = False
-        self._slot = None
+        self._slot = self._factor = None
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
-        n = model.n_variables
-        m = model.n_constraints
-        a = np.zeros((m, n))
-        senses = []
-        b = np.zeros(m)
-        for i, con in enumerate(model.constraints):
-            a[i, list(con.columns)] = con.coefficients
-            senses.append(con.sense)
-            b[i] = con.rhs
+        n, cons = model.n_variables, model.constraints
+        rows = np.repeat(np.arange(len(cons)), [len(con.columns) for con in cons])
+        cols = np.fromiter(chain.from_iterable(con.columns for con in cons), np.int64, rows.size)
+        vals = np.fromiter(chain.from_iterable(con.coefficients for con in cons), float, rows.size)
+        a = np.zeros((len(cons), n))
+        a[rows, cols] = vals
+        b = np.array([con.rhs for con in cons], dtype=float)
         lo = np.array([v.lower for v in model.variables], dtype=float)
         up = np.array([v.upper for v in model.variables], dtype=float)
         c = np.zeros(n)
-        for col, coef in model.objective.items():
-            c[col] = coef
-        return cls(a, senses, b, lo, up, c, model.objective_offset)
+        c[np.fromiter(model.objective, dtype=np.int64)] = list(model.objective.values())
+        return cls(a, [con.sense for con in cons], b, lo, up, c, model.objective_offset)
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
         """Solve with bounds ``lo``/``up`` by dual simplex from ``basis`` when
@@ -259,17 +269,19 @@ class _Simplex:
     # -- linear algebra helpers ---------------------------------------------
 
     def _refresh(self):
-        """Refactor the basis: rebuild the tableau, its nonbasic columns in
-        id order, and the basic values from original data.  This is the only
-        factorization.  With S the rows whose slack is basic and R the
-        others, B is ``[[A_RJ, 0], [A_SJ, I]]`` for the k basic structural
-        columns J, so only the k x k block A_RJ is inverted: a nonbasic
-        structural column N gets ``inv(A_RJ) A_RN`` in the J positions and
-        ``A_SN - A_SJ`` times that in the S positions, and the nonbasic
-        slacks, those of the rows R, get ``inv(A_RJ)`` and
-        ``-A_SJ inv(A_RJ)``.  Slack positions that repeat a row leave A_RJ
-        non-square, and ``np.linalg.inv`` refuses it as it refuses a
-        singular one."""
+        """Refactor the basis: rebuild the tableau and its nonbasic columns
+        in id order from original data.  This is the only factorization.
+        It leaves the basic values as they were: a caller that needs them
+        calls ``_basic_values``, and a new round computes them anyway.
+
+        With S the rows whose slack is basic and R the others, B is
+        ``[[A_RJ, 0], [A_SJ, I]]`` for the k basic structural columns J, so
+        only the k x k block A_RJ is inverted: a nonbasic structural column
+        N gets ``inv(A_RJ) A_RN`` in the J positions and ``A_SN - A_SJ``
+        times that in the S positions, and the nonbasic slacks, those of the
+        rows R, get ``inv(A_RJ)`` and ``-A_SJ inv(A_RJ)``.  Slack positions
+        that repeat a row leave A_RJ non-square, and ``np.linalg.inv``
+        refuses it as it refuses a singular one."""
         n = self.n
         struct = self.basis < n
         cols, slack_rows = self.basis[struct], self.basis[~struct] - n
@@ -294,7 +306,6 @@ class _Simplex:
         tableau[struct, out.size:] = inv
         tableau[~struct, out.size:] = -(a_sj @ inv)
         self.factor_age = 0
-        self._basic_values()
         return True
 
     def _binv_times(self, v):
@@ -383,14 +394,14 @@ class _Simplex:
         and drow update over only the rows where the entering column is
         nonzero.  The leaving column was the unit vector of row ``r``, so
         its new tableau column is ``-col * (1 / piv)`` with ``1 / piv`` in
-        row ``r``."""
+        row ``r``.  Returns the entering column as it was, zero in row ``r``."""
         tableau = self.tableau
         col = tableau[:, p].copy()
         piv = col[r]
         tableau[r] /= piv
         col[r] = 0.0
         rows = np.nonzero(col)[0]
-        tableau[rows] -= np.outer(col[rows], tableau[r])
+        tableau[rows] -= col[rows, None] * tableau[r]
         inv = 1.0 / piv
         tableau[:, p] = -col * inv
         tableau[r, p] = inv
@@ -401,6 +412,7 @@ class _Simplex:
         self.nonbasic[p] = self.basis[r]
         self.basis[r] = q
         self.status[q] = _BASIC
+        return col
 
     def _track_positions(self):
         """Per tableau position, whether its column may rise or fall from
@@ -420,51 +432,55 @@ class _Simplex:
         ``rise`` and down otherwise.
         """
         lo, up = self.work_lo, self.work_up
+        # per row: the basic value and its working bounds
+        xb, blo, bup = self.x[self.basis], lo[self.basis], up[self.basis]
         self._track_positions()
-        while True:
-            xb = self.x[self.basis]
-            below = lo[self.basis] - xb
-            above = xb - up[self.basis]
-            infeas = np.maximum(below, above)
-            if not self.m or infeas.max() <= _FEAS_TOL:
-                return OPTIMAL, None, None
-            r = int(np.argmax(infeas))
-            if self.iterations >= max_iter:
-                return FAILURE, None, None
-            rise = below[r] > above[r]      # leaving variable moves up to lo
-            alpha = self.tableau[r]
-            sa = alpha if rise else -alpha
-            tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max(initial=0.0)))
-            cand = np.nonzero((self.can_inc & (sa < -tol)) | (self.can_dec & (sa > tol)))[0]
-            if cand.size == 0:
-                return INFEASIBLE, r, rise
-            mag = np.abs(alpha[cand])
-            ratios = np.abs(self.drow[cand]) / mag
-            near = ratios <= ratios.min() + 1e-12
-            best = cand[near][mag[near] == mag[near].max()]
-            p = int(best[np.argmin(self.nonbasic[best])])
-
-            q, leaving = int(self.nonbasic[p]), int(self.basis[r])
-            target = lo[leaving] if rise else up[leaving]
-            theta = (xb[r] - target) / alpha[p]
-            self.x[self.basis] -= theta * self.tableau[:, p]
-            self.x[q] += theta
-            self.x[leaving] = target
-            if lo[leaving] == up[leaving]:
-                self.status[leaving] = _FIXED
-            else:
-                self.status[leaving] = _AT_LO if rise else _AT_UP
-            self._exchange(r, p)
-            self.can_inc[p] = self.status[leaving] == _AT_LO
-            self.can_dec[p] = self.status[leaving] == _AT_UP
-            self.iterations += 1
-            self.factor_age += 1
-            if self.factor_age >= _REFRESH_EVERY:
-                if not self._refresh():
+        try:
+            while True:
+                below = blo - xb
+                above = xb - bup
+                infeas = np.maximum(below, above)
+                if not self.m or infeas.max() <= _FEAS_TOL:
+                    return OPTIMAL, None, None
+                r = int(np.argmax(infeas))
+                if self.iterations >= max_iter:
                     return FAILURE, None, None
-                self.drow = (self.cost[self.nonbasic]
-                             - self.cost[self.basis] @ self.tableau)
-                self._track_positions()
+                rise = below[r] > above[r]      # leaving variable moves up to lo
+                alpha = self.tableau[r]
+                sa = alpha if rise else -alpha
+                tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max(initial=0.0)))
+                cand = np.nonzero((self.can_inc & (sa < -tol)) | (self.can_dec & (sa > tol)))[0]
+                if cand.size == 0:
+                    return INFEASIBLE, r, rise
+                mag = np.abs(alpha[cand])
+                ratios = np.abs(self.drow[cand]) / mag
+                near = ratios <= ratios.min() + 1e-12
+                mag = mag[near]
+                best = cand[near][mag == mag.max()]
+                p = int(best[self.nonbasic[best].argmin()])
+
+                q, leaving = int(self.nonbasic[p]), int(self.basis[r])
+                target = blo[r] if rise else bup[r]
+                theta = (xb[r] - target) / alpha[p]
+                self.x[leaving] = target
+                rest = _FIXED if blo[r] == bup[r] else _AT_LO if rise else _AT_UP
+                self.status[leaving] = rest
+                xb -= theta * self._exchange(r, p)
+                xb[r] = self.x[q] + theta
+                blo[r], bup[r] = lo[q], up[q]
+                self.can_inc[p], self.can_dec[p] = rest == _AT_LO, rest == _AT_UP
+                self.iterations += 1
+                self.factor_age += 1
+                if self.factor_age >= _REFRESH_EVERY:
+                    if not self._refresh():
+                        return FAILURE, None, None
+                    self._basic_values()
+                    xb = self.x[self.basis]
+                    self.drow = (self.cost[self.nonbasic]
+                                 - self.cost[self.basis] @ self.tableau)
+                    self._track_positions()
+        finally:
+            self.x[self.basis] = xb
 
     def _start_round(self, d, side, width):
         """Put every nonbasic column at the bound reduced costs ``d`` call
@@ -500,8 +516,9 @@ class _Simplex:
 
     def run(self, start: Basis) -> LpOutcome:
         """Solve from ``start`` in rounds of the dual simplex, at most
-        ``_MAX_ROUNDS``, on the problem's kept tableau when ``start`` is its
-        basis and on a fresh factor otherwise.
+        ``_MAX_ROUNDS``: on the problem's kept tableau and reduced costs when
+        ``start`` is its basis, on a copy of its kept factor when ``start``
+        has those columns, and on a fresh factor otherwise.
 
         Each round starts dual feasible: every nonbasic column sits at the
         bound its exact reduced cost calls for (boxed ties keep their side),
@@ -510,7 +527,8 @@ class _Simplex:
         Farkas ray.  An optimum with columns resting on artificial bounds is
         ``unbounded`` if moving them further out is an improving ray.  Any
         other optimum must be dual feasible within ``10 * _OPT_TOL`` with
-        basic values that have not drifted.  A verdict the artificial bounds
+        basic values that have not drifted, and those duals and residuals
+        certify it.  A verdict the artificial bounds
         may have caused is retried with bounds ``_ART_GROWTH`` times wider,
         and a drifted optimum after a refactor.
         """
@@ -520,17 +538,24 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return LpOutcome(FAILURE, message="start basis does not fit the model")
         self.basis = cols.copy()
+        problem, d = self.problem, None
         # the slot is taken whatever the start: a tableau is reused at most once
-        slot, self.problem._slot = self.problem._slot, None
+        slot, problem._slot = problem._slot, None
         if slot is not None and slot[0] is start:
-            _basis, self.nonbasic, self.tableau, self.factor_age = slot
+            _basis, self.nonbasic, self.tableau, self.factor_age, d = slot
+        elif problem._factor is not None and np.array_equal(problem._factor[0], cols):
+            self.nonbasic, self.tableau = (a.copy() for a in problem._factor[1:])
+            self.factor_age = 0
         elif not self._refresh():
             return LpOutcome(FAILURE, message="singular start basis")
+        elif start is not problem.slack_basis:
+            problem._factor = (self.basis.copy(), self.nonbasic.copy(), self.tableau.copy())
 
         max_iter = 50 * (n + 2 * m) + 10_000
         side, width = start.status, _ART_WIDTH
         for _ in range(_MAX_ROUNDS):
-            artificial = self._start_round(self._exact_duals()[1], side, width)
+            artificial = self._start_round(self._exact_duals()[1] if d is None else d,
+                                           side, width)
             verdict, r, rise = self._dual_loop(max_iter)
             if verdict == FAILURE:
                 return LpOutcome(FAILURE, iterations=self.iterations,
@@ -544,7 +569,7 @@ class _Simplex:
                 if outcome.status != FAILURE or not artificial:
                     return outcome
             else:
-                _y, d = self._exact_duals()
+                y, d = self._exact_duals()
                 step = np.where((self.status == _AT_UP) & (self.work_up != self.up), 1.0,
                                 np.where((self.status == _AT_LO) & (self.work_lo != self.lo),
                                          -1.0, 0.0))
@@ -553,27 +578,35 @@ class _Simplex:
                         return LpOutcome(UNBOUNDED, iterations=self.iterations)
                 else:
                     opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
-                    row_err, bound_err = self._primal_error()
-                    drift = max(row_err, bound_err) > 0.5 * _FEAS_TOL
+                    errors = self._primal_error()
+                    drift = max(errors) > 0.5 * _FEAS_TOL
                     if opt_viol <= 10 * _OPT_TOL and not drift:
-                        return self._certified(self._finish_optimal)
+                        return self._certified(self._finish_optimal, y, d, errors)
                     if not self._refresh():
                         return LpOutcome(FAILURE, iterations=self.iterations,
                                          message="singular basis during refresh")
-            side, width = self.status, width * _ART_GROWTH
+            side, width, d = self.status, width * _ART_GROWTH, None
         return LpOutcome(FAILURE, iterations=self.iterations,
                          message=f"no certified outcome in {_MAX_ROUNDS} rounds")
 
-    def _certified(self, check) -> LpOutcome:
-        """Run a certificate ``check`` on the tableau's duals; if it fails,
-        refactor once and run it again.  A second failure is final."""
-        outcome = check()
+    def _certified(self, check, *known) -> LpOutcome:
+        """Run a certificate ``check`` on the tableau's duals, passing it the
+        figures in ``known`` the caller already has; if it fails, refactor
+        once, recompute the basic values and run it again from scratch.  A
+        second failure is final."""
+        outcome = check(*known)
         if outcome.status == FAILURE and self._refresh():
+            self._basic_values()
             outcome = check()
         return outcome
 
-    def _finish_optimal(self) -> LpOutcome:
-        y, d = self._exact_duals()
+    def _finish_optimal(self, y=None, d=None, errors=None) -> LpOutcome:
+        """Certify the optimum: duals ``y``, reduced costs ``d`` and primal
+        ``errors`` are those of the current tableau and ``x``, computed here
+        when not given."""
+        if y is None:
+            y, d = self._exact_duals()
+            errors = self._primal_error()
         obj_scaled = float(self.cost @ self.x)
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)
@@ -582,7 +615,7 @@ class _Simplex:
                 FAILURE, iterations=self.iterations,
                 message=f"weak duality check failed (gap {gap:.3e})",
             )
-        row_err, bound_err = self._primal_error()
+        row_err, bound_err = errors
         if max(row_err, bound_err) > _FEAS_TOL:
             return LpOutcome(
                 FAILURE, iterations=self.iterations,
@@ -592,7 +625,7 @@ class _Simplex:
         basis = Basis(self.basis.copy(), self.status.copy())
         # read-only, so the kept tableau stays the factor of this basis
         basis.columns.flags.writeable = basis.status.flags.writeable = False
-        self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age)
+        self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age, d)
         return LpOutcome(
             OPTIMAL,
             x=self.x[: self.n].copy(),

@@ -449,7 +449,9 @@ def test_random_milps_match_scipy():
 
 def test_polish_and_plunge_lps_reuse_the_last_tableau(bundled, monkeypatch):
     # a polish LP and a plunge child start from the basis of the LP solved
-    # just before them, so they take over its tableau and factor nothing
+    # just before them, so they take over its tableau and factor nothing;
+    # a sibling whose parent's basis was the last one factored copies that
+    # factor and factors nothing either
     model, _index = build_milp(bundled("diamond"), Variant.SWITCH_EXISTING)
     inv = mock.Mock(wraps=np.linalg.inv)
     polishing = []
@@ -467,9 +469,11 @@ def test_polish_and_plunge_lps_reuse_the_last_tableau(bundled, monkeypatch):
 
     def recording(self, lo=None, up=None, basis=None):
         reuse = self._slot is not None and basis is self._slot[0]
+        cached = (not reuse and basis is not None and self._factor is not None
+                  and np.array_equal(basis.columns, self._factor[0]))
         before = inv.call_count
         outcome = solve(self, lo, up, basis=basis)
-        calls.append((reuse, bool(polishing), inv.call_count - before))
+        calls.append((reuse, bool(polishing), inv.call_count - before, cached))
         return outcome
 
     monkeypatch.setattr(np.linalg, "inv", inv)
@@ -480,10 +484,13 @@ def test_polish_and_plunge_lps_reuse_the_last_tableau(bundled, monkeypatch):
     polish = [c for c in calls if c[1]]
     plunge = [c for c in calls if c[0] and not c[1]]
     assert polish and plunge
-    assert all(reuse for reuse, _polish, _factors in polish)
-    assert all(n == 0 for reuse, _polish, n in calls if reuse)
-    # every other LP factors its start
-    assert all(n >= 1 for reuse, _polish, n in calls if not reuse)
+    assert all(reuse for reuse, _polish, _factors, _cached in polish)
+    assert all(n == 0 for reuse, _polish, n, _cached in calls if reuse)
+    # every other LP factors its start or copies the cached factor of that
+    # very basis, which this search does at least once
+    assert all(n == 0 for _reuse, _polish, n, cached in calls if cached)
+    assert all(n >= 1 for reuse, _polish, n, cached in calls if not (reuse or cached))
+    assert any(cached for _reuse, _polish, _factors, cached in calls)
 
 
 def test_solve_milp_twice_on_one_model_is_identical(bundled):

@@ -608,13 +608,141 @@ def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypa
 
 def _kept_age(dense):
     """Pivots since the kept tableau was factored; the slot also holds that
-    m x n tableau and the column at each of its positions."""
-    basis, nonbasic, tableau, age = dense._slot
+    m x n tableau, the column at each of its positions and the reduced costs
+    of every column."""
+    basis, nonbasic, tableau, age, d = dense._slot
     m, n = dense.a.shape
     assert tableau.shape == (m, n)
+    assert d.shape == (n + m,)
     assert np.array_equal(np.sort(np.concatenate([basis.columns, nonbasic])),
                           np.arange(n + m))
     return age
+
+
+def _same_bits(ours, ref):
+    return ours.dtype == ref.dtype and ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+
+def _sibling_solves(bundled):
+    """eight_bus switch-all after its root and both children from the root's
+    basis: the first child took the root's tableau, the second factored the
+    root's basis afresh, which the problem keeps.  Returns the problem, the
+    root and the second child's bounds and outcome."""
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    root = dense.solve()
+    (lo0, up0), (lo1, up1) = _branch_children(dense, root, model.binary_columns())
+    assert dense.solve(lo0, up0, basis=root.basis).status == OPTIMAL
+    with _inv_calls() as inv:
+        second = dense.solve(lo1, up1, basis=root.basis)
+    assert inv.call_count >= 1 and second.status == OPTIMAL
+    return dense, root, (lo1, up1), second
+
+
+def test_cached_factor_is_a_fresh_refactor_of_its_basis(bundled):
+    # the factor kept for a caller basis is taken before the solve pivots,
+    # so it is exactly what a fresh _refresh of that basis gives
+    dense, root, _bounds, _second = _sibling_solves(bundled)
+    columns, nonbasic, tableau = dense._factor
+    assert np.array_equal(columns, root.basis.columns)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = root.basis.columns.copy()
+    assert simplex._refresh()
+    assert _same_bits(simplex.tableau, tableau)
+    assert _same_bits(simplex.nonbasic, nonbasic)
+
+
+def test_a_solve_from_the_cached_factor_equals_one_that_refactors(bundled):
+    # a later start from those columns, the same Basis or an equal copy,
+    # copies the kept factor instead of refactoring, with the same outcome
+    # bit for bit as a solve that finds no factor kept
+    dense, root, (lo, up), second = _sibling_solves(bundled)
+    copy = Basis(root.basis.columns.copy(), root.basis.status.copy())
+    outcomes = []
+    for start in (root.basis, copy):
+        with _inv_calls() as inv:
+            outcomes.append(dense.solve(lo, up, basis=start))
+        assert inv.call_count == 0
+    dense._factor = None
+    with _inv_calls() as inv:
+        outcomes.append(dense.solve(lo, up, basis=root.basis))
+    assert inv.call_count == 1
+    for out in outcomes:
+        assert out.status == second.status == OPTIMAL
+        assert _same_bits(out.x, second.x)
+        assert repr(out.objective) == repr(second.objective)
+        assert out.iterations == second.iterations
+
+
+def test_kept_reduced_costs_are_the_exact_duals_of_the_kept_tableau(bundled):
+    # a start from the kept tableau reads the reduced costs kept with it;
+    # they are bit for bit what _exact_duals computes on that tableau
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    for start in (None, root.basis):
+        out = dense.solve(lo, up, basis=start)
+        assert out.status == OPTIMAL
+        basis, nonbasic, tableau, _age, d = dense._slot
+        assert basis is out.basis
+        simplex = _Simplex(dense, lo, up)
+        simplex.basis, simplex.nonbasic, simplex.tableau = basis.columns.copy(), nonbasic, tableau
+        assert _same_bits(simplex._exact_duals()[1], d)
+
+
+def test_a_certified_optimum_computes_its_duals_once_after_the_last_pivot(bundled, monkeypatch):
+    # the optimality check's duals and residuals certify the optimum, and a
+    # start from the kept tableau takes its reduced costs from the slot, so
+    # a one-round warm solve computes duals once in all
+    events = []
+
+    def logged(name):
+        method = getattr(_Simplex, name)
+
+        def call(self, *args):
+            events.append(name)
+            return method(self, *args)
+        return call
+
+    for name in ("_exact_duals", "_exchange", "_primal_error"):
+        monkeypatch.setattr(_Simplex, name, logged(name))
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    warm_start = len(events)
+    warm = dense.solve(lo, up, basis=root.basis)
+    assert warm.status == OPTIMAL and warm.iterations > 0
+    for solve_events in (events[:warm_start], events[warm_start:]):
+        last_pivot = len(solve_events) - solve_events[::-1].index("_exchange")
+        tail = solve_events[last_pivot:]
+        assert tail.count("_exact_duals") == 1 and tail.count("_primal_error") == 1
+    assert events[warm_start:].count("_exact_duals") == 1
+
+
+def _dense_by_rows(model):
+    """The ``DenseLp`` of ``model`` with ``A``, ``b`` and ``c`` filled one row
+    and one objective entry at a time."""
+    a = np.zeros((model.n_constraints, model.n_variables))
+    b = np.zeros(model.n_constraints)
+    for i, con in enumerate(model.constraints):
+        a[i, list(con.columns)] = con.coefficients
+        b[i] = con.rhs
+    c = np.zeros(model.n_variables)
+    for col, coef in model.objective.items():
+        c[col] = coef
+    return DenseLp(a, [con.sense for con in model.constraints], b,
+                   [v.lower for v in model.variables], [v.upper for v in model.variables],
+                   c, model.objective_offset)
+
+
+def test_from_milp_scatters_exactly_the_row_by_row_arrays(bundled):
+    models = [build_milp(bundled(name), variant)[0]
+              for name in ALL_CASES for variant in Variant]
+    models.append(_model([(0, 1), (-2, 3)], [], [(1, -1.5)], offset=2.0))
+    models.append(_model([(0, 1), (-2, 3), (0, 4)],
+                         [([(2, 2.0), (0, -1.0)], LE, 1.0), ([], GE, -1.0),
+                          ([(1, 0.5)], EQ, 0.25)], []))
+    for model in models:
+        dense, ref = DenseLp.from_milp(model), _dense_by_rows(model)
+        for field in ("a", "b", "c", "lo", "up", "slack_lo", "slack_up", "cost"):
+            assert _same_bits(getattr(dense, field), getattr(ref, field)), field
+        assert dense.c0 == ref.c0 and dense.sigma == ref.sigma
 
 
 def _standard_form(dense):
