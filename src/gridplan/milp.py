@@ -5,10 +5,19 @@ assembled, with no presolve or rescaling, so the model text can be audited
 against the algebra that produced it.  Assignments are evaluated from the
 stored data with compensated summation, making the evaluator a reliable
 referee between solvers.
+
+A model holds tens of thousands of row and column records, so both are
+slotted, and the bulk passes over whole models (``build_milp``,
+``write_mps``, ``parse_mps`` and ``read_solution``) run under ``nogc``:
+they create hundreds of thousands of short-lived containers and no
+reference cycles, so reference counting frees everything they drop and the
+cyclic collector's passes over the live models are pure cost.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,7 +35,27 @@ _SENSES = (LE, GE, EQ)
 FEASIBILITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+def nogc(func):
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    The collector is re-enabled afterwards only if it was enabled on entry,
+    so nested calls, raising calls and callers that turned it off all leave
+    its state as they found it.  Only for functions that create no
+    reference cycles: reference counting still frees all they drop.
+    """
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return wrapper
+
+
+@dataclass(frozen=True, slots=True)
 class Variable:
     column: int
     kind: str            # CONTINUOUS or BINARY
@@ -35,7 +64,7 @@ class Variable:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     columns: tuple[int, ...]
     coefficients: tuple[float, ...]

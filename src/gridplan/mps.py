@@ -8,7 +8,10 @@ round-trip exactly.  Writing a parsed model reproduces the original text
 byte for byte.  Each line is formatted once: every row name is padded to
 the field width once, every column name once per column, and a COLUMNS,
 RHS or BOUNDS line is one concatenation of padded fields ending in the
-value's ``repr``.
+value's ``repr``.  Each distinct value is formatted once per write, since
+a model repeats few coefficients, bounds and right-hand sides many times;
+zeros bypass that memo, as ``0.0`` and ``-0.0`` are one dict key but two
+spellings.
 
 The parser is deliberately stricter than the zoo of MPS dialects: names are
 whitespace-delimited tokens, duplicate entries are errors rather than
@@ -33,6 +36,9 @@ are recognised from the split tokens.
 Solutions from external solvers come back as plain ``name value`` lines;
 names that do not belong to the model are rejected so a stale file cannot
 be decoded silently against the wrong model.
+
+The writer, the parser and the solution reader pause the cyclic garbage
+collector (see ``milp.nogc``).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, nogc
 
 _SENSE_TO_TAG = {LE: "L", GE: "G", EQ: "E"}
 _TAG_TO_SENSE = {"L": LE, "G": GE, "E": EQ}
@@ -85,6 +91,18 @@ def _row_names(model: Milp) -> list[str]:
     return [f"R{i + 1:07d}" for i in range(model.n_constraints)]
 
 
+class _Spellings(dict):
+    """Value -> its ``repr``, each formatted on first use; zeros are not
+    stored, as ``0.0`` and ``-0.0`` share a key but not a spelling."""
+
+    def __missing__(self, value):
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+@nogc
 def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     """Render ``model`` as fixed-format MPS text.
 
@@ -92,6 +110,7 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     bytes.
     """
     column_name_table(model)        # refuses names MPS cannot carry
+    spell = _Spellings()
     rows = _row_names(model)
     width = max((len(s) for s in [v.name for v in model.variables] + rows
                  + [_OBJ_ROW, _RHS_SET, _BOUND_SET]), default=8)
@@ -118,7 +137,7 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
             integer_mode = v.kind == BINARY
         head = f"    {v.name:<{width}}  "
         # declare otherwise-unreferenced columns via a zero objective term
-        out += [head + row_field + repr(coef)
+        out += [head + row_field + spell[coef]
                 for row_field, coef in entries or [(obj_field, 0.0)]]
     if integer_mode:
         out.append(_MARKER_OFF)
@@ -128,7 +147,7 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     head = f"    {_RHS_SET:<{width}}  "
     if model.objective_offset:
         out.append(head + obj_field + repr(-model.objective_offset))
-    out += [head + row_field + repr(con.rhs)
+    out += [head + row_field + spell[con.rhs]
             for row_field, con in zip(row_fields, model.constraints)
             if con.rhs != 0.0]
 
@@ -142,18 +161,18 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
         if v.kind == BINARY and lo == 0.0 and up == 1.0:
             out.append(" BV " + bare)
         elif lo == up:
-            out.append(" FX " + valued + repr(lo))
+            out.append(" FX " + valued + spell[lo])
         elif not math.isfinite(lo) and not math.isfinite(up):
             out.append(" FR " + bare)
         elif not math.isfinite(lo):
             out.append(" MI " + bare)
-            out.append(" UP " + valued + repr(up))
+            out.append(" UP " + valued + spell[up])
         elif not math.isfinite(up):
-            out.append(" LO " + valued + repr(lo))
+            out.append(" LO " + valued + spell[lo])
             out.append(" PL " + bare)
         else:
-            out.append(" LO " + valued + repr(lo))
-            out.append(" UP " + valued + repr(up))
+            out.append(" LO " + valued + spell[lo])
+            out.append(" UP " + valued + spell[up])
 
     out += ["ENDATA", ""]       # the empty last line ends the text with a newline
     return "\n".join(out)
@@ -181,6 +200,7 @@ _BOUND_TYPES = {
 _VALUED_BOUNDS = ("LO", "UP", "FX")
 
 
+@nogc
 def parse_mps(text: str):
     """Parse MPS text into a model plus its column-name table.
 
@@ -324,6 +344,7 @@ def parse_mps(text: str):
     return model, table
 
 
+@nogc
 def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list[float]:
     """Parse ``name value`` lines into a dense assignment.
 

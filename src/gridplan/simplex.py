@@ -250,10 +250,9 @@ class _Simplex:
         self.b = problem.b
         self.cost = problem.cost
         # the bounds the dual simplex works in: the true ones, narrowed by a
-        # round's artificial bounds
+        # round's artificial bounds; each round's _start_round places x and
+        # status
         self.work_lo, self.work_up = self.lo, self.up
-
-        self._place_nonbasic(np.isfinite(self.up) & ~np.isfinite(self.lo))
         self.iterations = 0
 
     def _place_nonbasic(self, at_up):

@@ -47,6 +47,15 @@ def test_add_constraint_validates():
         m.add_constraint([(x, math.nan)], LE, 1.0)
 
 
+def test_row_and_column_records_are_slotted():
+    # a model holds tens of thousands of each: no per-instance dict
+    m = Milp()
+    x = m.add_variable(CONTINUOUS, 0.0, 1.0, "x")
+    m.add_constraint([(x, 1.0)], LE, 1.0)
+    for record in (m.variables[0], m.constraints[0]):
+        assert not hasattr(record, "__dict__")
+
+
 def test_objective_value_includes_offset():
     m = Milp()
     x = m.add_variable(CONTINUOUS, 0.0, 10.0, "x")

@@ -1,6 +1,8 @@
 """MPS writer/parser: byte fixed point, strictness, solution import."""
 
+import gc
 import hashlib
+import json
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
+from gridplan.case import parse_case
 from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp
 from gridplan.mps import (
     MpsError,
@@ -446,6 +449,54 @@ def test_values_round_trip_exactly():
     assert again.objective[0] == 1.0000000000000002
 
 
+def _sign(value: float) -> float:
+    return math.copysign(1.0, value)
+
+
+def test_signed_zeros_keep_their_spelling_and_sign():
+    # each value is formatted once per write, but 0.0 and -0.0 are one
+    # dict key: the two zeros alternate in each column's rows and in every
+    # valued bound form, so a memo that stored either would misspell the other
+    m = Milp()
+    for lo, up, name in [(-0.0, 1.0, "lo_neg"), (0.0, 2.0, "lo_pos"),
+                         (-1.0, -0.0, "up_neg"), (-2.0, 0.0, "up_pos"),
+                         (-0.0, -0.0, "fx_neg"), (0.0, 0.0, "fx_pos")]:
+        m.add_variable(CONTINUOUS, lo, up, name)
+    m.add_constraint([(0, 0.0), (1, -0.0), (2, 1.0)], LE, 1.0)
+    m.add_constraint([(0, -0.0), (1, 0.0), (3, 1.0)], GE, -1.0)
+    text = write_mps(m)
+    for line in ["    lo_neg    R0000001  0.0", "    lo_neg    R0000002  -0.0",
+                 "    lo_pos    R0000001  -0.0", "    lo_pos    R0000002  0.0",
+                 " LO BND       lo_neg    -0.0", " LO BND       lo_pos    0.0",
+                 " UP BND       up_neg    -0.0", " UP BND       up_pos    0.0",
+                 " FX BND       fx_neg    -0.0", " FX BND       fx_pos    0.0"]:
+        assert line + "\n" in text, line
+    again, _table = parse_mps(text)
+    assert write_mps(again) == text
+    for ours, theirs in zip(m.variables, again.variables):
+        assert (_sign(theirs.lower), _sign(theirs.upper)) == (_sign(ours.lower),
+                                                              _sign(ours.upper))
+    for ours, theirs in zip(m.constraints, again.constraints):
+        assert list(map(_sign, theirs.coefficients)) == list(map(_sign, ours.coefficients))
+
+
+def _spelled_signs(model):
+    """Sign of every value MPS text spells.  A zero right-hand side and a
+    zero offset are left out, a [0, 1] binary is written BV, and a fixed
+    column's one value is its lower bound, so those read back as +0.0 or as
+    the lower bound whatever their own sign."""
+    signs = []
+    for v in model.variables:
+        if not (v.kind == BINARY and v.lower == 0.0 and v.upper == 1.0):
+            signs += map(_sign, (v.lower,) if v.lower == v.upper else (v.lower, v.upper))
+    for con in model.constraints:
+        signs += map(_sign, con.coefficients + ((con.rhs,) if con.rhs else ()))
+    signs += map(_sign, model.objective.values())
+    if model.objective_offset:
+        signs.append(_sign(model.objective_offset))
+    return signs
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NAMES = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
                  max_size=6).filter(lambda name: not name.startswith("*"))
@@ -487,4 +538,78 @@ def test_write_parse_write_property(model):
     assert again.constraints == model.constraints
     assert again.objective == model.objective
     assert again.objective_offset == model.objective_offset
+    # == cannot tell -0.0 from 0.0
+    assert _spelled_signs(again) == _spelled_signs(model)
     assert table == column_name_table(model)
+
+
+# the four bulk passes pause the cyclic collector and restore its state
+
+def _negative_cost_case():
+    return parse_case(json.dumps({
+        "buses": [{"id": "a", "reference": True}, {"id": "b"}],
+        "generators": [{"id": "g", "bus": "a", "p_max": 10, "cost": -3}],
+        "branches": [{"id": "k", "from": "a", "to": "b", "x": 0.002, "rate": 5}],
+    }))
+
+
+def _badly_named_model():
+    m = Milp()
+    m.add_variable(CONTINUOUS, 0.0, 1.0, "has space")
+    return m
+
+
+@pytest.fixture
+def gc_state():
+    """Sets the collector on or off for a test and restores it after."""
+    enabled = gc.isenabled()
+
+    def set_state(on):
+        (gc.enable if on else gc.disable)()
+    yield set_state
+    set_state(enabled)
+
+
+_BULK_CALLS = {
+    "build_milp": lambda case: build_milp(case, Variant.SWITCH_ALL),
+    "write_mps": lambda case: write_mps(build_milp(case, Variant.STATIC)[0]),
+    "parse_mps": lambda case: parse_mps(write_mps(_feature_model())),
+    "read_solution": lambda case: read_solution("a 1.5\nb -2.0\n", {"a": 0, "b": 1}, 2),
+}
+_BULK_FAILURES = {
+    "build_milp": (lambda: build_milp(_negative_cost_case(), Variant.STATIC),
+                   ValueError, "negative cost"),
+    "write_mps": (lambda: write_mps(_badly_named_model()), MpsError, "unusable in MPS"),
+    "parse_mps": (lambda: parse_mps("ROWS\n N  COST\nBOGUS\n"), MpsError,
+                  "unknown section"),
+    "read_solution": (lambda: read_solution("z 1.0", {"a": 0}, 1), MpsError,
+                      "unknown variable"),
+}
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("name", list(_BULK_CALLS))
+def test_bulk_passes_leave_the_collector_as_they_found_it(name, on, gc_state, bundled):
+    case = bundled("eight_bus")
+    gc_state(on)
+    _BULK_CALLS[name](case)
+    assert gc.isenabled() is on
+    call, error, message = _BULK_FAILURES[name]
+    with pytest.raises(error, match=message):
+        call()
+    assert gc.isenabled() is on
+
+
+def test_model_round_trip_makes_no_reference_cycles(gc_state, bundled):
+    # with the collector paused, reference counting alone must free all
+    # that a build, write, parse and read cycle drops
+    case = bundled("eight_bus")
+    gc_state(False)
+    gc.collect()
+    for variant in Variant:
+        model, _index = build_milp(case, variant)
+        parsed, table = parse_mps(write_mps(model))
+        solution = "\n".join(f"{v.name} 0.0" for v in parsed.variables)
+        read_solution(solution, table, parsed.n_variables)
+    del model, _index, parsed, table, solution
+    assert gc.collect() == 0

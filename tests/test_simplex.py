@@ -239,6 +239,15 @@ def _scipy_solve(bounds, rows, c):
     )
 
 
+def _placed(simplex):
+    """``simplex`` with every column at a bound, the upper one only where
+    just that one is finite: the ``x`` and ``status`` that a round's
+    ``_start_round`` would otherwise set, for tests that read them without
+    running a round."""
+    simplex._place_nonbasic(np.isfinite(simplex.up) & ~np.isfinite(simplex.lo))
+    return simplex
+
+
 def _dual_bound_by_column(lp, y, d):
     """Reference for ``_Simplex._dual_bound``: its per-column definition."""
     total = float(y @ lp.b)
@@ -260,7 +269,7 @@ def test_dual_bound_matches_the_column_definition():
         bounds, rows, c = _random_instance(rng)
         dense = DenseLp([coefs for coefs, _s, _b in rows], [s for _c, s, _b in rows],
                         [b for _c, _s, b in rows], *zip(*bounds), c)
-        lp = _Simplex(dense, dense.lo, dense.up)
+        lp = _placed(_Simplex(dense, dense.lo, dense.up))
         y = rng.normal(size=lp.m)
         scale = rng.choice([0.0, 1e-10, 1e-6, 1.0], size=lp.lo.size)
         d = scale * rng.choice([-1.0, 1.0], size=scale.size) * rng.uniform(1, 9, scale.size)
@@ -845,7 +854,7 @@ def test_implicit_identity_products_match_the_explicit_standard_form(bundled):
     a_all = _standard_form(dense)
     m, n = dense.a.shape
     rng = np.random.default_rng(20261019)
-    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex = _placed(_Simplex(dense, dense.lo, dense.up))
     simplex.basis = dense.slack_basis.columns.copy()
     assert simplex._refresh()
 
@@ -892,7 +901,7 @@ def test_exchanged_tableau_reads_match_the_explicit_inverse(bundled):
     a_all = _standard_form(dense)
     m, n = dense.a.shape
     rng = np.random.default_rng(20261020)
-    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex = _placed(_Simplex(dense, dense.lo, dense.up))
     simplex.basis = dense.slack_basis.columns.copy()
     assert simplex._refresh()
 
@@ -929,7 +938,7 @@ def test_exchange_updates_only_rows_the_pivot_column_touches():
     m, n = 40, 25
     dense = DenseLp(np.zeros((m, n)), [LE] * m, np.zeros(m), np.zeros(n),
                     np.ones(n), np.zeros(n))
-    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex = _placed(_Simplex(dense, dense.lo, dense.up))
     simplex.basis = dense.slack_basis.columns.copy()
     simplex.nonbasic = np.arange(n)
     simplex.tableau = rng.standard_normal((m, n))
