@@ -329,8 +329,9 @@ def _check_duplicates(ids: list[str], kind: str, report: ValidationReport) -> No
 
 
 def _check_line(line, kind: str, known: set, report: ValidationReport) -> None:
-    if line.from_bus not in known or line.to_bus not in known:
-        report.errors.append(f"{kind} '{line.id}' references an unknown bus")
+    for bus in dict.fromkeys((line.from_bus, line.to_bus)):
+        if bus not in known:
+            report.errors.append(f"{kind} '{line.id}' references an unknown bus '{bus}'")
     if line.from_bus == line.to_bus:
         report.errors.append(f"{kind} '{line.id}' connects bus '{line.from_bus}' to itself")
     if line.x <= 0:
@@ -406,9 +407,10 @@ def validate_case(case: Case) -> ValidationReport:
     if case.angle_bound <= 0:
         report.errors.append(f"angle bound must be > 0, got {case.angle_bound}")
 
-    for (bus, t, s), mw in case.load_profile.base_load.items():
+    for bus in dict.fromkeys(bus for bus, _t, _s in case.load_profile.base_load):
         if bus not in known:
             report.errors.append(f"load profile references unknown bus '{bus}'")
+    for (bus, t, s), mw in case.load_profile.base_load.items():
         if not (1 <= t <= h.n_hours) or not (1 <= s <= h.n_seasons):
             report.errors.append(f"load entry ({bus}, t={t}, s={s}) is outside the horizon")
         if not math.isfinite(mw):

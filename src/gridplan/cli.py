@@ -2,8 +2,14 @@
 
 Subcommands mirror the library pipeline: ``validate`` checks a case file,
 ``build`` exports a model as MPS without solving, ``solve`` runs one
-variant and writes its plan, ``compare`` runs all three variants and
-writes the combined cost, investment, and switching report.
+variant and ``compare`` runs all three.  ``solve`` and ``compare`` share
+one run path and write one artifact set: ``report.txt``, ``summary.csv``,
+``investment.csv``, ``switching.csv`` and a ``plan_<variant>.csv`` per
+variant; savings are filled in against the static plan when static is
+among the variants run.  If any variant ends without a plan, the run
+prints ``no plan for <missing> (<variant>: <status>, ...)`` and writes
+nothing.  A case that fails validation prints each finding once, as
+``validate`` does, and builds nothing.
 
 Exit codes: 0 when every requested solve finished at proven optimality or
 within the requested gap, 1 when a solve hit a limit or the case is
@@ -22,7 +28,6 @@ from pathlib import Path
 
 from .branch_bound import (
     GAP_LIMIT,
-    INFEASIBLE,
     OPTIMAL,
     SolveOutcome,
     SolveParams,
@@ -77,22 +82,14 @@ def _solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="gridplan-out", help="output directory")
 
 
-def _load_checked(path: str) -> Case:
+def _load_checked(path: str) -> Case | None:
+    """Load a case, or print its findings and return None if it is invalid."""
     case = load_case(path)
     report = validate_case(case)
-    if not report.ok:
-        raise CaseError(str(report))
-    return case
-
-
-def _solve_variant(case: Case, variant: Variant,
-                   params: SolveParams) -> tuple[SolveOutcome, Plan | None]:
-    model, index = build_milp(case, variant)
-    outcome = solve_milp(model, params)
-    plan = None
-    if outcome.assignment is not None:
-        plan = decode_plan(case, variant, index, outcome.assignment)
-    return outcome, plan
+    if report.ok:
+        return case
+    print(report, file=sys.stderr)
+    return None
 
 
 def _header(command: str, case: Case, params: SolveParams,
@@ -130,6 +127,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     case = _load_checked(args.case)
+    if case is None:
+        return 2
     model, _index = build_milp(case, args.variant)
     if args.mps is not None:
         path = Path(args.mps)
@@ -141,63 +140,49 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exit_code(outcomes: dict[Variant, SolveOutcome]) -> int:
-    if all(o.status in (OPTIMAL, GAP_LIMIT) for o in outcomes.values()):
-        return 0
-    return 1
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, variants: tuple[Variant, ...]) -> int:
+    """Solve ``variants`` and write their artifact set, or nothing if one has no plan."""
     case = _load_checked(args.case)
-    params = SolveParams(mip_gap=args.gap, time_limit=args.timelim)
-    outcome, plan = _solve_variant(case, args.variant, params)
-    outcomes = {args.variant: outcome}
-    if plan is None:
-        print(f"{args.variant.value}: {outcome.status}; no plan to write",
-              file=sys.stderr)
-        return 1
-    text, _csvs = render_report(
-        {args.variant: plan}, {},
-        n_seasons=case.horizon.n_seasons, n_epochs=case.horizon.n_epochs,
-    )
-    out = Path(args.out)
-    _write(out, "report.txt", _header("solve", case, params, outcomes) + text)
-    _write(out, f"plan_{args.variant.value}.csv", render_plan_csv(plan))
-    return _exit_code(outcomes)
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    case = _load_checked(args.case)
+    if case is None:
+        return 2
     params = SolveParams(mip_gap=args.gap, time_limit=args.timelim)
     outcomes: dict[Variant, SolveOutcome] = {}
     plans: dict[Variant, Plan] = {}
-    for variant in VARIANT_ORDER:
-        outcome, plan = _solve_variant(case, variant, params)
-        outcomes[variant] = outcome
-        if plan is not None:
-            plans[variant] = plan
-    missing = [v.value for v in VARIANT_ORDER if v not in plans]
+    for variant in variants:
+        model, index = build_milp(case, variant)
+        outcomes[variant] = outcome = solve_milp(model, params)
+        if outcome.assignment is not None:
+            plans[variant] = decode_plan(case, variant, index, outcome.assignment)
+    missing = [v.value for v in variants if v not in plans]
     if missing:
-        statuses = ", ".join(
-            f"{v.value}: {outcomes[v].status}" for v in VARIANT_ORDER
-        )
+        statuses = ", ".join(f"{v.value}: {o.status}" for v, o in outcomes.items())
         print(f"no plan for {', '.join(missing)} ({statuses})", file=sys.stderr)
         return 1
-    metrics = {
-        v: compute_metrics(plans[Variant.STATIC].tc, plans[v].tc)
-        for v in (Variant.SWITCH_EXISTING, Variant.SWITCH_ALL)
-    }
+    metrics = {}
+    if Variant.STATIC in plans:
+        baseline = plans[Variant.STATIC].tc
+        metrics = {v: compute_metrics(baseline, plan.tc)
+                   for v, plan in plans.items() if v is not Variant.STATIC}
     text, csvs = render_report(
         plans, metrics,
         n_seasons=case.horizon.n_seasons, n_epochs=case.horizon.n_epochs,
     )
     out = Path(args.out)
-    _write(out, "report.txt", _header("compare", case, params, outcomes) + text)
+    _write(out, "report.txt", _header(args.command, case, params, outcomes) + text)
     for name, content in csvs.items():
         _write(out, name, content)
     for variant, plan in plans.items():
         _write(out, f"plan_{variant.value}.csv", render_plan_csv(plan))
-    return _exit_code(outcomes)
+    ok = all(o.status in (OPTIMAL, GAP_LIMIT) for o in outcomes.values())
+    return 0 if ok else 1
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    return _run(args, (args.variant,))
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    return _run(args, VARIANT_ORDER)
 
 
 def run_cli(argv: list[str] | None = None) -> int:

@@ -3,9 +3,15 @@
 The writer emits deterministic, byte-reproducible fixed-format MPS: columns
 appear in model order with one (row, value) pair per line, every variable
 gets an explicit BOUNDS entry (no reliance on reader defaults), binaries sit
-inside INTORG/INTEND markers, and values are printed with ``repr`` so they
-round-trip exactly.  Writing a parsed model reproduces the original text
-byte for byte.  Each line is formatted once: every row name is padded to
+inside INTORG/INTEND markers, and values are printed with ``repr``.  The
+text is a byte fixed point: writing a parsed model reproduces the original
+text byte for byte.  Every value the text spells reads back with the same
+bits, sign included, but some zeros are not spelled and lose their sign:
+a zero right-hand side or objective offset is not written and reads back
+``0.0``, a ``[-0.0, 1.0]`` binary is written ``BV`` and reads back
+``[0.0, 1.0]``, and a ``[-0.0, 0.0]`` column (the builder's reference
+angles) is written ``FX -0.0`` and reads back ``[-0.0, -0.0]``.  A model
+read back equals the written one under ``==``.  Each line is formatted once: every row name is padded to
 the field width once, every column name once per column, and a COLUMNS,
 RHS or BOUNDS line is one concatenation of padded fields ending in the
 value's ``repr``.  Each distinct value is formatted once per write, since

@@ -245,6 +245,31 @@ def test_validate_flags_fatal_findings():
         assert fragment in text, fragment
 
 
+def test_validate_names_each_unknown_bus_once():
+    case = _valid_case()
+    horizon = Horizon(n_seasons=4, n_hours=24)
+    load = {("zz", t, s): 1.0 for t in range(1, 25) for s in range(1, 5)}
+    load[("b", 1, 1)] = 2.0
+    bad = Case(
+        buses=case.buses,
+        generators=case.generators,
+        branches=(Branch("k2", "y", "w", x=0.002, rate=5),
+                  Branch("k3", "v", "v", x=0.002, rate=5)),
+        candidates=(CandidateLine("c", "a", "q", x=0.002, rate=5, capital_cost=1),),
+        horizon=horizon,
+        load_profile=LoadProfile(load),
+    )
+    errors = validate_case(bad).errors
+    unknown = [e for e in errors if "unknown bus" in e]
+    assert unknown == [
+        "branch 'k2' references an unknown bus 'y'",
+        "branch 'k2' references an unknown bus 'w'",
+        "branch 'k3' references an unknown bus 'v'",
+        "candidate 'c' references an unknown bus 'q'",
+        "load profile references unknown bus 'zz'",
+    ]
+
+
 def test_validate_flags_non_finite_numbers():
     # json.loads accepts the NaN and Infinity literals
     doc = (MINIMAL.replace('"x": 0.002', '"x": NaN').replace('"p_max": 10', '"p_max": Infinity')

@@ -10,6 +10,9 @@ import pytest
 
 from gridplan.case import render_case
 from gridplan.cli import run_cli
+from gridplan.report import VARIANT_ORDER
+
+from conftest import ALL_CASES
 
 
 @pytest.fixture()
@@ -38,6 +41,27 @@ def test_validate_broken_case_exits_2(tmp_path, capsys):
     assert run_cli(["validate", str(path)]) == 2
     out = capsys.readouterr().out
     assert "negative cost" in out and "nonpositive rate" in out
+
+
+@pytest.mark.parametrize("argv", [["solve", "--variant", "static"], ["compare"],
+                                  ["build", "--variant", "static"]])
+def test_invalid_case_prints_each_finding_once(tmp_path, capsys, argv):
+    doc = {
+        "buses": [{"id": "a", "reference": True}, {"id": "b"}],
+        "generators": [{"id": "g", "bus": "a", "p_min": 1, "p_max": 10, "cost": -3}],
+        "branches": [{"id": "k", "from": "a", "to": "b", "x": 0.002, "rate": 0}],
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run_cli([argv[0], str(path), *argv[1:], "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: generator 'g' has negative cost -3.0",
+        "error: branch 'k' has nonpositive rate 0.0",
+        "warning: generator 'g' has p_min 1.0 > 0; commitment decisions are "
+        "not modeled, the unit is always on",
+    ]
+    assert not out_dir.exists()
 
 
 def test_input_errors_exit_2(case_file, tmp_path, capsys):
@@ -123,6 +147,22 @@ def test_solve_writes_plan_and_report(case_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_solve_writes_what_compare_writes_for_its_variant(case_file, tmp_path, capsys, name):
+    case = case_file(name)
+    assert run_cli(["compare", case, "--out", str(tmp_path / "cmp")]) == 0
+    for variant in VARIANT_ORDER:
+        out_dir = tmp_path / variant.value
+        assert run_cli(["solve", case, "--variant", variant.value,
+                        "--out", str(out_dir)]) == 0
+        plan = f"plan_{variant.value}.csv"
+        assert {p.name for p in out_dir.iterdir()} == {
+            "report.txt", "summary.csv", "investment.csv", "switching.csv", plan,
+        }
+        assert (out_dir / plan).read_text() == (tmp_path / "cmp" / plan).read_text()
+    capsys.readouterr()
+
+
 def test_solve_honors_flags_in_header(case_file, tmp_path, capsys):
     out_dir = tmp_path / "flagged"
     code = run_cli(["solve", case_file("two_bus"), "--variant", "static",
@@ -172,7 +212,8 @@ def test_infeasible_case_exits_1(tmp_path, capsys):
     assert run_cli(["solve", str(path), "--variant", "static",
                     "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "infeasible" in err
+    assert "no plan for static (static: infeasible)" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_time_limit_exits_1(case_file, tmp_path, capsys):
@@ -180,7 +221,8 @@ def test_time_limit_exits_1(case_file, tmp_path, capsys):
                     "--timelim", "1e-9", "--out", str(tmp_path / "t")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "switch-all: time_limit; no plan to write" in err
+    assert "no plan for switch-all (switch-all: time_limit)" in err
+    assert not (tmp_path / "t").exists()
 
 
 def test_compare_time_limit_exits_1(case_file, tmp_path, capsys):
