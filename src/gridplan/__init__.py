@@ -7,37 +7,14 @@ native LP/branch-and-bound stack solves the models, an enumeration oracle
 certifies small instances, and MPS export connects external solvers.
 """
 
-from .branch_bound import (
-    SolveOutcome,
-    SolveParams,
-    enumerate_exact,
-    solve_milp,
-)
+from .branch_bound import SolveOutcome, SolveParams, enumerate_exact, solve_milp
 from .builder import (
-    Plan,
-    VariableIndex,
-    Variant,
-    branch_big_m,
-    build_milp,
-    decode_plan,
-    freeze_switching,
-    investment_multiplier,
+    Plan, VariableIndex, Variant, branch_big_m, build_milp, decode_plan,
+    freeze_switching, investment_multiplier,
 )
 from .case import (
-    Branch,
-    Bus,
-    CandidateLine,
-    Case,
-    CaseError,
-    Generator,
-    Horizon,
-    LoadProfile,
-    ValidationReport,
-    grow_load,
-    load_case,
-    parse_case,
-    render_case,
-    validate_case,
+    Branch, Bus, CandidateLine, Case, CaseError, Generator, Horizon, LoadProfile,
+    ValidationReport, grow_load, load_case, parse_case, render_case, validate_case,
 )
 from .cli import run_cli
 from .milp import Milp, evaluate_assignment
@@ -47,44 +24,6 @@ from .simplex import LpOutcome, solve_lp
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Bus",
-    "CandidateLine",
-    "Case",
-    "CaseError",
-    "Generator",
-    "Horizon",
-    "LoadProfile",
-    "LpOutcome",
-    "Metrics",
-    "Milp",
-    "MpsError",
-    "Plan",
-    "SolveOutcome",
-    "SolveParams",
-    "ValidationReport",
-    "VariableIndex",
-    "Variant",
-    "branch_big_m",
-    "build_milp",
-    "compute_metrics",
-    "decode_plan",
-    "enumerate_exact",
-    "evaluate_assignment",
-    "freeze_switching",
-    "grow_load",
-    "investment_multiplier",
-    "load_case",
-    "parse_case",
-    "parse_mps",
-    "read_solution",
-    "render_case",
-    "render_plan_csv",
-    "render_report",
-    "run_cli",
-    "solve_lp",
-    "solve_milp",
-    "validate_case",
-    "write_mps",
-]
+# the public API is every class and function imported above
+__all__ = sorted(name for name, value in list(globals().items())
+                 if getattr(value, "__module__", "").startswith("gridplan."))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .milp import FEASIBILITY_TOL, Milp, evaluate_assignment
+from .milp import FEASIBILITY_TOL, SENSES, Milp, evaluate_assignment
 from .simplex import DenseLp
 
 OPTIMAL = "optimal"
@@ -336,7 +336,7 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
         k, nc = block_bits.size, cols.size
         sub_cols = np.concatenate([cols, bins[block_bits]])
         sub = DenseLp(dense.a[np.ix_(rows, sub_cols)],
-                      [model.constraints[i].sense for i in rows], dense.b[rows],
+                      [SENSES[model.row_sense[i]] for i in rows], dense.b[rows],
                       dense.lo[sub_cols], dense.up[sub_cols],
                       np.concatenate([dense.c[cols], np.zeros(k)]))
         objs = np.empty(1 << k)

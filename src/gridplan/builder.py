@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .case import CandidateLine, Case, grow_load, validate_case
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment, nogc
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 
 
 class Variant(Enum):
@@ -101,7 +101,6 @@ def branch_big_m(reactance: float, angle_bound: float) -> float:
     return 2.0 * angle_bound / reactance
 
 
-@nogc
 def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     """Assemble the MILP for ``case`` under ``variant``.
 

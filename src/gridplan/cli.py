@@ -6,7 +6,8 @@ variant and ``compare`` runs all three.  ``solve`` and ``compare`` share
 one run path and write one artifact set: ``report.txt``, ``summary.csv``,
 ``investment.csv``, ``switching.csv`` and a ``plan_<variant>.csv`` per
 variant; savings are filled in against the static plan when static is
-among the variants run.  If any variant ends without a plan, the run
+among the variants run, and read ``N/A`` when the static plan costs
+nothing.  If any variant ends without a plan, the run
 prints ``no plan for <missing> (<variant>: <status>, ...)`` and writes
 nothing.  A case that fails validation prints each finding once, as
 ``validate`` does, and builds nothing.
@@ -161,7 +162,8 @@ def _run(args: argparse.Namespace, variants: tuple[Variant, ...]) -> int:
     metrics = {}
     if Variant.STATIC in plans:
         baseline = plans[Variant.STATIC].tc
-        metrics = {v: compute_metrics(baseline, plan.tc)
+        # no saving is defined against a baseline that costs nothing
+        metrics = {v: compute_metrics(baseline, plan.tc) if baseline else None
                    for v, plan in plans.items() if v is not Variant.STATIC}
     text, csvs = render_report(
         plans, metrics,

@@ -6,21 +6,29 @@ against the algebra that produced it.  Assignments are evaluated from the
 stored data with compensated summation, making the evaluator a reliable
 referee between solvers.
 
-A model holds tens of thousands of row and column records, so both are
-slotted, and the bulk passes over whole models (``build_milp``,
-``write_mps``, ``parse_mps`` and ``read_solution``) run under ``nogc``:
-they create hundreds of thousands of short-lived containers and no
-reference cycles, so reference counting frees everything they drop and the
-cyclic collector's passes over the live models are pure cost.
+A model holds tens of thousands of rows and columns, so it keeps them in
+typed arrays, not one record each: per column a binary flag, bounds and a
+name; per row, in compressed sparse row form, the end of its terms in the
+column-id and coefficient arrays, a sense code (its index in ``SENSES``)
+and a right-hand side.  A row keeps its terms in the order given.  The
+append methods check their input and extend the arrays; ``parse_mps``
+fills them in bulk.  ``variables`` and ``constraints`` build one slotted
+record per column or row on each read, for tests and demos; no stage of
+the package reads them.  A model is a dozen containers and its names
+however large it is, so the cyclic garbage collector, which traverses
+containers, has almost nothing in it to visit.
 """
 
 from __future__ import annotations
 
-import functools
-import gc
+import copy
 import math
 import operator
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import compress, count
+
+import numpy as np
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -29,30 +37,13 @@ LE = "<="
 GE = ">="
 EQ = "="
 
-_SENSES = (LE, GE, EQ)
+# a row's sense code is the index of its sense here
+SENSES = (LE, GE, EQ)
+_SENSE_CODES = {sense: code for code, sense in enumerate(SENSES)}
+_KINDS = (CONTINUOUS, BINARY)      # indexed by the binary flag
 
 # largest violation of a row, bound or integrality a feasible assignment has
 FEASIBILITY_TOL = 1e-6
-
-
-def nogc(func):
-    """Run ``func`` with the cyclic garbage collector paused.
-
-    The collector is re-enabled afterwards only if it was enabled on entry,
-    so nested calls, raising calls and callers that turned it off all leave
-    its state as they found it.  Only for functions that create no
-    reference cycles: reference counting still frees all they drop.
-    """
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return wrapper
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,83 +62,108 @@ class LinearConstraint:
     sense: str           # one of "<=", ">=", "="
     rhs: float
 
-    def activity(self, x) -> float:
-        return math.fsum(map(operator.mul, self.coefficients,
-                             map(x.__getitem__, self.columns)))
 
-    def violation(self, x) -> float:
-        """Absolute constraint violation at ``x`` (0 when satisfied).
-
-        Scaling a row and its rhs by a positive factor scales this value by
-        the same factor; violations are never normalized.
-        """
-        a = self.activity(x)
-        if self.sense == LE:
-            return max(0.0, a - self.rhs)
-        if self.sense == GE:
-            return max(0.0, self.rhs - a)
-        return abs(a - self.rhs)
+def _check_bounds(kind: str, lower: float, upper: float, name: str) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown variable kind '{kind}'")
+    if not lower <= upper:
+        raise ValueError(f"variable '{name}': lower bound {lower} exceeds upper {upper}")
+    if lower == math.inf or upper == -math.inf:
+        raise ValueError(f"variable '{name}': bounds leave no finite value")
+    if kind == BINARY and (lower < 0 or upper > 1):
+        raise ValueError(f"binary variable '{name}' must have bounds within [0, 1]")
 
 
-@dataclass
 class Milp:
-    """Minimization MILP: typed bounded variables, rows, sparse objective."""
+    """Minimization MILP: typed bounded variables, rows, sparse objective.
 
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[LinearConstraint] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    objective_offset: float = 0.0
+    The arrays below are the model: read them, change them only through the
+    methods, which keep them checked and consistent."""
+
+    def __init__(self):
+        # columns
+        self.is_binary = bytearray()          # 1 for a binary column
+        self.lower = array("d")
+        self.upper = array("d")
+        self.names: list[str] = []
+        # rows: row i's terms are row_col/row_coef[row_end[i - 1]:row_end[i]]
+        self.row_end = array("q")
+        self.row_col = array("q")
+        self.row_coef = array("d")
+        self.row_sense = bytearray()          # index into SENSES
+        self.rhs = array("d")
+        self.objective: dict[int, float] = {}
+        self.objective_offset = 0.0
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.lower)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+    @property
+    def variables(self) -> list[Variable]:
+        """One record per column, built on each read."""
+        return list(map(Variable, count(), map(_KINDS.__getitem__, self.is_binary),
+                        self.lower, self.upper, self.names))
+
+    @property
+    def constraints(self) -> list[LinearConstraint]:
+        """One record per row, built on each read."""
+        cols, coefs = self.row_col.tolist(), self.row_coef.tolist()
+        starts = [0, *self.row_end[:-1]]
+        return [LinearConstraint(tuple(cols[s:e]), tuple(coefs[s:e]), SENSES[code], rhs)
+                for s, e, code, rhs in zip(starts, self.row_end, self.row_sense, self.rhs)]
+
+    def entries(self):
+        """(row, column, coefficient) of every term in row order, as new
+        numpy arrays that do not pin the model's own."""
+        ends = np.array(self.row_end, dtype=np.int64)
+        rows = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
+        return rows, np.array(self.row_col, dtype=np.int64), np.array(self.row_coef)
 
     def binary_columns(self) -> list[int]:
-        return [v.column for v in self.variables if v.kind == BINARY]
+        return list(compress(range(self.n_variables), self.is_binary))
 
     def add_variable(self, kind: str, lower: float, upper: float, name: str = "") -> int:
-        if kind not in (CONTINUOUS, BINARY):
-            raise ValueError(f"unknown variable kind '{kind}'")
-        if not lower <= upper:
-            raise ValueError(f"variable '{name}': lower bound {lower} exceeds upper {upper}")
-        if lower == math.inf or upper == -math.inf:
-            raise ValueError(f"variable '{name}': bounds leave no finite value")
-        if kind == BINARY and (lower < 0 or upper > 1):
-            raise ValueError(f"binary variable '{name}' must have bounds within [0, 1]")
-        column = len(self.variables)
-        self.variables.append(Variable(column, kind, float(lower), float(upper), name))
-        return column
+        _check_bounds(kind, lower, upper, name)
+        lower, upper = float(lower), float(upper)
+        self.lower.append(lower)
+        self.upper.append(upper)
+        self.is_binary.append(kind == BINARY)
+        self.names.append(name)
+        return len(self.names) - 1
 
     def add_constraint(self, terms, sense: str, rhs: float) -> int:
         """Append a row given ``terms`` as an iterable of (column, coefficient)."""
-        if sense not in _SENSES:
+        code = _SENSE_CODES.get(sense)
+        if code is None:
             raise ValueError(f"unknown constraint sense '{sense}'")
-        cols = []
-        coefs = []
-        seen = set()
+        n, isfinite = len(self.lower), math.isfinite
+        cols, coefs, seen = [], [], set()
         for col, coef in terms:
-            if not 0 <= col < len(self.variables):
+            if not 0 <= col < n:
                 raise ValueError(f"constraint references unknown column {col}")
             if col in seen:
                 raise ValueError(f"duplicate column {col} in constraint terms")
-            if not math.isfinite(coef):
+            if not isfinite(coef):
                 raise ValueError(f"non-finite coefficient {coef} for column {col}")
             seen.add(col)
             cols.append(col)
-            coefs.append(float(coef))
-        if not math.isfinite(rhs):
+            coefs.append(coef)
+        if not isfinite(rhs):
             raise ValueError(f"non-finite right-hand side {rhs}")
-        self.constraints.append(
-            LinearConstraint(tuple(cols), tuple(coefs), sense, float(rhs))
-        )
-        return len(self.constraints) - 1
+        self.row_col.fromlist(cols)     # all or nothing
+        self.row_coef.fromlist(coefs)
+        self.row_end.append(len(self.row_col))
+        self.row_sense.append(code)
+        self.rhs.append(rhs)
+        return len(self.rhs) - 1
 
     def set_objective_coefficient(self, column: int, coefficient: float) -> None:
-        if not 0 <= column < len(self.variables):
+        if not 0 <= column < len(self.lower):
             raise ValueError(f"objective references unknown column {column}")
         if not math.isfinite(coefficient):
             raise ValueError(f"non-finite objective coefficient {coefficient}")
@@ -161,22 +177,17 @@ class Milp:
         return math.fsum(c * x[j] for j, c in terms) + self.objective_offset
 
     def copy(self) -> "Milp":
-        """Independent copy; rows and variables are immutable and shared."""
-        model = Milp()
-        model.variables = list(self.variables)
-        model.constraints = list(self.constraints)
-        model.objective = dict(self.objective)
-        model.objective_offset = self.objective_offset
-        return model
+        """Independent copy."""
+        return copy.deepcopy(self)
 
     def with_bounds(self, column: int, lower: float, upper: float) -> None:
-        """Replace one variable's bounds in place (used to pin binaries)."""
-        if not 0 <= column < len(self.variables):
+        """Replace one variable's bounds in place (used to pin binaries);
+        checked as ``add_variable`` checks them."""
+        if not 0 <= column < len(self.lower):
             raise ValueError(f"bounds reference unknown column {column}")
-        old = self.variables[column]
-        if not lower <= upper:
-            raise ValueError(f"lower bound {lower} exceeds upper {upper}")
-        self.variables[column] = Variable(old.column, old.kind, float(lower), float(upper), old.name)
+        _check_bounds(_KINDS[self.is_binary[column]], lower, upper, self.names[column])
+        self.lower[column] = float(lower)
+        self.upper[column] = float(upper)
 
 
 @dataclass(frozen=True)
@@ -194,27 +205,33 @@ def evaluate_assignment(model: Milp, assignment) -> Evaluation:
     Pure function of its inputs: identical inputs give bit-identical results.
     Feasible means every violation maximum is at most ``FEASIBILITY_TOL``;
     all violations are absolute.  A NaN or infinite entry violates its
-    bounds by infinity, so it is never feasible.
+    bounds, and a binary's integrality, by infinity, so it is never feasible.  A row's activity is the
+    correctly rounded sum (``math.fsum``) of its terms' products.
     """
     if len(assignment) != model.n_variables:
         raise ValueError(
             f"assignment has {len(assignment)} entries, model has {model.n_variables} columns"
         )
-    row_violation = 0.0
-    for con in model.constraints:
-        row_violation = max(row_violation, con.violation(assignment))
+    products = list(map(operator.mul, model.row_coef,
+                        map(assignment.__getitem__, model.row_col)))
+    row_violation = 0.0     # a NaN violation never replaces it, as with max()
+    start = 0
+    for end, code, rhs in zip(model.row_end, model.row_sense, model.rhs):
+        excess = math.fsum(products[start:end]) - rhs
+        start = end
+        violation = (excess, -excess, abs(excess))[code]      # LE, GE, EQ
+        if violation > row_violation:
+            row_violation = violation
     bound_violation = 0.0
     integrality_violation = 0.0
-    for v in model.variables:
-        x = assignment[v.column]
+    for lower, upper, x in zip(model.lower, model.upper, assignment):
         if not math.isfinite(x):
             bound_violation = math.inf  # max() would drop a NaN
-        bound_violation = max(bound_violation, v.lower - x, x - v.upper)
+        bound_violation = max(bound_violation, lower - x, x - upper)
     bound_violation = max(bound_violation, 0.0)
-    for v in model.variables:
-        if v.kind == BINARY:
-            x = assignment[v.column]
-            integrality_violation = max(integrality_violation, abs(x - round(x)))
+    for x in compress(assignment, model.is_binary):
+        integrality_violation = max(integrality_violation,
+                                    abs(x - round(x)) if math.isfinite(x) else math.inf)
     return Evaluation(
         objective=model.objective_value(assignment),
         max_constraint_violation=row_violation,

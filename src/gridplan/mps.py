@@ -11,13 +11,14 @@ a zero right-hand side or objective offset is not written and reads back
 ``0.0``, a ``[-0.0, 1.0]`` binary is written ``BV`` and reads back
 ``[0.0, 1.0]``, and a ``[-0.0, 0.0]`` column (the builder's reference
 angles) is written ``FX -0.0`` and reads back ``[-0.0, -0.0]``.  A model
-read back equals the written one under ``==``.  Each line is formatted once: every row name is padded to
-the field width once, every column name once per column, and a COLUMNS,
-RHS or BOUNDS line is one concatenation of padded fields ending in the
-value's ``repr``.  Each distinct value is formatted once per write, since
-a model repeats few coefficients, bounds and right-hand sides many times;
-zeros bypass that memo, as ``0.0`` and ``-0.0`` are one dict key but two
-spellings.
+read back equals the written one under ``==`` once each row's terms are
+sorted by column.
+
+The writer reads the model's arrays.  One stable argsort of the terms by
+column gives each column's entries in row order.  The text is one join of
+line fragments: each row and column name is padded once, and each distinct
+value is spelled once per write (zeros bypass that memo, as ``0.0`` and
+``-0.0`` are one dict key but two spellings).
 
 The parser is deliberately stricter than the zoo of MPS dialects: names are
 whitespace-delimited tokens, duplicate entries are errors rather than
@@ -27,35 +28,35 @@ has no general integers).  RANGES sections are accepted and expanded into
 constraint pairs.  A column name must not start with ``*``, since a line
 whose first token does is a comment.
 
-The parser makes one pass over the lines.  A column gets its index, its
-binary flag (from the marker state) and its default bounds on its first
-COLUMNS line.  COLUMNS, RHS and RANGES lines share one reader of
-``<name> <row> <value> [<row> <value>]`` pairs, which files each value
-under its row.  A BOUNDS line updates its column's bounds when read.  After
-the loop only the model is assembled: variables, then rows, then the
-objective and its offset.  Pair lines are most of a file, so the loop
-tests for them first: a COLUMNS line that continues the previous line's
-column reuses its index without a table lookup, and each value is read
-inline with one ``float`` and one ``isfinite``.  Blank and comment lines
-are recognised from the split tokens.
+The parser makes one pass over the lines.  A column gets its index, binary
+flag (from the marker state) and default bounds on its first COLUMNS line;
+a BOUNDS line updates its bounds.  COLUMNS, RHS and RANGES lines share one
+reader of ``<name> <row> <value> [<row> <value>]`` pairs that files each
+value as a flat (row, key, value) triple, the key being the column index
+or a tag for RHS and RANGES.  After the loop one ``np.lexsort`` by (row,
+key) assembles the rows, each with its terms sorted by column, and finds
+repeated entries as equal neighbours.  A repeat is reported at its own
+line, found by recounting, and before any error on a later line.
 
 Solutions from external solvers come back as plain ``name value`` lines;
 names that do not belong to the model are rejected so a stale file cannot
 be decoded silently against the wrong model.
-
-The writer, the parser and the solution reader pause the cyclic garbage
-collector (see ``milp.nogc``).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
+from itertools import chain, islice, repeat
 
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, nogc
+import numpy as np
 
-_SENSE_TO_TAG = {LE: "L", GE: "G", EQ: "E"}
-_TAG_TO_SENSE = {"L": LE, "G": GE, "E": EQ}
+from .milp import Milp
+
+_TAGS = "LGE"           # the ROWS tag of each sense code, in SENSES order
+_TAG_CODES = {tag: code for code, tag in enumerate(_TAGS)}
+_LE, _GE = 0, 1         # sense codes
 
 _OBJ_ROW = "COST"
 _RHS_SET = "RHS1"
@@ -82,19 +83,13 @@ def column_name_table(model: Milp) -> dict[str, int]:
     indexing bug upstream.
     """
     table: dict[str, int] = {}
-    for v in model.variables:
-        if _NAME.fullmatch(v.name) is None:
-            raise MpsError(
-                f"column {v.column} has name {v.name!r}, unusable in MPS"
-            )
-        if v.name in table:
-            raise MpsError(f"duplicate column name {v.name!r}")
-        table[v.name] = v.column
+    for column, name in enumerate(model.names):
+        if _NAME.fullmatch(name) is None:
+            raise MpsError(f"column {column} has name {name!r}, unusable in MPS")
+        if name in table:
+            raise MpsError(f"duplicate column name {name!r}")
+        table[name] = column
     return table
-
-
-def _row_names(model: Milp) -> list[str]:
-    return [f"R{i + 1:07d}" for i in range(model.n_constraints)]
 
 
 class _Spellings(dict):
@@ -108,7 +103,6 @@ class _Spellings(dict):
         return text
 
 
-@nogc
 def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     """Render ``model`` as fixed-format MPS text.
 
@@ -117,71 +111,78 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     """
     column_name_table(model)        # refuses names MPS cannot carry
     spell = _Spellings()
-    rows = _row_names(model)
-    width = max((len(s) for s in [v.name for v in model.variables] + rows
-                 + [_OBJ_ROW, _RHS_SET, _BOUND_SET]), default=8)
-    obj_field = f"{_OBJ_ROW:<{width}}  "
+    names = model.names
+    rows = [f"R{i + 1:07d}" for i in range(model.n_constraints)]
+    # the last row name is the longest
+    width = max(map(len, [*names, *rows[-1:], _OBJ_ROW, _RHS_SET, _BOUND_SET]))
+    # padded name fields: each row's, then the objective row's at index m
+    fields = [f"{row:<{width}}  " for row in [*rows, _OBJ_ROW]]
+    padded = [f"{col_name:<{width}}  " for col_name in names]
 
-    out = [f"NAME          {name}", "ROWS", f" N  {_OBJ_ROW}"]
-    out += [f" {_SENSE_TO_TAG[con.sense]}  {row}"
-            for row, con in zip(rows, model.constraints)]
+    # the text is one join of fragments, each line's fields and its newline
+    text = [f"NAME          {name}\nROWS\n N  {_OBJ_ROW}\n"]
+    tags = [f" {tag}  " for tag in _TAGS]
+    text += chain.from_iterable(zip(map(tags.__getitem__, model.row_sense), rows,
+                                    repeat("\n")))
 
-    # each column's (padded row name, coefficient) entries, in row order
-    terms_by_col: list[list[tuple[str, float]]] = [[] for _ in model.variables]
-    row_fields = [f"{row:<{width}}  " for row in rows]
-    for row_field, con in zip(row_fields, model.constraints):
-        for col, coef in zip(con.columns, con.coefficients):
-            terms_by_col[col].append((row_field, coef))
-    for col, coef in model.objective.items():
-        terms_by_col[col].append((obj_field, coef))
+    # COLUMNS entries (column, field, value): the rows' terms, the
+    # objective's, and a zero objective term declaring each column that has
+    # neither; one stable sort by column keeps each column's in that order
+    term_rows, term_cols, coefs = model.entries()
+    obj_cols = np.fromiter(model.objective, np.int64, len(model.objective))
+    unused = np.flatnonzero(np.bincount(np.concatenate([term_cols, obj_cols]),
+                                        minlength=len(names)) == 0)
+    cols = np.concatenate([term_cols, obj_cols, unused])
+    by_col = np.argsort(cols, kind="stable")
+    cols = cols[by_col]
+    field_ids = np.concatenate([term_rows, np.full(obj_cols.size + unused.size, len(rows))])
+    values = np.concatenate([coefs, np.fromiter(model.objective.values(), float, obj_cols.size),
+                             np.zeros(unused.size)])
+    heads = ["    " + pad for pad in padded]
+    lines = zip(map(heads.__getitem__, cols.tolist()),
+                map(fields.__getitem__, field_ids[by_col].tolist()),
+                map(spell.__getitem__, values[by_col].tolist()), repeat("\n"))
+    # a marker line goes before the first entry of each column whose kind
+    # differs from the one before, and at the end after a binary run
+    flips = np.flatnonzero(np.diff(np.frombuffer(model.is_binary, np.uint8),
+                                   prepend=0, append=0))
+    text.append("COLUMNS\n")
+    done = 0
+    for k, at in enumerate(np.searchsorted(cols, flips).tolist()):
+        text += chain.from_iterable(islice(lines, at - done))
+        text.append(_MARKER_OFF if k % 2 else _MARKER_ON)
+        text.append("\n")
+        done = at
+    text += chain.from_iterable(lines)
+    # freed before the text is joined: a lower peak
+    del term_rows, term_cols, coefs, cols, by_col, field_ids, values, lines
 
-    out.append("COLUMNS")
-    integer_mode = False
-    for v, entries in zip(model.variables, terms_by_col):
-        if (v.kind == BINARY) != integer_mode:
-            out.append(_MARKER_ON if v.kind == BINARY else _MARKER_OFF)
-            integer_mode = v.kind == BINARY
-        head = f"    {v.name:<{width}}  "
-        # declare otherwise-unreferenced columns via a zero objective term
-        out += [head + row_field + spell[coef]
-                for row_field, coef in entries or [(obj_field, 0.0)]]
-    if integer_mode:
-        out.append(_MARKER_OFF)
-    del terms_by_col            # freed before the text is joined: a lower peak
-
-    out.append("RHS")
+    text.append("RHS\n")
     head = f"    {_RHS_SET:<{width}}  "
     if model.objective_offset:
-        out.append(head + obj_field + repr(-model.objective_offset))
-    out += [head + row_field + spell[con.rhs]
-            for row_field, con in zip(row_fields, model.constraints)
-            if con.rhs != 0.0]
+        text += (head, fields[-1], repr(-model.objective_offset), "\n")
+    text += chain.from_iterable((head, field, spell[rhs], "\n")
+                                for field, rhs in zip(fields, model.rhs) if rhs != 0.0)
 
-    out.append("BOUNDS")
+    # a valued line pads the column name; a bare one ends with it
+    text.append("BOUNDS\n")
     bound_set = f"{_BOUND_SET:<{width}}  "
-    for v in model.variables:
-        lo, up = v.lower, v.upper
-        # a valued line pads the column name; a bare one ends with it
-        valued = bound_set + f"{v.name:<{width}}  "
-        bare = bound_set + v.name
-        if v.kind == BINARY and lo == 0.0 and up == 1.0:
-            out.append(" BV " + bare)
+    bv, fx, fr, mi, up_, lo_, pl = (f" {tag} {bound_set}"
+                                    for tag in ("BV", "FX", "FR", "MI", "UP", "LO", "PL"))
+    for col_name, pad, binary, lo, up in zip(names, padded, model.is_binary,
+                                             model.lower, model.upper):
+        if binary and lo == 0.0 and up == 1.0:
+            text += (bv, col_name, "\n")
         elif lo == up:
-            out.append(" FX " + valued + spell[lo])
-        elif not math.isfinite(lo) and not math.isfinite(up):
-            out.append(" FR " + bare)
-        elif not math.isfinite(lo):
-            out.append(" MI " + bare)
-            out.append(" UP " + valued + spell[up])
-        elif not math.isfinite(up):
-            out.append(" LO " + valued + spell[lo])
-            out.append(" PL " + bare)
+            text += (fx, pad, spell[lo], "\n")
+        elif math.isfinite(lo) or math.isfinite(up):
+            text += (lo_, pad, spell[lo], "\n") if math.isfinite(lo) else (mi, col_name, "\n")
+            text += (up_, pad, spell[up], "\n") if math.isfinite(up) else (pl, col_name, "\n")
         else:
-            out.append(" LO " + valued + spell[lo])
-            out.append(" UP " + valued + spell[up])
+            text += (fr, col_name, "\n")
 
-    out += ["ENDATA", ""]       # the empty last line ends the text with a newline
-    return "\n".join(out)
+    text.append("ENDATA\n")
+    return "".join(text)
 
 
 def _finite(text: str) -> float | None:
@@ -206,7 +207,48 @@ _BOUND_TYPES = {
 _VALUED_BOUNDS = ("LO", "UP", "FX")
 
 
-@nogc
+# triple keys of RHS and RANGES values, and the objective row's id; column
+# indices and constraint row ids are >= 0
+_RHS, _RANGES, _OBJECTIVE = -1, -2, -1
+# token count of a pair line -> the index of each pair's row
+_PAIRS_AT = {3: (1,), 5: (1, 3)}
+
+
+def _entry_order(text: str, row_ids: dict[str, int], rows: array, keys: array):
+    """Stable order of the filed triples by (row, key).
+
+    Raises at the line of the first triple, in reading order, that repeats
+    an earlier one's row and key, as a check at each line would have.
+    """
+    rows, keys = np.frombuffer(rows, np.int64), np.frombuffer(keys, np.int64)
+    order = np.lexsort((keys, rows))
+    same = (np.diff(rows[order]) == 0) & (np.diff(keys[order]) == 0)
+    if not same.any():
+        return order
+    first = int(order[1:][same].min())
+    row = next(name for name, i in row_ids.items() if i == rows[first])
+    filed, section = 0, None        # every line before the repeat is valid
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "*":
+            continue
+        if raw[0] not in " \t":
+            section = section if tokens[0] == "NAME" else tokens[0]
+        elif section in ("RHS", "RANGES") or (section == "COLUMNS" and tokens[1] != "'MARKER'"):
+            filed += len(tokens) // 2
+            if filed > first:
+                raise MpsError(f"line {lineno}: duplicate entry for row '{row}' in {section}")
+
+
+def _range_rows(code: int, base: float, r: float):
+    """The two (sense code, rhs) rows of a row with RANGES value ``r``."""
+    if code == _LE:
+        return (_LE, base), (_GE, base - abs(r))
+    if code == _GE:
+        return (_GE, base), (_LE, base + abs(r))
+    return ((_GE, base), (_LE, base + r)) if r >= 0 else ((_GE, base + r), (_LE, base))
+
+
 def parse_mps(text: str):
     """Parse MPS text into a model plus its column-name table.
 
@@ -215,28 +257,23 @@ def parse_mps(text: str):
     same rows (RANGES rows expand into a ≤/≥ pair), same objective.
     """
     section = None
-    senses: dict[str, str] = {}                     # constraint row -> sense
-    obj_row: str | None = None
-    # row -> {column index: coefficient, "RHS": rhs, "RANGES": range}; the
-    # objective row is kept here too, with its RHS the negated offset
-    rows: dict[str, dict] = {}
-    table: dict[str, int] = {}                      # column name -> index
-    binary: list[bool] = []                         # per column
-    col_bounds: list[tuple[float, float]] = []      # per column (lower, upper)
+    row_ids: dict[str, int] = {}    # row -> constraint index, or _OBJECTIVE
+    senses = bytearray()            # per constraint row, its sense code
+    table: dict[str, int] = {}      # column name -> index
+    # per column, the model's own arrays: binary flag, lower and upper bound
+    binary, lower, upper = bytearray(), array("d"), array("d")
+    # every pair-line value, in reading order, as (row id, key, value)
+    t_rows, t_keys, t_values = array("q"), array("q"), array("d")
     integer_mode = False
     pairs = False               # in COLUMNS, RHS or RANGES
     column = None               # name of the COLUMNS line before, if any
-    key = None                  # where a pair line files its values
+    key = None                  # the key a pair line files its values under
     isfinite = math.isfinite
+    file_row, file_key, file_value = t_rows.append, t_keys.append, t_values.append
 
     def fail(lineno: int, why: str):
+        _entry_order(text, row_ids, t_rows, t_keys)     # an earlier duplicate goes first
         raise MpsError(f"line {lineno}: {why}")
-
-    def number(lineno: int, word: str) -> float:
-        value = _finite(word)
-        if value is None:
-            fail(lineno, f"bad numeric value '{word}'")
-        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -250,28 +287,30 @@ def parse_mps(text: str):
                     fail(lineno, f"unknown marker {tokens[2]}")
                 integer_mode = tokens[2] == "'INTORG'"
                 continue
-            if n != 3 and n != 5:
+            at = _PAIRS_AT.get(n)
+            if at is None:
                 fail(lineno, "expected '<name> <row> <value>' pairs")
             if section == "COLUMNS" and tokens[0] != column:
                 column = tokens[0]
                 key = table.setdefault(column, len(table))
                 if key == len(binary):
                     binary.append(integer_mode)
-                    col_bounds.append((0.0, 1.0 if integer_mode else math.inf))
-            for i in range(1, n, 2):
-                row = tokens[i]
-                entries = rows.get(row)
-                if entries is None or (row == obj_row and section == "RANGES"):
-                    fail(lineno, f"undeclared row '{row}' in {section}")
-                if key in entries:
-                    fail(lineno, f"duplicate entry for row '{row}' in {section}")
+                    lower.append(0.0)
+                    upper.append(1.0 if integer_mode else math.inf)
+            for i in at:
+                row = row_ids.get(tokens[i])
+                if row is None or (row == _OBJECTIVE and key == _RANGES):
+                    fail(lineno, f"undeclared row '{tokens[i]}' in {section}")
+                # filed before the value is read: a repeat is reported first
+                file_row(row)
+                file_key(key)
                 try:
                     value = float(tokens[i + 1])
                 except ValueError:
                     value = math.nan
                 if not isfinite(value):
                     fail(lineno, f"bad numeric value '{tokens[i + 1]}'")
-                entries[key] = value
+                file_value(value)
         elif section == "ENDATA":
             fail(lineno, "content after ENDATA")
         elif raw[0] not in " \t":
@@ -279,24 +318,24 @@ def parse_mps(text: str):
             if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
                 section = keyword
                 pairs = keyword in ("COLUMNS", "RHS", "RANGES")
-                column, key = None, keyword
+                column, key = None, {"RHS": _RHS, "RANGES": _RANGES}.get(keyword)
             elif keyword != "NAME":
                 fail(lineno, f"unknown section '{keyword}'")
         elif section == "ROWS":
             if len(tokens) != 2:
                 fail(lineno, "expected '<sense> <row>'")
             tag, row = tokens[0].upper(), tokens[1]
-            if row in rows:
+            if row in row_ids:
                 fail(lineno, f"duplicate row '{row}'")
             if tag == "N":
-                if obj_row is not None:
+                if _OBJECTIVE in row_ids.values():
                     fail(lineno, "multiple objective rows")
-                obj_row = row
-            elif tag in _TAG_TO_SENSE:
-                senses[row] = _TAG_TO_SENSE[tag]
+                row_ids[row] = _OBJECTIVE
+            elif tag in _TAG_CODES:
+                row_ids[row] = len(senses)
+                senses.append(_TAG_CODES[tag])
             else:
                 fail(lineno, f"unknown row sense '{tokens[0]}'")
-            rows[row] = {}
         elif section == "BOUNDS":
             tag = tokens[0].upper()
             if tag not in _BOUND_TYPES:
@@ -305,52 +344,58 @@ def parse_mps(text: str):
             if len(tokens) != 3 + valued:
                 fail(lineno, f"bound {tag} needs a value" if valued
                      else f"bound {tag} takes no value")
-            value = number(lineno, tokens[3]) if valued else None
+            value = _finite(tokens[3]) if valued else 0.0
+            if value is None:
+                fail(lineno, f"bad numeric value '{tokens[3]}'")
             col = table.get(tokens[2])
             if col is None:
                 fail(lineno, f"bound on undeclared column '{tokens[2]}'")
-            col_bounds[col] = _BOUND_TYPES[tag](*col_bounds[col], value)
+            lower[col], upper[col] = _BOUND_TYPES[tag](lower[col], upper[col], value)
             binary[col] = binary[col] or tag == "BV"
         else:
             fail(lineno, "data line outside any section")
 
-    model = Milp()
-    for col, integer, (lo, up) in zip(table, binary, col_bounds):
+    order = _entry_order(text, row_ids, t_rows, t_keys)
+    for col, integer, lo, up in zip(table, binary, lower, upper):
         if integer and not (0.0 <= lo and up <= 1.0):
             raise MpsError(f"integer column '{col}' has bounds [{lo}, {up}]; "
                            "only binary-ranged integers are supported")
         if lo > up:
             raise MpsError(f"column '{col}' has crossed bounds")
-        model.add_variable(BINARY if integer else CONTINUOUS, lo, up, col)
+    model = Milp()
+    model.names, model.is_binary, model.lower, model.upper = list(table), binary, lower, upper
 
-    for row, sense in senses.items():
-        entries = rows[row]
-        base = entries.pop("RHS", 0.0)
-        r = entries.pop("RANGES", None)
-        terms = sorted(entries.items())
-        if r is None:
-            model.add_constraint(terms, sense, base)
-        elif sense == LE:
-            model.add_constraint(terms, LE, base)
-            model.add_constraint(terms, GE, base - abs(r))
-        elif sense == GE:
-            model.add_constraint(terms, GE, base)
-            model.add_constraint(terms, LE, base + abs(r))
-        else:
-            lo_r, up_r = (base, base + r) if r >= 0 else (base + r, base)
-            model.add_constraint(terms, GE, lo_r)
-            model.add_constraint(terms, LE, up_r)
-
-    objective = rows.get(obj_row, {})
-    if "RHS" in objective:
-        model.objective_offset = -objective.pop("RHS")
-    for col, coef in sorted(objective.items()):
+    rows = np.frombuffer(t_rows, np.int64)[order]
+    keys = np.frombuffer(t_keys, np.int64)[order]
+    values = np.frombuffer(t_values)[order]
+    objective, terms, given = rows == _OBJECTIVE, keys >= 0, keys == _RHS
+    for col, coef in zip(keys[objective & terms].tolist(), values[objective & terms].tolist()):
         if coef != 0.0:
-            model.set_objective_coefficient(col, coef)
+            model.objective[col] = coef
+    for offset in values[objective & given].tolist():
+        model.objective_offset = -offset
+    m = len(senses)
+    base = np.zeros(m)
+    base[rows[given & ~objective]] = values[given & ~objective]
+    # a ranged row becomes two rows in its place; src is each row's source
+    ranged = dict(zip(rows[keys == _RANGES].tolist(), values[keys == _RANGES].tolist()))
+    src = np.repeat(np.arange(m), [1 + (i in ranged) for i in range(m)])
+    codes, rhs = np.frombuffer(senses, np.uint8)[src], base[src]
+    for i, r in ranged.items():
+        p = np.searchsorted(src, i)
+        (codes[p], rhs[p]), (codes[p + 1], rhs[p + 1]) = _range_rows(senses[i], base[i], r)
+    terms &= ~objective
+    ends = np.cumsum(np.bincount(rows[terms], minlength=m))
+    sizes = np.diff(ends, prepend=0)[src]
+    row_end = np.cumsum(sizes)
+    take = np.arange(sizes.sum()) + np.repeat(ends[src] - row_end, sizes)
+    model.row_end = array("q", row_end.tobytes())
+    model.row_col = array("q", keys[terms][take].tobytes())
+    model.row_coef = array("d", values[terms][take].tobytes())
+    model.row_sense, model.rhs = bytearray(codes.tobytes()), array("d", rhs.tobytes())
     return model, table
 
 
-@nogc
 def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list[float]:
     """Parse ``name value`` lines into a dense assignment.
 

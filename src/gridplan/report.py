@@ -59,12 +59,14 @@ def _group(entries, key):
 
 
 def render_report(plans: dict[Variant, Plan],
-                  metrics: dict[Variant, Metrics],
+                  metrics: dict[Variant, Metrics | None],
                   *, n_seasons: int, n_epochs: int) -> tuple[str, dict[str, str]]:
     """Render cost, investment, and switching tables plus CSV mirrors.
 
     ``plans`` maps each solved variant to its decoded plan; ``metrics`` maps
-    non-baseline variants to their savings.  ``n_seasons`` and ``n_epochs``
+    non-baseline variants to their savings, or to None where the saving is
+    undefined (a baseline that costs nothing), which reads ``N/A`` in the
+    text and in ``summary.csv``.  ``n_seasons`` and ``n_epochs``
     are the case horizon's counts, so seasons and epochs without any entry
     still get table cells.
 
@@ -82,11 +84,12 @@ def render_report(plans: dict[Variant, Plan],
     rows.append(["investment cost ($)", *[_money(plans[v].tc_i) for v in variants]])
     rows.append([
         "saving vs baseline ($)",
-        *[_money(metrics[v].tcr) if v in metrics else "N/A" for v in variants],
+        *[_money(metrics[v].tcr) if metrics.get(v) is not None else "N/A"
+          for v in variants],
     ])
     rows.append([
         "saving vs baseline (%)",
-        *[f"{100 * metrics[v].rho:.2f}" if v in metrics else "N/A"
+        *[f"{100 * metrics[v].rho:.2f}" if metrics.get(v) is not None else "N/A"
           for v in variants],
     ])
     lines.extend(_table(rows))
@@ -129,10 +132,10 @@ def render_report(plans: dict[Variant, Plan],
                "saving,saving_fraction"]
     for v in variants:
         plan = plans[v]
-        if v in metrics:
+        if metrics.get(v) is not None:
             tail = f"{metrics[v].tcr!r},{metrics[v].rho!r}"
         else:
-            tail = ","
+            tail = "N/A,N/A" if v in metrics else ","
         summary.append(
             f"{v.value},{plan.tc!r},{plan.tc_g!r},{plan.tc_i!r},{tail}"
         )

@@ -72,11 +72,10 @@ is detected and every ``_REFRESH_EVERY`` pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .milp import EQ, GE, LE, Milp
+from .milp import EQ, GE, LE, SENSES, Milp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -192,18 +191,13 @@ class DenseLp:
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
-        n, cons = model.n_variables, model.constraints
-        rows = np.repeat(np.arange(len(cons)), [len(con.columns) for con in cons])
-        cols = np.fromiter(chain.from_iterable(con.columns for con in cons), np.int64, rows.size)
-        vals = np.fromiter(chain.from_iterable(con.coefficients for con in cons), float, rows.size)
-        a = np.zeros((len(cons), n))
-        a[rows, cols] = vals
-        b = np.array([con.rhs for con in cons], dtype=float)
-        lo = np.array([v.lower for v in model.variables], dtype=float)
-        up = np.array([v.upper for v in model.variables], dtype=float)
-        c = np.zeros(n)
+        rows, cols, coefs = model.entries()
+        a = np.zeros((model.n_constraints, model.n_variables))
+        a[rows, cols] = coefs
+        c = np.zeros(model.n_variables)
         c[np.fromiter(model.objective, dtype=np.int64)] = list(model.objective.values())
-        return cls(a, [con.sense for con in cons], b, lo, up, c, model.objective_offset)
+        return cls(a, [SENSES[code] for code in model.row_sense], np.array(model.rhs),
+                   np.array(model.lower), np.array(model.upper), c, model.objective_offset)
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
         """Solve with bounds ``lo``/``up`` by dual simplex from ``basis`` when

@@ -189,6 +189,28 @@ def test_compare_writes_full_artifact_set(case_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_against_a_zero_baseline_reads_na(tmp_path, bundled, capsys):
+    # two_bus with no load is valid and costs nothing in every variant: no
+    # saving is defined against it, and the run still writes its artifacts
+    doc = json.loads(render_case(bundled("two_bus")))
+    del doc["load"]
+    path = tmp_path / "no_load.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path)]) == 0
+    out_dir = tmp_path / "cmp"
+    assert run_cli(["compare", str(path), "--out", str(out_dir)]) == 0
+    report = (out_dir / "report.txt").read_text().splitlines()
+    for label in ("saving vs baseline ($)", "saving vs baseline (%)"):
+        row = next(line for line in report if line.startswith(label))
+        assert row.split()[-3:] == ["N/A", "N/A", "N/A"], row
+    summary = (out_dir / "summary.csv").read_text().splitlines()
+    assert summary[1] == "static,0.0,0.0,0.0,,"
+    assert summary[2:] == [f"{v},0.0,0.0,0.0,N/A,N/A"
+                           for v in ("switch-existing", "switch-all")]
+    assert (out_dir / "plan_switch-all.csv").exists()
+    capsys.readouterr()
+
+
 def test_compare_is_deterministic(case_file, tmp_path, capsys):
     case = case_file("season_flip")
     first, second = tmp_path / "a", tmp_path / "b"

@@ -277,6 +277,16 @@ def test_parsed_models_are_pinned(bundled):
          r"^line 2: data line outside any section$"),
         (lambda t: t.replace(" UP BND       x_boxed ", " UP BND       nope    "),
          r"^line 35: bound on undeclared column 'nope'$"),
+        # a repeated entry is reported at its line, before any later error
+        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0")
+         .replace(" FR BND", " XX BND"),
+         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
+        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0  R0000003  zz"),
+         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
+        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000003  zz  R0000001  1.0"),
+         r"^line 18: bad numeric value 'zz'$"),
+        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  zz"),
+         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
     ],
 )
 def test_parser_rejects_malformed_text(mutate, message):
@@ -543,7 +553,8 @@ def test_write_parse_write_property(model):
     assert table == column_name_table(model)
 
 
-# the four bulk passes pause the cyclic collector and restore its state
+# the four bulk passes leave the cyclic collector as they found it, also
+# when they raise
 
 def _negative_cost_case():
     return parse_case(json.dumps({
