@@ -17,6 +17,17 @@ status binary in ``SWITCH_ALL`` or its availability binary otherwise.  An
 ungated line gets the flow-law row; a gated one gets the disjunctive big-M
 rows of Binato, Pereira & Granville (IEEE Trans. Power Systems 16(2), 2001).
 
+Every interval repeats one block of columns (generation, bus angles, line
+flows) and rows (nodal balances, then each line's flow-law or big-M rows);
+the blocks are linked only through the binaries (dual block-angular form).
+``build_milp`` assembles that block once, on block-local columns with one
+slot per gated line, and tiles it with numpy over the intervals in (epoch,
+season, hour) order: each copy's own columns shift by the block width, and
+only two things differ per interval, the grown loads on the balance rows
+and the gate column of each (season, epoch).  The binaries and the build
+logic rows follow the interval columns and rows.  The interval columns,
+the binaries and all rows enter the model in three checked bulk appends.
+
 The builder applies load growth to right-hand sides at assembly time,
 encodes generator and flow limits as variable bounds where a bound is
 equivalent to a row, and uses a per-line big-M of 2*angle_bound/x, the
@@ -31,6 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, count
+
+import numpy as np
 
 from .case import CandidateLine, Case, grow_load, validate_case
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
@@ -124,6 +138,8 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     epochs = range(1, h.n_epochs + 1)
     seasons = range(1, h.n_seasons + 1)
     hours = range(1, h.n_hours + 1)
+    intervals = [(t, s, e) for e in epochs for s in seasons for t in hours]
+    n = len(intervals)
     # each typical day stands for one season-year's share of days, each year
     # of the epoch reuses the same profile
     hour_weight = h.years_per_epoch * (365.0 / h.n_seasons)
@@ -132,57 +148,61 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     index = VariableIndex()
     index.model, index.case, index.variant = model, case, variant
 
-    # every DC line, existing branches first: (line, flow columns, name prefix)
-    lines = [(k, index.branch_flow, "pk") for k in case.branches]
-    lines += [(j, index.candidate_flow, "pj") for j in case.candidates]
+    # every DC line, existing branches first, with its flow name prefix
+    lines = [(k, "pk") for k in case.branches] + [(j, "pj") for j in case.candidates]
 
-    for e in epochs:
-        for s in seasons:
-            for t in hours:
-                for g in case.generators:
-                    col = model.add_variable(
-                        CONTINUOUS, g.p_min, g.p_max, f"p_{g.id}_t{t}_s{s}_e{e}"
-                    )
-                    model.set_objective_coefficient(col, hour_weight * g.cost)
-                    index.gen[(g.id, t, s, e)] = col
-                for bus in case.buses:
-                    bound = 0.0 if bus.is_reference else case.angle_bound
-                    index.angle[(bus.id, t, s, e)] = model.add_variable(
-                        CONTINUOUS, -bound, bound, f"th_{bus.id}_t{t}_s{s}_e{e}"
-                    )
-                for line, flows, prefix in lines:
-                    flows[(line.id, t, s, e)] = model.add_variable(
-                        CONTINUOUS, -line.rate, line.rate,
-                        f"{prefix}_{line.id}_t{t}_s{s}_e{e}",
-                    )
-    for e in epochs:
-        for j in case.candidates:
-            index.available[(j.id, e)] = model.add_variable(
-                BINARY, 0, 1, f"u_{j.id}_e{e}"
-            )
-    for e in epochs:
-        for j in case.candidates:
-            col = model.add_variable(BINARY, 0, 1, f"v_{j.id}_e{e}")
-            multiplier = investment_multiplier(
-                h.n_epochs, h.years_per_epoch, h.maintenance_rate, e
-            )
-            model.set_objective_coefficient(col, j.capital_cost * multiplier)
-            index.build[(j.id, e)] = col
-    if switch_existing:
-        for e in epochs:
-            for s in seasons:
-                for k in case.branches:
-                    if k.switchable:
-                        index.branch_status[(k.id, s, e)] = model.add_variable(
-                            BINARY, 0, 1, f"zk_{k.id}_s{s}_e{e}"
-                        )
-    if switch_new:
-        for e in epochs:
-            for s in seasons:
-                for j in case.candidates:
-                    index.candidate_status[(j.id, s, e)] = model.add_variable(
-                        BINARY, 0, 1, f"zj_{j.id}_s{s}_e{e}"
-                    )
+    # one interval's columns: generation, bus angles, line flows, each with
+    # its name up to the interval, bounds and cost
+    gens, buses = case.generators, case.buses
+    block = [(f"p_{g.id}_t", g.p_min, g.p_max, hour_weight * g.cost) for g in gens]
+    for bus in buses:
+        bound = 0.0 if bus.is_reference else case.angle_bound
+        block.append((f"th_{bus.id}_t", -bound, bound, 0.0))
+    block += [(f"{prefix}_{line.id}_t", -line.rate, line.rate, 0.0) for line, prefix in lines]
+    prefixes, *values = zip(*block)
+    width = len(block)
+    lower, upper, cost = np.array(values)[:, None].repeat(n, axis=1).reshape(3, -1)
+    model.add_variables(
+        CONTINUOUS, lower, upper,
+        [prefix + tail for t, s, e in intervals for tail in (f"{t}_s{s}_e{e}",)
+         for prefix in prefixes],
+        cost,
+    )
+
+    def tile(ids, offset):  # (id, t, s, e) -> column, over every interval's copy
+        return {(eid, t, s, e): i * width + offset + a
+                for i, (t, s, e) in enumerate(intervals) for a, eid in enumerate(ids)}
+
+    flow_at = len(gens) + len(buses)        # block column of the first line's flow
+    index.gen = tile([g.id for g in gens], 0)
+    index.angle = tile([bus.id for bus in buses], len(gens))
+    index.branch_flow = tile([k.id for k in case.branches], flow_at)
+    index.candidate_flow = tile([j.id for j in case.candidates],
+                                flow_at + len(case.branches))
+
+    # the binaries: availability, build (which carries the capital cost),
+    # then the seasonal status of switchable branches and of candidates
+    builds = [(j, e) for e in epochs for j in case.candidates]
+    binaries = [
+        ("available", "u_{}_e{}", [(j.id, e) for j, e in builds]),
+        ("build", "v_{}_e{}", [(j.id, e) for j, e in builds]),
+        ("branch_status", "zk_{}_s{}_e{}",
+         [(k.id, s, e) for e in epochs for s in seasons for k in case.branches
+          if k.switchable and switch_existing]),
+        ("candidate_status", "zj_{}_s{}_e{}",
+         [(j.id, s, e) for e in epochs for s in seasons for j in case.candidates
+          if switch_new]),
+    ]
+    names = [name.format(*key) for _field, name, keys in binaries for key in keys]
+    capital = [j.capital_cost * investment_multiplier(
+        h.n_epochs, h.years_per_epoch, h.maintenance_rate, e) for j, e in builds]
+    col = model.add_variables(
+        BINARY, [0.0] * len(names), [1.0] * len(names), names,
+        [0.0] * len(builds) + capital + [0.0] * (len(names) - 2 * len(builds)),
+    )
+    for field_name, _name, keys in binaries:
+        setattr(index, field_name, dict(zip(keys, count(col))))
+        col += len(keys)
 
     def gate(line, s, e):  # in-service binary, None if ungated
         if not isinstance(line, CandidateLine):
@@ -191,69 +211,94 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
             return index.candidate_status[(line.id, s, e)]
         return index.available[(line.id, e)]
 
-    for e in epochs:
-        for s in seasons:
-            for t in hours:
-                # nodal balance: inflow minus outflow plus generation = load
-                terms = {bus.id: [] for bus in case.buses}
-                for g in case.generators:
-                    terms[g.bus].append((index.gen[(g.id, t, s, e)], 1.0))
-                for line, flows, _prefix in lines:
-                    flow = flows[(line.id, t, s, e)]
-                    terms[line.to_bus].append((flow, 1.0))
-                    terms[line.from_bus].append((flow, -1.0))
-                for bus in case.buses:
-                    demand = grow_load(
-                        case.load_profile.get(bus.id, t, s),
-                        h.load_growth, h.years_per_epoch, e,
-                    )
-                    model.add_constraint(terms[bus.id], EQ, demand)
-
-                for line, flows, _prefix in lines:
-                    flow = flows[(line.id, t, s, e)]
-                    inv_x = 1.0 / line.x
-                    law = [(flow, 1.0), (index.angle[(line.from_bus, t, s, e)], -inv_x),
-                           (index.angle[(line.to_bus, t, s, e)], inv_x)]
-                    z = gate(line, s, e)
-                    if z is None:
-                        model.add_constraint(law, EQ, 0.0)
-                        continue
-                    big_m = branch_big_m(line.x, case.angle_bound) * big_m_scale
-                    # open line carries nothing
-                    model.add_constraint([(flow, 1.0), (z, -line.rate)], LE, 0.0)
-                    model.add_constraint([(flow, 1.0), (z, line.rate)], GE, 0.0)
-                    # closed line obeys the flow law
-                    model.add_constraint(law + [(z, big_m)], LE, big_m)
-                    model.add_constraint(law + [(z, -big_m)], GE, -big_m)
+    # one interval's rows on block columns, where -1 - q stands for the
+    # in-service binary of the q-th gated line
+    at_bus = {bus.id: [] for bus in buses}
+    for a, g in enumerate(gens):
+        at_bus[g.bus].append((a, 1.0))
+    for flow, (line, _prefix) in enumerate(lines, start=flow_at):
+        at_bus[line.to_bus].append((flow, 1.0))
+        at_bus[line.from_bus].append((flow, -1.0))
+    # nodal balance: inflow minus outflow plus generation = load, filled in
+    # per interval below
+    rows = [(at_bus[bus.id], EQ, 0.0) for bus in buses]
+    angle_of = {bus.id: col for col, bus in enumerate(buses, start=len(gens))}
+    gates = []      # each gated line's in-service column in every interval
+    for flow, (line, _prefix) in enumerate(lines, start=flow_at):
+        inv_x = 1.0 / line.x
+        law = [(flow, 1.0), (angle_of[line.from_bus], -inv_x),
+               (angle_of[line.to_bus], inv_x)]
+        if gate(line, 1, 1) is None:
+            rows.append((law, EQ, 0.0))
+            continue
+        z = -1 - len(gates)
+        gates.append(np.repeat([gate(line, s, e) for e in epochs for s in seasons],
+                               h.n_hours))
+        big_m = branch_big_m(line.x, case.angle_bound) * big_m_scale
+        rows += [
+            # open line carries nothing
+            ([(flow, 1.0), (z, -line.rate)], LE, 0.0),
+            ([(flow, 1.0), (z, line.rate)], GE, 0.0),
+            # closed line obeys the flow law
+            (law + [(z, big_m)], LE, big_m),
+            (law + [(z, -big_m)], GE, -big_m),
+        ]
 
     # build logic: availability turns on at the build epoch and stays on
+    logic = []
     for e in epochs:
         for j in case.candidates:
             u = index.available[(j.id, e)]
             terms = [(index.build[(j.id, z)], 1.0) for z in range(1, e + 1)]
-            model.add_constraint(terms + [(u, -1.0)], LE, 0.0)
+            logic.append((terms + [(u, -1.0)], LE, 0.0))
             v = index.build[(j.id, e)]
             if e == 1:
-                model.add_constraint([(v, 1.0), (u, -1.0)], EQ, 0.0)
+                logic.append(([(v, 1.0), (u, -1.0)], EQ, 0.0))
             else:
                 u_prev = index.available[(j.id, e - 1)]
-                model.add_constraint(
-                    [(v, 1.0), (u, -1.0), (u_prev, 1.0)], GE, 0.0
-                )
-    if switch_new:
-        # a candidate can only be in service once it is built
-        for e in epochs:
-            for s in seasons:
-                for j in case.candidates:
-                    model.add_constraint(
-                        [
-                            (index.candidate_status[(j.id, s, e)], 1.0),
-                            (index.available[(j.id, e)], -1.0),
-                        ],
-                        LE, 0.0,
-                    )
+                logic.append(([(v, 1.0), (u, -1.0), (u_prev, 1.0)], GE, 0.0))
+    # a candidate can only be in service once it is built
+    logic += [([(z, 1.0), (index.available[(jid, e)], -1.0)], LE, 0.0)
+              for (jid, _s, e), z in index.candidate_status.items()]
 
+    # tile the block over the intervals: shift its own columns by each
+    # interval's offset, fill in the gates and the grown loads; then append
+    # the logic rows, all in one checked append
+    ends, cols, coefs, senses, rhs = _csr(rows)
+    own = cols >= 0
+    tiled = np.empty((n, cols.size), dtype=np.int64)
+    tiled[:, own] = cols[own] + width * np.arange(n)[:, None]
+    gate_cols = np.array(gates, dtype=np.int64).reshape(len(gates), n).T
+    tiled[:, ~own] = gate_cols[:, -1 - cols[~own]]
+    base = np.array([[case.load_profile.get(bus.id, t, s) for bus in buses]
+                     for s in seasons for t in hours])
+    rhs = rhs[None].repeat(n, axis=0)
+    rhs[:, :len(buses)] = np.concatenate(
+        [grow_load(base, h.load_growth, h.years_per_epoch, e) for e in epochs]
+    )
+    tail_ends, tail_cols, tail_coefs, tail_senses, tail_rhs = _csr(logic)
+    model.add_constraints(
+        np.concatenate([(ends + cols.size * np.arange(n)[:, None]).ravel(),
+                        tail_ends + tiled.size]),
+        np.concatenate([tiled.ravel(), tail_cols]),
+        np.concatenate([coefs[None].repeat(n, axis=0).ravel(), tail_coefs]),
+        senses * n + tail_senses,
+        np.concatenate([rhs.ravel(), tail_rhs]),
+    )
     return model, index
+
+
+def _csr(rows):
+    """``Milp.add_constraints`` arguments for a list of (terms, sense, rhs):
+    row ends, columns and coefficients as arrays, senses as a list, and the
+    right-hand sides as an array."""
+    terms = [term for row_terms, _sense, _rhs in rows for term in row_terms]
+    return (np.fromiter(accumulate(len(row_terms) for row_terms, _s, _r in rows),
+                        np.int64, len(rows)),
+            np.array([col for col, _coef in terms], dtype=np.int64),
+            np.array([coef for _col, coef in terms], dtype=float),
+            [sense for _terms, sense, _rhs in rows],
+            np.array([rhs for _terms, _sense, rhs in rows], dtype=float))
 
 
 def freeze_switching(model: Milp, index: VariableIndex) -> Milp:

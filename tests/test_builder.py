@@ -1,5 +1,6 @@
 """Model assembly: variant semantics, counts, costs, physics, freezing."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -342,3 +343,37 @@ def test_model_text_is_pinned(name, variant):
     model, _index = build_milp(case, Variant.from_token(variant))
     digest = hashlib.sha256(write_mps(model).encode()).hexdigest()
     assert digest == MODEL_DIGESTS[(name, variant)]
+
+
+# each VariableIndex map and the name its columns carry, given the key
+INDEX_NAMES = {
+    "gen": "p_{}_t{}_s{}_e{}",
+    "angle": "th_{}_t{}_s{}_e{}",
+    "branch_flow": "pk_{}_t{}_s{}_e{}",
+    "candidate_flow": "pj_{}_t{}_s{}_e{}",
+    "available": "u_{}_e{}",
+    "build": "v_{}_e{}",
+    "branch_status": "zk_{}_s{}_e{}",
+    "candidate_status": "zj_{}_s{}_e{}",
+}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("name", [*ALL_CASES, "probe", "wide"])
+def test_index_covers_every_column_once(name, variant):
+    # the interval columns are tiled from one block: an off-by-one block
+    # offset would leave a column unindexed, index one twice, or misname it
+    if name == "probe":
+        case = load_case(Path(__file__).parent / "data" / "probe_10x2x2x2x3_s1.json")
+    elif name == "wide":
+        case = _wide_case()
+    else:
+        case = load_bundled(name)
+    model, index = build_milp(case, variant)
+    assert set(INDEX_NAMES) == {f.name for f in dataclasses.fields(index) if f.init}
+    columns = []
+    for field, name_of in INDEX_NAMES.items():
+        for key, col in getattr(index, field).items():
+            assert model.names[col] == name_of.format(*key), (field, key)
+            columns.append(col)
+    assert sorted(columns) == list(range(model.n_variables))
