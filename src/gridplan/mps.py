@@ -18,7 +18,9 @@ The writer reads the model's arrays.  One stable argsort of the terms by
 column gives each column's entries in row order.  The text is one join of
 line fragments: each row and column name is padded once, and each distinct
 value is spelled once per write (zeros bypass that memo, as ``0.0`` and
-``-0.0`` are one dict key but two spellings).
+``-0.0`` are one dict key but two spellings).  The column names are checked
+in bulk, by a few scans of two joined strings and one set;
+``column_name_table`` runs only to word the error.
 
 The parser is deliberately stricter than the zoo of MPS dialects: names are
 whitespace-delimited tokens, duplicate entries are errors rather than
@@ -26,21 +28,33 @@ silently summed, every number must be finite (infinite bounds are spelled
 MI, PL or FR), and integer columns must be binary-ranged (the model type
 has no general integers).  RANGES sections are accepted and expanded into
 constraint pairs.  A column name must not start with ``*``, since a line
-whose first token does is a comment.
+whose first token does is a comment, nor with ``#``, which starts a
+comment in a solution file.
 
-The parser makes one pass over the lines.  A column gets its index, binary
-flag (from the marker state) and default bounds on its first COLUMNS line;
-a BOUNDS line updates its bounds.  COLUMNS, RHS and RANGES lines share one
-reader of ``<name> <row> <value> [<row> <value>]`` pairs that files each
-value as a flat (row, key, value) triple, the key being the column index
-or a tag for RHS and RANGES.  After the loop one ``np.lexsort`` by (row,
-key) assembles the rows, each with its terms sorted by column, and finds
-repeated entries as equal neighbours.  A repeat is reported at its own
-line, found by recounting, and before any error on a later line.
+The parser reads the text a section at a time.  One regex scan finds the
+lines that start with neither a blank nor ``*``: the section headers.  A
+section's lines, in pieces of about a million characters, are split into
+tokens at once, with an added token closing each line, so every token's
+line is known; blank lines and comment lines drop out by their first
+token.  Every check then runs over the whole piece and finds its first
+failing token, and the reader raises the earliest of these in reading
+order, with the message and line number a line-by-line reader would give.
+Row names map to row ids through one dict, each distinct number spelling
+is read once, and a column gets its index, and its binary flag from the
+INTORG/INTEND marker runs, where its name first appears.  COLUMNS, RHS and
+RANGES share one reader of ``<name> <row> <value> [<row> <value>]`` pairs
+that files each value as a (row, key, value) triple, with its line, the
+key being the column index or a tag for RHS and RANGES.  Of the BOUNDS
+lines that set one side of a column's bounds, the last wins.  At the end
+one ``np.lexsort`` by (row, key) assembles the rows, each with its terms
+sorted by column, and finds repeated entries as equal neighbours; a repeat
+is reported at its own line, and before any error on a later line.
 
-Solutions from external solvers come back as plain ``name value`` lines;
-names that do not belong to the model are rejected so a stale file cannot
-be decoded silently against the wrong model.
+Solutions from external solvers come back as plain ``name value`` lines,
+read the same way; names that do not belong to the model are rejected so a
+stale file cannot be decoded silently against the wrong model.  For the
+same reason a ``#`` line whose first token is a column name is an error,
+not a comment.
 """
 
 from __future__ import annotations
@@ -55,7 +69,6 @@ import numpy as np
 from .milp import Milp
 
 _TAGS = "LGE"           # the ROWS tag of each sense code, in SENSES order
-_TAG_CODES = {tag: code for code, tag in enumerate(_TAGS)}
 _LE, _GE = 0, 1         # sense codes
 
 _OBJ_ROW = "COST"
@@ -69,18 +82,19 @@ class MpsError(ValueError):
     """Malformed MPS text or names unusable in MPS."""
 
 
-# ASCII 33..126 (no space, no control), not starting with '*': a line whose
-# first token starts with '*' is a comment
-_NAME = re.compile(r"(?!\*)[!-~]+")
+# ASCII 33..126 (no space, no control), not starting with '*' or '#': an MPS
+# line whose first token starts with '*' is a comment, and so is a solution
+# line whose first token starts with '#'
+_NAME = re.compile(r"(?![*#])[!-~]+")
 
 
 def column_name_table(model: Milp) -> dict[str, int]:
     """Map variable names to columns, insisting the names are usable.
 
     Raises when a name is empty, contains whitespace or non-ASCII, starts
-    with ``*`` (MPS reads such a line as a comment), or collides with another
-    column; generated names are injective, so a collision signals an
-    indexing bug upstream.
+    with ``*`` or ``#`` (MPS and solution files read such a line as a
+    comment), or collides with another column; generated names are
+    injective, so a collision signals an indexing bug upstream.
     """
     table: dict[str, int] = {}
     for column, name in enumerate(model.names):
@@ -90,6 +104,15 @@ def column_name_table(model: Milp) -> dict[str, int]:
             raise MpsError(f"duplicate column name {name!r}")
         table[name] = column
     return table
+
+
+def _usable(names: list[str]) -> bool:
+    """Whether ``column_name_table`` accepts ``names``, checked in bulk."""
+    unique = set(names)
+    flat, heads = "".join(names), "\n" + "\n".join(names)
+    return (flat.isascii() and flat.isprintable() and " " not in flat
+            and "\n*" not in heads and "\n#" not in heads
+            and "" not in unique and len(unique) == len(names))
 
 
 class _Spellings(dict):
@@ -109,7 +132,8 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     Output is a pure function of the model: identical models give identical
     bytes.
     """
-    column_name_table(model)        # refuses names MPS cannot carry
+    if not _usable(model.names):
+        column_name_table(model)    # raises at the first name MPS cannot carry
     spell = _Spellings()
     names = model.names
     rows = [f"R{i + 1:07d}" for i in range(model.n_constraints)]
@@ -185,68 +209,301 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     return "".join(text)
 
 
-def _finite(text: str) -> float | None:
-    """``text`` as a float, or None unless it is a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+# -- reading ----------------------------------------------------------------
 
+# the line breaks of str.splitlines other than "\n", in ASCII text
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+# the start of each line that begins with neither a blank nor '*': a section
+# header, or a line the parser refuses
+_HEAD = re.compile(r"\n[^ \t\n*]")
+_PIECE = 1 << 20        # characters of a section read at once, cut at a line end
+_SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
 
-# BOUNDS tag -> its effect on a column's (lower, upper), given the line's value
-_BOUND_TYPES = {
-    "LO": lambda lo, up, v: (v, up),
-    "UP": lambda lo, up, v: (lo, v),
-    "FX": lambda lo, up, v: (v, v),
-    "FR": lambda lo, up, v: (-math.inf, math.inf),
-    "MI": lambda lo, up, v: (-math.inf, up),
-    "PL": lambda lo, up, v: (lo, math.inf),
-    "BV": lambda lo, up, v: (0.0, 1.0),
-}
-_VALUED_BOUNDS = ("LO", "UP", "FX")
-
-
-# triple keys of RHS and RANGES values, and the objective row's id; column
+# pair keys of RHS and RANGES values, and the objective row's id; column
 # indices and constraint row ids are >= 0
 _RHS, _RANGES, _OBJECTIVE = -1, -2, -1
-# token count of a pair line -> the index of each pair's row
-_PAIRS_AT = {3: (1,), 5: (1, 3)}
+_UNDECLARED = -2        # the id of an undeclared row or sense tag
+# ROWS tag -> sense code, or _OBJECTIVE for the objective row
+_ROW_TAGS = {"N": _OBJECTIVE, **{tag: code for code, tag in enumerate(_TAGS)}}
+
+# BOUNDS type -> what it sets the column's (lower, upper) to: the line's
+# value (_VALUE), a constant, or nothing (None); the types taking a value
+# come first
+_VALUE = math.nan
+_BOUND_TYPES = {
+    "LO": (_VALUE, None),
+    "UP": (None, _VALUE),
+    "FX": (_VALUE, _VALUE),
+    "FR": (-math.inf, math.inf),
+    "MI": (-math.inf, None),
+    "PL": (None, math.inf),
+    "BV": (0.0, 1.0),
+}
+_VALUED = 3
+_BOUND_CODES = {tag: code for code, tag in enumerate(_BOUND_TYPES)}
+_BOUND_SETS = np.array([[to is not None for to in sides] for sides in _BOUND_TYPES.values()])
+_BOUND_TO = np.array([[_VALUE if to is None else to for to in sides]
+                      for sides in _BOUND_TYPES.values()])
 
 
-def _entry_order(text: str, row_ids: dict[str, int], rows: array, keys: array):
-    """Stable order of the filed triples by (row, key).
+def _one_break(text: str) -> str:
+    """``text`` with ``\\n`` as its only line break, its lines as
+    ``str.splitlines`` counts them."""
+    if text.isascii() and not any(c in text for c in _OTHER_BREAKS):
+        return text
+    return "\n".join(text.splitlines())
 
-    Raises at the line of the first triple, in reading order, that repeats
-    an earlier one's row and key, as a check at each line would have.
+
+def _end_token(text: str) -> str:
+    """A character absent from ``text`` that ``str.split`` does not split on:
+    a token that can only be an added line end.  Not NUL, which numpy's
+    string comparison drops."""
+    return next(c for c in map(chr, chain(range(1, 9), range(14, 28), range(0xE000, 0xF900)))
+                if c not in text)
+
+
+def _chunks(text: str, start: int, stop: int):
+    """``text[start:stop]`` in pieces of whole lines, each about ``_PIECE``
+    characters long."""
+    while start < stop:
+        cut = text.find("\n", start + _PIECE, stop) + 1 or stop
+        yield text[start:cut]
+        start = cut
+
+
+def _lines(piece: str, end: str, comment: str):
+    """Tokenise ``piece`` with one split, an ``end`` token closing each line.
+
+    Returns the tokens as an object array, the index of each ``end`` token,
+    and of each data line its first token's index and its token count, and
+    of each comment line its first token's index.  Blank lines are dropped;
+    a comment line's first token starts with ``comment``.
     """
-    rows, keys = np.frombuffer(rows, np.int64), np.frombuffer(keys, np.int64)
-    order = np.lexsort((keys, rows))
-    same = (np.diff(rows[order]) == 0) & (np.diff(keys[order]) == 0)
-    if not same.any():
-        return order
-    first = int(order[1:][same].min())
-    row = next(name for name, i in row_ids.items() if i == rows[first])
-    filed, section = 0, None        # every line before the repeat is valid
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "*":
-            continue
-        if raw[0] not in " \t":
-            section = section if tokens[0] == "NAME" else tokens[0]
-        elif section in ("RHS", "RANGES") or (section == "COLUMNS" and tokens[1] != "'MARKER'"):
-            filed += len(tokens) // 2
-            if filed > first:
-                raise MpsError(f"line {lineno}: duplicate entry for row '{row}' in {section}")
+    words = piece.replace("\n", f" {end} ").split()
+    words.append(end)
+    tokens = np.array(words, object)
+    del words
+    ends = np.flatnonzero(tokens == end)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    count = ends - starts
+    lines = np.flatnonzero(count)
+    first, count = starts[lines], count[lines]
+    noted = np.zeros(len(first), bool)
+    if comment in piece:
+        heads = tokens[first].tolist()
+        noted = np.fromiter(map(str.startswith, heads, repeat(comment)), bool, len(heads))
+    return tokens, ends, first[~noted], count[~noted], first[noted]
 
 
-def _range_rows(code: int, base: float, r: float):
-    """The two (sense code, rhs) rows of a row with RANGES value ``r``."""
-    if code == _LE:
-        return (_LE, base), (_GE, base - abs(r))
-    if code == _GE:
-        return (_GE, base), (_LE, base + abs(r))
-    return ((_GE, base), (_LE, base + r)) if r >= 0 else ((_GE, base + r), (_LE, base))
+def _first_repeat(names: list, before) -> int | None:
+    """Index of the first of ``names`` that is in ``before`` or earlier in
+    ``names``, if any."""
+    if len(set(names)) == len(names) and before.isdisjoint(names):
+        return None
+    seen = set()
+    for i, name in enumerate(names):
+        if name in before or name in seen:
+            return i
+        seen.add(name)
+
+
+def _first_failure(failures: list, ends, lineno: int) -> tuple[int, str]:
+    """The line number and message of the first of ``failures``, (token
+    index, rank on its line, message) triples of a piece whose first line is
+    ``lineno`` and whose line ends are ``ends``."""
+    at, _rank, why = min(failures)
+    return lineno + int(np.searchsorted(ends, at)), why
+
+
+class _Numbers(dict):
+    """Spelling -> its value, nan unless it spells a finite number; each
+    distinct spelling is read once."""
+
+    def __missing__(self, text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        self[text] = value = value if math.isfinite(value) else math.nan
+        return value
+
+
+class _Reader:
+    """The model ``parse_mps`` has read so far.
+
+    Each method reads one piece of a section's lines and returns its line
+    count.  It runs every check on the piece in bulk, each finding its first
+    failing token, raises the earliest failure in reading order, and only
+    then adds the piece to the model.
+    """
+
+    def __init__(self, end: str):
+        self.end = end                      # the added line-end token
+        self.row_ids: dict[str, int] = {}   # row -> constraint index, or _OBJECTIVE
+        self.senses = bytearray()           # per constraint row, its sense code
+        self.columns: dict[str, int] = {}   # column name -> index
+        # per column, the model's own arrays: binary flag, lower and upper bound
+        self.binary, self.lower, self.upper = bytearray(), array("d"), array("d")
+        self.integer = False                # between INTORG and INTEND markers
+        self.number = _Numbers().__getitem__
+        # per piece, its pair values as (row id, key, value, line) arrays
+        self.filed = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
+                       np.empty(0, np.int64))]
+
+    def entries(self):
+        """The filed values as (rows, keys, values, order by (row, key)).
+
+        Raises at the line of the first value, in reading order, that
+        repeats an earlier one's row and key.
+        """
+        rows, keys, values, lines = map(np.concatenate, zip(*self.filed))
+        order = np.lexsort((keys, rows))
+        same = (np.diff(rows[order]) == 0) & (np.diff(keys[order]) == 0)
+        if same.any():
+            first = int(order[1:][same].min())
+            row = next(name for name, i in self.row_ids.items() if i == rows[first])
+            section = {_RHS: "RHS", _RANGES: "RANGES"}.get(int(keys[first]), "COLUMNS")
+            raise MpsError(f"line {lines[first]}: duplicate entry for row '{row}' in {section}")
+        return rows, keys, values, order
+
+    def fail(self, lineno: int, why: str):
+        """Raise ``why`` at ``lineno``, or at a repeated entry filed before."""
+        self.entries()
+        raise MpsError(f"line {lineno}: {why}")
+
+    def check(self, failures: list, ends, lineno: int) -> None:
+        """Fail at the first of a piece's ``failures``, if any (see
+        ``_first_failure``)."""
+        if failures:
+            self.fail(*_first_failure(failures, ends, lineno))
+
+    def rows(self, piece: str, lineno: int, section: str) -> int:
+        """ROWS lines: ``<sense> <row>``."""
+        tokens, ends, first, count, _ = _lines(piece, self.end, "*")
+        failures = [(first[p], 0, "expected '<sense> <row>'")
+                    for p in np.flatnonzero(count != 2)[:1]]
+        first = first[count == 2]
+        tags, names = tokens[first].tolist(), tokens[first + 1].tolist()
+        codes = np.fromiter(map(_ROW_TAGS.get, map(str.upper, tags), repeat(_UNDECLARED)),
+                            np.int64, len(tags))
+        p = _first_repeat(names, self.row_ids.keys())
+        if p is not None:
+            failures.append((first[p], 1, f"duplicate row '{names[p]}'"))
+        extra = np.flatnonzero(codes == _OBJECTIVE)[0 if _OBJECTIVE in self.row_ids.values()
+                                                     else 1:]
+        failures += [(first[p], 2, "multiple objective rows") for p in extra[:1]]
+        failures += [(first[p], 3, f"unknown row sense '{tags[p]}'")
+                     for p in np.flatnonzero(codes == _UNDECLARED)[:1]]
+        self.check(failures, ends, lineno)
+        constraint = codes >= 0
+        ids = np.where(constraint, len(self.senses) - 1 + np.cumsum(constraint), _OBJECTIVE)
+        self.row_ids.update(zip(names, ids.tolist()))
+        self.senses += codes[constraint].astype(np.uint8).tobytes()
+        return len(ends) - 1
+
+    def pairs(self, piece: str, lineno: int, section: str) -> int:
+        """COLUMNS, RHS and RANGES lines: ``<name> <row> <value>
+        [<row> <value>]``, and in COLUMNS the integer markers."""
+        tokens, ends, first, count, _ = _lines(piece, self.end, "*")
+        failures = []
+        marker = np.zeros(len(first), bool)
+        if section == "COLUMNS":
+            marker = (count >= 3) & (tokens[first + 1] == "'MARKER'")
+            kinds = tokens[first[marker] + 2]
+            opens = kinds == "'INTORG'"
+            failures += [(first[marker][p], 0, f"unknown marker {kinds[p]}")
+                         for p in np.flatnonzero(~opens & (kinds != "'INTEND'"))[:1]]
+        paired = ~marker & ((count == 3) | (count == 5))
+        failures += [(first[p], 0, "expected '<name> <row> <value>' pairs")
+                     for p in np.flatnonzero(~marker & ~paired)[:1]]
+        # the index of each pair's row token, in reading order
+        per = count[paired] // 2
+        at = np.repeat(first[paired] + 1, per)
+        at[np.cumsum(per)[per == 2] - 1] += 2
+        names = tokens[at].tolist()
+        rows = np.fromiter(map(self.row_ids.get, names, repeat(_UNDECLARED)), np.int64, len(names))
+        refused = rows < 0 if section == "RANGES" else rows == _UNDECLARED
+        failures += [(at[p], 0, f"undeclared row '{names[p]}' in {section}")
+                     for p in np.flatnonzero(refused)[:1]]
+        spellings = tokens[at + 1].tolist()
+        values = np.fromiter(map(self.number, spellings), float, len(spellings))
+        failures += [(at[p] + 1, 0, f"bad numeric value '{spellings[p]}'")
+                     for p in np.flatnonzero(np.isnan(values))[:1]]
+        if section == "COLUMNS":
+            keys = np.repeat(self.declare(tokens[first[paired]].tolist(),
+                                          marker, opens, paired), per)
+        else:
+            keys = np.full(len(at), _RHS if section == "RHS" else _RANGES)
+        # a value is filed once its row is read: a repeat is reported first
+        filed = np.searchsorted(at, min(failures)[0]) if failures else len(at)
+        self.filed.append((rows[:filed], keys[:filed], values[:filed],
+                           lineno + np.searchsorted(ends, at[:filed])))
+        self.check(failures, ends, lineno)
+        return len(ends) - 1
+
+    def declare(self, names: list, marker, opens, paired):
+        """The column of each of ``names``, one per pair line; a column read
+        for the first time is binary if it sits between INTORG and INTEND."""
+        known = len(self.binary)
+        fresh = dict.fromkeys(names)
+        for name in fresh.keys() & self.columns.keys():
+            del fresh[name]
+        self.columns.update(zip(fresh, range(known, known + len(fresh))))
+        cols = np.fromiter(map(self.columns.__getitem__, names), np.int64, len(names))
+        # new columns take their indices in order: a first line raises the maximum
+        first = cols > np.maximum.accumulate(np.concatenate(([known - 1], cols)))[:-1]
+        # the marker state at each pair line: the last marker before it
+        state = np.concatenate(([self.integer], opens))
+        binary = state[np.searchsorted(np.flatnonzero(marker), np.flatnonzero(paired))][first]
+        self.binary += binary.astype(np.uint8).tobytes()
+        self.lower.frombytes(np.zeros(binary.size).tobytes())
+        self.upper.frombytes(np.where(binary, 1.0, math.inf).tobytes())
+        self.integer = bool(state[-1])
+        return cols
+
+    def bounds(self, piece: str, lineno: int, section: str) -> int:
+        """BOUNDS lines: ``<type> <set> <column> [<value>]``."""
+        tokens, ends, first, count, _ = _lines(piece, self.end, "*")
+        spelled = tokens[first].tolist()
+        tags = list(map(str.upper, spelled))
+        codes = np.fromiter(map(_BOUND_CODES.get, tags, repeat(-1)), np.int64, len(tags))
+        failures = [(first[p], 0, f"unknown bound type '{spelled[p]}'")
+                    for p in np.flatnonzero(codes < 0)[:1]]
+        valued = (codes >= 0) & (codes < _VALUED)
+        shaped = (codes >= 0) & (count == 3 + valued)
+        failures += [(first[p], 1, f"bound {tags[p]} needs a value" if valued[p]
+                      else f"bound {tags[p]} takes no value")
+                     for p in np.flatnonzero((codes >= 0) & ~shaped)[:1]]
+        first, codes, valued = first[shaped], codes[shaped], valued[shaped]
+        values = np.zeros(len(first))
+        spellings = tokens[first[valued] + 3].tolist()
+        values[valued] = np.fromiter(map(self.number, spellings), float, len(spellings))
+        failures += [(first[p], 2, f"bad numeric value '{tokens[first[p] + 3]}'")
+                     for p in np.flatnonzero(np.isnan(values))[:1]]
+        names = tokens[first + 2].tolist()
+        cols = np.fromiter(map(self.columns.get, names, repeat(-1)), np.int64, len(names))
+        failures += [(first[p], 3, f"bound on undeclared column '{names[p]}'")
+                     for p in np.flatnonzero(cols < 0)[:1]]
+        self.check(failures, ends, lineno)
+        # each line sets one side or both; the last line setting it wins
+        for side, bound in enumerate((self.lower, self.upper)):
+            sets = _BOUND_SETS[codes, side]
+            to = np.where(np.isnan(_BOUND_TO[codes, side]), values, _BOUND_TO[codes, side])
+            cols_set, last = np.unique(cols[sets][::-1], return_index=True)
+            np.frombuffer(bound)[cols_set] = to[sets][::-1][last]
+        np.frombuffer(self.binary, np.uint8)[cols[codes == _BOUND_CODES["BV"]]] = 1
+        return len(ends) - 1
+
+    def stray(self, piece: str, lineno: int, section: str | None) -> int:
+        """Lines before the first section or after ENDATA: none may hold data."""
+        _tokens, ends, first, _count, _ = _lines(piece, self.end, "*")
+        why = "content after ENDATA" if section == "ENDATA" else "data line outside any section"
+        self.check([(first[0], 0, why)] if first.size else [], ends, lineno)
+        return len(ends) - 1
+
+
+_READERS = {"ROWS": _Reader.rows, "COLUMNS": _Reader.pairs, "RHS": _Reader.pairs,
+            "RANGES": _Reader.pairs, "BOUNDS": _Reader.bounds}
 
 
 def parse_mps(text: str):
@@ -256,134 +513,67 @@ def parse_mps(text: str):
     indices.  The model is equivalent to the source: same columns in order,
     same rows (RANGES rows expand into a ≤/≥ pair), same objective.
     """
-    section = None
-    row_ids: dict[str, int] = {}    # row -> constraint index, or _OBJECTIVE
-    senses = bytearray()            # per constraint row, its sense code
-    table: dict[str, int] = {}      # column name -> index
-    # per column, the model's own arrays: binary flag, lower and upper bound
-    binary, lower, upper = bytearray(), array("d"), array("d")
-    # every pair-line value, in reading order, as (row id, key, value)
-    t_rows, t_keys, t_values = array("q"), array("q"), array("d")
-    integer_mode = False
-    pairs = False               # in COLUMNS, RHS or RANGES
-    column = None               # name of the COLUMNS line before, if any
-    key = None                  # the key a pair line files its values under
-    isfinite = math.isfinite
-    file_row, file_key, file_value = t_rows.append, t_keys.append, t_values.append
-
-    def fail(lineno: int, why: str):
-        _entry_order(text, row_ids, t_rows, t_keys)     # an earlier duplicate goes first
-        raise MpsError(f"line {lineno}: {why}")
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+    text = _one_break(text)
+    reader = _Reader(_end_token(text))
+    heads = [match.start() + 1 for match in _HEAD.finditer(text)]
+    if text and text[0] not in " \t\n*":
+        heads.insert(0, 0)
+    section, at, lineno = None, 0, 1
+    # the lines before each header belong to the section before it
+    for head in heads + [len(text)]:
+        read = _READERS.get(section, _Reader.stray)
+        for piece in _chunks(text, at, head):
+            lineno += read(reader, piece, lineno, section)
+        at = text.find("\n", head) + 1 or len(text)
+        tokens = text[head:at].split()
         if not tokens or tokens[0][0] == "*":
-            continue
-        if pairs and raw[0] in " \t":
-            # COLUMNS, RHS and RANGES lines: <name> <row> <value> [<row> <value>]
-            n = len(tokens)
-            if n >= 3 and tokens[1] == "'MARKER'" and section == "COLUMNS":
-                if tokens[2] not in ("'INTORG'", "'INTEND'"):
-                    fail(lineno, f"unknown marker {tokens[2]}")
-                integer_mode = tokens[2] == "'INTORG'"
-                continue
-            at = _PAIRS_AT.get(n)
-            if at is None:
-                fail(lineno, "expected '<name> <row> <value>' pairs")
-            if section == "COLUMNS" and tokens[0] != column:
-                column = tokens[0]
-                key = table.setdefault(column, len(table))
-                if key == len(binary):
-                    binary.append(integer_mode)
-                    lower.append(0.0)
-                    upper.append(1.0 if integer_mode else math.inf)
-            for i in at:
-                row = row_ids.get(tokens[i])
-                if row is None or (row == _OBJECTIVE and key == _RANGES):
-                    fail(lineno, f"undeclared row '{tokens[i]}' in {section}")
-                # filed before the value is read: a repeat is reported first
-                file_row(row)
-                file_key(key)
-                try:
-                    value = float(tokens[i + 1])
-                except ValueError:
-                    value = math.nan
-                if not isfinite(value):
-                    fail(lineno, f"bad numeric value '{tokens[i + 1]}'")
-                file_value(value)
+            pass
         elif section == "ENDATA":
-            fail(lineno, "content after ENDATA")
-        elif raw[0] not in " \t":
-            keyword = tokens[0]
-            if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
-                section = keyword
-                pairs = keyword in ("COLUMNS", "RHS", "RANGES")
-                column, key = None, {"RHS": _RHS, "RANGES": _RANGES}.get(keyword)
-            elif keyword != "NAME":
-                fail(lineno, f"unknown section '{keyword}'")
-        elif section == "ROWS":
-            if len(tokens) != 2:
-                fail(lineno, "expected '<sense> <row>'")
-            tag, row = tokens[0].upper(), tokens[1]
-            if row in row_ids:
-                fail(lineno, f"duplicate row '{row}'")
-            if tag == "N":
-                if _OBJECTIVE in row_ids.values():
-                    fail(lineno, "multiple objective rows")
-                row_ids[row] = _OBJECTIVE
-            elif tag in _TAG_CODES:
-                row_ids[row] = len(senses)
-                senses.append(_TAG_CODES[tag])
-            else:
-                fail(lineno, f"unknown row sense '{tokens[0]}'")
-        elif section == "BOUNDS":
-            tag = tokens[0].upper()
-            if tag not in _BOUND_TYPES:
-                fail(lineno, f"unknown bound type '{tokens[0]}'")
-            valued = tag in _VALUED_BOUNDS
-            if len(tokens) != 3 + valued:
-                fail(lineno, f"bound {tag} needs a value" if valued
-                     else f"bound {tag} takes no value")
-            value = _finite(tokens[3]) if valued else 0.0
-            if value is None:
-                fail(lineno, f"bad numeric value '{tokens[3]}'")
-            col = table.get(tokens[2])
-            if col is None:
-                fail(lineno, f"bound on undeclared column '{tokens[2]}'")
-            lower[col], upper[col] = _BOUND_TYPES[tag](lower[col], upper[col], value)
-            binary[col] = binary[col] or tag == "BV"
-        else:
-            fail(lineno, "data line outside any section")
+            reader.fail(lineno, "content after ENDATA")
+        elif tokens[0] in _SECTIONS:
+            section = tokens[0]
+        elif tokens[0] != "NAME":
+            reader.fail(lineno, f"unknown section '{tokens[0]}'")
+        lineno += 1
 
-    order = _entry_order(text, row_ids, t_rows, t_keys)
-    for col, integer, lo, up in zip(table, binary, lower, upper):
-        if integer and not (0.0 <= lo and up <= 1.0):
-            raise MpsError(f"integer column '{col}' has bounds [{lo}, {up}]; "
+    rows, keys, values, order = reader.entries()
+    names = list(reader.columns)
+    binary = np.frombuffer(reader.binary, np.uint8) == 1
+    lower, upper = np.frombuffer(reader.lower), np.frombuffer(reader.upper)
+    unbinary = binary & ~((0.0 <= lower) & (upper <= 1.0))
+    for j in np.flatnonzero(unbinary | (lower > upper))[:1]:
+        if unbinary[j]:
+            raise MpsError(f"integer column '{names[j]}' has bounds [{lower[j]}, {upper[j]}]; "
                            "only binary-ranged integers are supported")
-        if lo > up:
-            raise MpsError(f"column '{col}' has crossed bounds")
+        raise MpsError(f"column '{names[j]}' has crossed bounds")
+    del binary, lower, upper        # views: the arrays cannot grow while they live
     model = Milp()
-    model.names, model.is_binary, model.lower, model.upper = list(table), binary, lower, upper
+    model.names, model.is_binary = names, reader.binary
+    model.lower, model.upper = reader.lower, reader.upper
 
-    rows = np.frombuffer(t_rows, np.int64)[order]
-    keys = np.frombuffer(t_keys, np.int64)[order]
-    values = np.frombuffer(t_values)[order]
+    rows, keys, values = rows[order], keys[order], values[order]
     objective, terms, given = rows == _OBJECTIVE, keys >= 0, keys == _RHS
-    for col, coef in zip(keys[objective & terms].tolist(), values[objective & terms].tolist()):
-        if coef != 0.0:
-            model.objective[col] = coef
+    coefs = objective & terms & (values != 0.0)
+    model.objective = dict(zip(keys[coefs].tolist(), values[coefs].tolist()))
     for offset in values[objective & given].tolist():
         model.objective_offset = -offset
+    senses = np.frombuffer(reader.senses, np.uint8)
     m = len(senses)
     base = np.zeros(m)
     base[rows[given & ~objective]] = values[given & ~objective]
     # a ranged row becomes two rows in its place; src is each row's source
-    ranged = dict(zip(rows[keys == _RANGES].tolist(), values[keys == _RANGES].tolist()))
-    src = np.repeat(np.arange(m), [1 + (i in ranged) for i in range(m)])
-    codes, rhs = np.frombuffer(senses, np.uint8)[src], base[src]
-    for i, r in ranged.items():
-        p = np.searchsorted(src, i)
-        (codes[p], rhs[p]), (codes[p + 1], rhs[p + 1]) = _range_rows(senses[i], base[i], r)
+    ranged, r = rows[keys == _RANGES], values[keys == _RANGES]
+    copies = np.ones(m, np.int64)
+    copies[ranged] = 2
+    src = np.repeat(np.arange(m), copies)
+    codes, rhs = senses[src], base[src]
+    # an L row gets a G twin |r| below it, a G row an L twin |r| above it,
+    # and an E row becomes the G and L rows of [base, base + r]
+    twin, b = np.cumsum(copies)[ranged] - 2, base[ranged]
+    le, ge = senses[ranged] == _LE, senses[ranged] == _GE
+    codes[twin], codes[twin + 1] = np.where(le, _LE, _GE), np.where(le, _GE, _LE)
+    rhs[twin] = np.where(le | ge | (r >= 0), b, b + r)
+    rhs[twin + 1] = np.where(le, b - abs(r), np.where(ge, b + abs(r), np.where(r >= 0, b + r, b)))
     terms &= ~objective
     ends = np.cumsum(np.bincount(rows[terms], minlength=m))
     sizes = np.diff(ends, prepend=0)[src]
@@ -393,33 +583,45 @@ def parse_mps(text: str):
     model.row_col = array("q", keys[terms][take].tobytes())
     model.row_coef = array("d", values[terms][take].tobytes())
     model.row_sense, model.rhs = bytearray(codes.tobytes()), array("d", rhs.tobytes())
-    return model, table
+    return model, reader.columns
 
 
 def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list[float]:
     """Parse ``name value`` lines into a dense assignment.
 
-    Lines starting with ``#`` and blank lines are skipped.  A name absent
-    from ``name_table`` or a value that is not a finite number is an error;
-    columns never mentioned default to 0.
+    Blank lines and lines whose first token starts with ``#`` are skipped,
+    unless that token is a column name: such a line is an error, not a
+    comment.  A name absent from ``name_table``, a repeated name or a value
+    that is not a finite number is an error; columns never mentioned
+    default to 0.
     """
-    assignment = [0.0] * n_columns
+    text = _one_break(text)
+    end = _end_token(text)
+    number = _Numbers().__getitem__
+    assignment = np.zeros(n_columns)
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise MpsError(f"solution line {lineno}: expected 'name value'")
-        name, value = tokens
-        if name not in name_table:
-            raise MpsError(f"solution line {lineno}: unknown variable '{name}'")
-        if name in seen:
-            raise MpsError(f"solution line {lineno}: duplicate variable '{name}'")
-        seen.add(name)
-        number = _finite(value)
-        if number is None:
-            raise MpsError(f"solution line {lineno}: bad value '{value}'")
-        assignment[name_table[name]] = number
-    return assignment
+    lineno = 1
+    for piece in _chunks(text, 0, len(text)):
+        tokens, ends, first, count, notes = _lines(piece, end, "#")
+        heads = tokens[notes].tolist()
+        failures = [(notes[p], 0, f"variable '{heads[p]}' starts a comment line")
+                    for p in np.flatnonzero(np.fromiter(map(name_table.__contains__, heads),
+                                                        bool, len(heads)))[:1]]
+        failures += [(first[p], 0, "expected 'name value'") for p in np.flatnonzero(count != 2)[:1]]
+        first = first[count == 2]
+        names, spellings = tokens[first].tolist(), tokens[first + 1].tolist()
+        cols = np.fromiter(map(name_table.get, names, repeat(-1)), np.int64, len(names))
+        failures += [(first[p], 1, f"unknown variable '{names[p]}'")
+                     for p in np.flatnonzero(cols < 0)[:1]]
+        p = _first_repeat(names, seen)
+        if p is not None:
+            failures.append((first[p], 2, f"duplicate variable '{names[p]}'"))
+        values = np.fromiter(map(number, spellings), float, len(spellings))
+        failures += [(first[p], 3, f"bad value '{spellings[p]}'")
+                     for p in np.flatnonzero(np.isnan(values))[:1]]
+        if failures:
+            raise MpsError("solution line %d: %s" % _first_failure(failures, ends, lineno))
+        assignment[cols] = values
+        seen.update(names)
+        lineno += len(ends) - 1
+    return assignment.tolist()

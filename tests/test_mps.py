@@ -4,11 +4,13 @@ import gc
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridplan.mps
 from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
 from gridplan.case import parse_case
@@ -235,64 +237,118 @@ def test_parsed_models_are_pinned(bundled):
     assert digests == PARSED_MODEL_SHA256
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda t: t.replace(" L  R0000001", " L  R0000001\n L  R0000001"),
-         "duplicate row"),
-        (lambda t: t.replace("ROWS", "ROWZ", 1), "unknown section"),
-        (lambda t: t + "junk\n", "content after ENDATA"),
-        (lambda t: t.replace("RHS\n", "RHS\n    RHS1      NOPE  1.0\n", 1),
-         "undeclared row 'NOPE'"),
-        (lambda t: t.replace(" N  COST\n", " N  COST\n N  COST2\n"),
-         r"^line 4: multiple objective rows$"),
-        (lambda t: t.replace(" G  R0000002", " Q  R0000002"),
-         r"^line 5: unknown row sense 'Q'$"),
-        (lambda t: t.replace(" G  R0000002", " G  R0000002  extra"),
-         r"^line 5: expected '<sense> <row>'$"),
-        (lambda t: t.replace("'INTEND'", "'INTWAT'"), r"^line 12: unknown marker 'INTWAT'$"),
-        (lambda t: t.replace("x_free    R0000002", "x_free    R0000009"),
-         r"^line 14: .*undeclared row 'R0000009'"),
-        (lambda t: t.replace("x_unused  COST      0.0", "x_unused  COST      0.0  R0000001"),
-         r"^line 20: expected '<\w+> <row> <value>' pairs$"),
-        (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002"),
-         r"^line 24: expected '<\w+> <row> <value>' pairs$"),
-        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0  R0000002\nBOUNDS\n"),
-         r"^line 26: expected '<\w+> <row> <value>' pairs$"),
-        (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002  -2.0  R0000001  1.0"),
-         r"^line 24: duplicate .*row 'R0000001'"),
-        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0\n"
-                                         "    RNG2  R0000001  2.0\nBOUNDS\n"),
-         r"^line 27: duplicate .*row 'R0000001'"),
-        (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  COST  1.0\nBOUNDS\n"),
-         r"^line 26: .*undeclared row 'COST'"),
-        (lambda t: t.replace(" FR BND       x_free", " FR BND       x_free    1.0"),
-         r"^line 29: bound FR takes no value$"),
-        (lambda t: t.replace(" UP BND       x_upper   4.0", " UP BND       x_upper"),
-         r"^line 31: bound UP needs a value$"),
-        (lambda t: t.replace(" FR BND", " XX BND"), r"^line 29: unknown bound type 'XX'$"),
-        (lambda t: t.replace("x_boxed   8.0", "x_boxed   0.125"),
-         r"^column 'x_boxed' has crossed bounds$"),
-        (lambda t: t.replace("ROWS\n", "    stray  line\nROWS\n", 1),
-         r"^line 2: data line outside any section$"),
-        (lambda t: t.replace(" UP BND       x_boxed ", " UP BND       nope    "),
-         r"^line 35: bound on undeclared column 'nope'$"),
-        # a repeated entry is reported at its line, before any later error
-        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0")
-         .replace(" FR BND", " XX BND"),
-         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
-        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0  R0000003  zz"),
-         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
-        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000003  zz  R0000001  1.0"),
-         r"^line 18: bad numeric value 'zz'$"),
-        (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  zz"),
-         r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
-    ],
-)
+# each mutation of the feature model's text, and the error it must raise
+_MALFORMED = [
+    (lambda t: t.replace(" L  R0000001", " L  R0000001\n L  R0000001"),
+     "duplicate row"),
+    (lambda t: t.replace("ROWS", "ROWZ", 1), "unknown section"),
+    (lambda t: t + "junk\n", "content after ENDATA"),
+    (lambda t: t.replace("RHS\n", "RHS\n    RHS1      NOPE  1.0\n", 1),
+     "undeclared row 'NOPE'"),
+    (lambda t: t.replace(" N  COST\n", " N  COST\n N  COST2\n"),
+     r"^line 4: multiple objective rows$"),
+    (lambda t: t.replace(" G  R0000002", " Q  R0000002"),
+     r"^line 5: unknown row sense 'Q'$"),
+    (lambda t: t.replace(" G  R0000002", " G  R0000002  extra"),
+     r"^line 5: expected '<sense> <row>'$"),
+    (lambda t: t.replace("'INTEND'", "'INTWAT'"), r"^line 12: unknown marker 'INTWAT'$"),
+    (lambda t: t.replace("x_free    R0000002", "x_free    R0000009"),
+     r"^line 14: .*undeclared row 'R0000009'"),
+    (lambda t: t.replace("x_unused  COST      0.0", "x_unused  COST      0.0  R0000001"),
+     r"^line 20: expected '<\w+> <row> <value>' pairs$"),
+    (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002"),
+     r"^line 24: expected '<\w+> <row> <value>' pairs$"),
+    (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0  R0000002\nBOUNDS\n"),
+     r"^line 26: expected '<\w+> <row> <value>' pairs$"),
+    (lambda t: t.replace("RHS1      R0000002  -2.0", "RHS1      R0000002  -2.0  R0000001  1.0"),
+     r"^line 24: duplicate .*row 'R0000001'"),
+    (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  R0000001  1.0\n"
+                                     "    RNG2  R0000001  2.0\nBOUNDS\n"),
+     r"^line 27: duplicate .*row 'R0000001'"),
+    (lambda t: t.replace("BOUNDS\n", "RANGES\n    RNG  COST  1.0\nBOUNDS\n"),
+     r"^line 26: .*undeclared row 'COST'"),
+    (lambda t: t.replace(" FR BND       x_free", " FR BND       x_free    1.0"),
+     r"^line 29: bound FR takes no value$"),
+    (lambda t: t.replace(" UP BND       x_upper   4.0", " UP BND       x_upper"),
+     r"^line 31: bound UP needs a value$"),
+    (lambda t: t.replace(" FR BND", " XX BND"), r"^line 29: unknown bound type 'XX'$"),
+    (lambda t: t.replace("x_boxed   8.0", "x_boxed   0.125"),
+     r"^column 'x_boxed' has crossed bounds$"),
+    (lambda t: t.replace("ROWS\n", "    stray  line\nROWS\n", 1),
+     r"^line 2: data line outside any section$"),
+    (lambda t: t.replace(" UP BND       x_boxed ", " UP BND       nope    "),
+     r"^line 35: bound on undeclared column 'nope'$"),
+    # a repeated entry is reported at its line, before any later error
+    (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0")
+     .replace(" FR BND", " XX BND"),
+     r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
+    (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  1.0  R0000003  zz"),
+     r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
+    (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000003  zz  R0000001  1.0"),
+     r"^line 18: bad numeric value 'zz'$"),
+    (lambda t: t.replace("x_boxed   R0000003  1.0", "x_boxed   R0000001  zz"),
+     r"^line 18: duplicate entry for row 'R0000001' in COLUMNS$"),
+    # of two defects, the one on the earlier line is reported: in two
+    # sections, then on two lines of one section
+    (lambda t: t.replace(" G  R0000002", " Q  R0000002").replace(" FR BND", " XX BND"),
+     r"^line 5: unknown row sense 'Q' *$"),
+    (lambda t: t.replace("x_free    R0000002  1.0", "x_free    R0000002  zz")
+     .replace("RHS1      R0000002", "RHS1      NOPE    "),
+     r"^line 14: bad numeric value 'zz'$"),
+    (lambda t: t.replace(" L  R0000001", " L  COST").replace(" E  R0000003", " Q  R0000003"),
+     r"^line 4: duplicate row 'COST'$"),
+    (lambda t: t.replace("x_upper   R0000002  1.0", "x_upper   R0000009  1.0")
+     .replace("x_boxed   R0000003  1.0", "x_boxed   R0000003  zz"),
+     r"^line 15: .*undeclared row 'R0000009'"),
+    (lambda t: t.replace("x_free    R0000002  1.0", "x_free    R0000002  1.0  R0000003")
+     .replace("x_lower   R0000003", "x_lower   R0000009"),
+     r"^line 14: expected '<\w+> <row> <value>' pairs$"),
+    (lambda t: t.replace("b_fixed   1.0", "b_fixed   zz").replace(" UP BND       x_boxed ",
+                                                            " UP BND       nope    "),
+     r"^line 27: bad numeric value 'zz'$"),
+    # comment and blank lines before a defect count in its line number
+    (lambda t: t.replace("COLUMNS\n", "COLUMNS\n* note\n\n   * indented note\n\t\n")
+     .replace("x_free    R0000002", "x_free    R0000009"),
+     r"^line 18: .*undeclared row 'R0000009'"),
+    (lambda t: t.replace("ROWS\n", "* top\nROWS\n\n").replace(" FR BND", " XX BND"),
+     r"^line 31: unknown bound type 'XX'$"),
+    (lambda t: t.replace("RHS\n", "RHS\n  * note\n\n")
+     .replace("RHS1      R0000002  -2.0", "RHS1      R0000001  -2.0"),
+     r"^line 26: duplicate entry for row 'R0000001' in RHS$"),
+    # line breaks as str.splitlines counts them: CRLF, and a lone CR
+    (lambda t: t.replace("\n", "\r\n", 20).replace("BOUNDS\n", "BOUNDS\r")
+     .replace(" FR BND", " XX BND"),
+     r"^line 29: unknown bound type 'XX' *$"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _MALFORMED)
 def test_parser_rejects_malformed_text(mutate, message):
     text = write_mps(_feature_model())
     with pytest.raises(MpsError, match=message):
         parse_mps(mutate(text))
+
+
+@pytest.mark.parametrize("piece", [1, 40])
+def test_pieces_of_any_size_read_alike(piece, monkeypatch, bundled):
+    # the reader carries rows, columns, markers and filed entries from one
+    # piece of a section to the next; tiny pieces put a cut on every line
+    texts = [write_mps(build_milp(bundled(name), variant)[0])
+             for name in ["eight_bus", "season_flip"] for variant in Variant]
+    texts += [write_mps(_feature_model()), _RANGES_TEXT, _NONCONTIGUOUS_TEXT]
+    expected = [parse_mps(text) for text in texts]
+    monkeypatch.setattr(gridplan.mps, "_PIECE", piece)
+    for text, (model, table) in zip(texts, expected):
+        again, again_table = parse_mps(text)
+        assert write_mps(again) == write_mps(model)
+        assert (again.variables, again.constraints, again_table) == (
+            model.variables, model.constraints, table)
+    feature = write_mps(_feature_model())
+    for mutate, message in _MALFORMED:
+        with pytest.raises(MpsError, match=message):
+            parse_mps(mutate(feature))
+    with pytest.raises(MpsError, match=r"^solution line 4: duplicate variable 'a'$"):
+        read_solution("a 1.0\n# note\nb 2.0\na 3.0", {"a": 0, "b": 1}, 2)
 
 
 _NUMBERS = [
@@ -383,6 +439,24 @@ def test_column_straddling_a_marker_keeps_its_first_kind():
     ]
 
 
+def test_later_bounds_lines_win():
+    # each BOUNDS line sets one side or both, in reading order
+    model, table = parse_mps("\n".join([
+        "ROWS", " N  COST", " L  R1",
+        "COLUMNS", "    X  R1  1.0", "    Y  R1  1.0", "    Z  R1  1.0", "    W  R1  1.0",
+        "BOUNDS",
+        " UP BND  X  5.0", " FX BND  X  2.0", " UP BND  X  3.0",
+        " FR BND  Y", " LO BND  Y  1.0",
+        " LO BND  Z  1.0", " MI BND  Z", " UP BND  Z  -1.0",
+        " PL BND  W", " BV BND  W", " UP BND  W  0.5", " LO BND  W  0.25",
+        "ENDATA",
+    ]))
+    assert [(v.kind, v.lower, v.upper) for v in model.variables] == [
+        (CONTINUOUS, 2.0, 3.0), (CONTINUOUS, 1.0, math.inf),
+        (CONTINUOUS, -math.inf, -1.0), (BINARY, 0.25, 0.5),
+    ]
+
+
 def test_parser_rejects_general_integers():
     text = "\n".join([
         "ROWS", " N  COST", " L  R1",
@@ -425,6 +499,25 @@ def test_name_table_rejects_bad_names():
     m3.add_variable(CONTINUOUS, 0.0, 1.0, "*x")
     with pytest.raises(MpsError, match=r"^column 1 has name '\*x', unusable"):
         column_name_table(m3)
+    m4 = Milp()
+    m4.add_variable(CONTINUOUS, 0.0, 1.0, "x#")
+    m4.add_variable(CONTINUOUS, 0.0, 1.0, "#x")
+    with pytest.raises(MpsError, match=r"^column 1 has name '#x', unusable"):
+        column_name_table(m4)
+
+
+@pytest.mark.parametrize("names", [
+    ["ok", "has space"], ["*x"], ["ok", "#x"], [""], ["ok", ""], ["tab\there"], ["new\nline"],
+    ["caf\u00e9"], ["del\x7f"], ["same", "other", "same"],
+])
+def test_writer_refuses_what_the_name_table_refuses(names):
+    m = Milp()
+    for name in names:
+        m.add_variable(CONTINUOUS, 0.0, 1.0, name)
+    with pytest.raises(MpsError) as expected:
+        column_name_table(m)
+    with pytest.raises(MpsError, match=f"^{re.escape(str(expected.value))}$"):
+        write_mps(m)
 
 
 def test_read_solution_rules():
@@ -439,6 +532,30 @@ def test_read_solution_rules():
         read_solution("a 1.0 extra", table, 3)
     with pytest.raises(MpsError, match="bad value"):
         read_solution("a wat", table, 3)
+    # the defect on the earlier line is reported, and comment and blank
+    # lines count in its line number
+    with pytest.raises(MpsError, match=r"^solution line 2: unknown variable 'z'$"):
+        read_solution("a 1.0\nz 2.0\na 3.0", table, 3)
+    with pytest.raises(MpsError, match=r"^solution line 1: expected 'name value'$"):
+        read_solution("a 1.0 x\nb wat", table, 3)
+    with pytest.raises(MpsError, match=r"^solution line 1: bad value 'wat'$"):
+        read_solution("a wat\na 1.0", table, 3)
+    with pytest.raises(MpsError, match=r"^solution line 5: unknown variable 'z'$"):
+        read_solution("# c\n\n  # d\n\t\nz 1.0", table, 3)
+
+
+def test_read_solution_refuses_a_comment_that_names_a_column():
+    # a '#' line is a comment, unless its first token is a column: parse_mps
+    # reads such names, and skipping the line would decode the column as 0
+    model, table = parse_mps("\n".join([
+        "ROWS", " N  COST", " L  R1",
+        "COLUMNS", "    #x  R1  1.0", "    y  R1  1.0",
+        "ENDATA",
+    ]))
+    assert table == {"#x": 0, "y": 1}
+    with pytest.raises(MpsError, match=r"^solution line 1: variable '#x' starts a comment line$"):
+        read_solution("#x 3.0\ny 2.0", table, 2)
+    assert read_solution("# x 3.0\ny 2.0", table, 2) == [0.0, 2.0]
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -509,7 +626,7 @@ def _spelled_signs(model):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NAMES = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
-                 max_size=6).filter(lambda name: not name.startswith("*"))
+                 max_size=6).filter(lambda name: name[0] not in "*#")
 
 
 @st.composite
@@ -551,6 +668,57 @@ def test_write_parse_write_property(model):
     # == cannot tell -0.0 from 0.0
     assert _spelled_signs(again) == _spelled_signs(model)
     assert table == column_name_table(model)
+
+
+def _equivalent_text(text: str, rnd) -> str:
+    """``text`` written another way that means the same model: a repeated
+    column, 5-token pair lines in COLUMNS and RHS, lower-case ROWS and BOUNDS
+    tags, tabs and padding, and comment and blank lines."""
+    lines, section, out = text.splitlines(), None, []
+    # a column's later line moves after the next column's line, so that the
+    # column reappears; no marker lies between, so no kind changes
+    for i in range(len(lines) - 2):
+        cols = [line.split()[0] for line in lines[i:i + 3]]
+        if (all(line.startswith("    ") for line in lines[i:i + 3])
+                and "'MARKER'" not in "".join(lines[i:i + 3])
+                and cols[0] == cols[1] != cols[2] and rnd.random() < 0.5):
+            lines[i + 1], lines[i + 2] = lines[i + 2], lines[i + 1]
+    for line in lines:
+        tokens = line.split()
+        if not line.startswith(" "):
+            section = tokens[0]
+        elif section in ("ROWS", "BOUNDS") and rnd.random() < 0.5:
+            tokens[0] = tokens[0].lower()
+        elif (section in ("COLUMNS", "RHS") and len(out[-1][1]) == 3
+              and "'MARKER'" not in tokens + out[-1][1] and out[-1][1][0] == tokens[0]
+              and rnd.random() < 0.5):
+            out[-1][1].extend(tokens[1:])
+            continue
+        out.append((line.startswith(" "), tokens))
+    text = []
+    for indented, tokens in out:
+        for _ in range(rnd.choice([0, 0, 0, 1, 2])):
+            text.append(rnd.choice(["", "  ", "\t", "* note", "*", "   * indented note",
+                                    "\t*note * 1"]))
+        gaps = [rnd.choice([" ", "  ", "\t", " \t "]) for _ in tokens]
+        head = rnd.choice([" ", "    ", "\t", " \t"]) if indented else ""
+        text.append(head + "".join(t + gap for t, gap in zip(tokens, gaps)).rstrip(" \t")
+                    + rnd.choice(["", " ", "\t"]))
+    return "\n".join(text) + rnd.choice(["", "\n", "\n\n"])
+
+
+@given(_milps(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_equivalent_text_gives_the_same_model(model, rnd):
+    text = write_mps(model)
+    expected, expected_table = parse_mps(text)
+    again, table = parse_mps(_equivalent_text(text, rnd))
+    assert write_mps(again) == text
+    assert again.variables == expected.variables
+    assert again.constraints == expected.constraints
+    assert again.objective == expected.objective
+    assert again.objective_offset == expected.objective_offset
+    assert table == expected_table
 
 
 # the four bulk passes leave the cyclic collector as they found it, also
