@@ -23,11 +23,11 @@ from gridplan.cases import load_bundled
 case = load_bundled("diamond")
 model, index = build_milp(case, Variant.STATIC)
 
-text = write_mps(model, name="DIAMOND")
+text = write_mps(model)
 print(f"wrote {len(text.splitlines())} lines of MPS")
 
 reparsed, names = parse_mps(text)
-assert write_mps(reparsed, name="DIAMOND") == text
+assert write_mps(reparsed) == text
 print("write -> parse -> write is a byte fixed point")
 
 outcome = solve_milp(reparsed, SolveParams(mip_gap=0.0))

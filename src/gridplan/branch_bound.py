@@ -83,10 +83,11 @@ class SolveParams:
 class SolveOutcome:
     """Incumbent, proof bound, and how the search stopped.
 
-    ``gap`` is (objective - bound) / max(|objective|, 1e-9); ``bound`` never
-    exceeds the incumbent objective and is None when no LP gave one (a time
-    limit before the root, or a root LP that failed).  ``nondeterministic``
-    is set exactly for ``time_limit`` outcomes: runs cut off by wall-clock
+    ``bound`` never exceeds the incumbent objective and is None when no LP
+    gave one (a time limit before the root, or a root LP that failed).  Two
+    properties derive from the fields: ``gap``, (objective - bound) /
+    max(|objective|, 1e-9) or None without both, and ``nondeterministic``,
+    true exactly for ``time_limit`` outcomes: runs cut off by wall-clock
     time, whose incumbent may vary between machines.
     """
 
@@ -94,10 +95,18 @@ class SolveOutcome:
     assignment: list[float] | None
     objective: float | None
     bound: float | None
-    gap: float | None
     nodes: int = 0
-    nondeterministic: bool = False
     message: str = ""
+
+    @property
+    def gap(self) -> float | None:
+        if self.objective is None or self.bound is None:
+            return None
+        return _relative_gap(self.objective, self.bound)
+
+    @property
+    def nondeterministic(self) -> bool:
+        return self.status == TIME_LIMIT
 
 
 def _relative_gap(objective: float, bound: float) -> float:
@@ -253,12 +262,9 @@ class _Search:
         """Every way ``run`` ends: the incumbent, if any, and the proof bound."""
         bound = self._global_bound()
         objective = None if self.incumbent is None else self.incumbent_obj
-        return SolveOutcome(
-            status, self.incumbent, objective,
-            bound if np.isfinite(bound) else None,
-            None if objective is None else _relative_gap(objective, bound),
-            nodes=self.nodes, nondeterministic=status == TIME_LIMIT, message=message,
-        )
+        return SolveOutcome(status, self.incumbent, objective,
+                            bound if np.isfinite(bound) else None,
+                            nodes=self.nodes, message=message)
 
 
 def solve_milp(model: Milp, params: SolveParams | None = None) -> SolveOutcome:
@@ -369,7 +375,7 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
     totals = np.where(feasible, totals, np.inf)
     best = int(np.argmin(totals))
     if totals[best] == np.inf:
-        return SolveOutcome(INFEASIBLE, None, None, None, None, nodes=n_masks,
+        return SolveOutcome(INFEASIBLE, None, None, None, nodes=n_masks,
                             message="no binary assignment admits a feasible LP")
 
     x = np.zeros(n)
@@ -380,6 +386,5 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
     report = evaluate_assignment(model, assignment)
     if not report.feasible:
         raise RuntimeError("enumeration produced an assignment that fails evaluation")
-    objective = report.objective
-    return SolveOutcome(OPTIMAL, assignment, objective, objective, 0.0,
+    return SolveOutcome(OPTIMAL, assignment, report.objective, report.objective,
                         nodes=n_masks)

@@ -46,7 +46,7 @@ from itertools import accumulate, count
 
 import numpy as np
 
-from .case import CandidateLine, Case, grow_load, validate_case
+from .case import CandidateLine, Case, Horizon, grow_load, validate_case
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 
 
@@ -56,14 +56,6 @@ class Variant(Enum):
     STATIC = "static"
     SWITCH_EXISTING = "switch-existing"
     SWITCH_ALL = "switch-all"
-
-    @classmethod
-    def from_token(cls, token: str) -> "Variant":
-        for variant in cls:
-            if variant.value == token:
-                return variant
-        tokens = ", ".join(v.value for v in cls)
-        raise ValueError(f"unknown variant '{token}' (expected one of: {tokens})")
 
 
 @dataclass
@@ -115,22 +107,22 @@ def branch_big_m(reactance: float, angle_bound: float) -> float:
     return 2.0 * angle_bound / reactance
 
 
-def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
+def _hour_weight(horizon: Horizon) -> float:
+    """Hours of the epoch one hour of a typical day stands for: each typical
+    day stands for one season-year's share of days, and each year of the
+    epoch reuses the same profile."""
+    return horizon.years_per_epoch * (365.0 / horizon.n_seasons)
+
+
+def build_milp(case: Case, variant: Variant):
     """Assemble the MILP for ``case`` under ``variant``.
 
-    Returns the model and the index of its columns.  ``big_m_scale``
-    multiplies every per-line deactivation constant; the default 1.0 is
-    the tight value, and results must not depend on the scale (a test
-    raises it tenfold to prove the tight constants are valid).
-
-    Raises ValueError when the case fails validation.
+    Returns the model and the index of its columns.  Raises ValueError when
+    the case fails validation.
     """
     report = validate_case(case)
     if report.errors:
         raise ValueError("case has fatal errors:\n" + "\n".join(report.errors))
-    if big_m_scale < 1.0:
-        # below 1.0 the deactivation constants would cut feasible angles off
-        raise ValueError(f"big_m_scale must be at least 1.0, got {big_m_scale}")
 
     h = case.horizon
     switch_existing = variant in (Variant.SWITCH_EXISTING, Variant.SWITCH_ALL)
@@ -140,9 +132,7 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
     hours = range(1, h.n_hours + 1)
     intervals = [(t, s, e) for e in epochs for s in seasons for t in hours]
     n = len(intervals)
-    # each typical day stands for one season-year's share of days, each year
-    # of the epoch reuses the same profile
-    hour_weight = h.years_per_epoch * (365.0 / h.n_seasons)
+    hour_weight = _hour_weight(h)
 
     model = Milp()
     index = VariableIndex()
@@ -234,7 +224,7 @@ def build_milp(case: Case, variant: Variant, *, big_m_scale: float = 1.0):
         z = -1 - len(gates)
         gates.append(np.repeat([gate(line, s, e) for e in epochs for s in seasons],
                                h.n_hours))
-        big_m = branch_big_m(line.x, case.angle_bound) * big_m_scale
+        big_m = branch_big_m(line.x, case.angle_bound)
         rows += [
             # open line carries nothing
             ([(flow, 1.0), (z, -line.rate)], LE, 0.0),
@@ -378,7 +368,7 @@ def decode_plan(case: Case, variant: Variant, index: VariableIndex,
     }
     angle = {key: assignment[col] for key, col in index.angle.items()}
 
-    hour_weight = h.years_per_epoch * (365.0 / h.n_seasons)
+    hour_weight = _hour_weight(h)
     cost_of = {g.id: g.cost for g in case.generators}
     tc_g = math.fsum(
         hour_weight * cost_of[gid] * dispatch[(gid, t, s, e)]

@@ -37,7 +37,7 @@ from .branch_bound import (
 from .builder import Plan, Variant, build_milp, decode_plan
 from .case import Case, CaseError, load_case, validate_case
 from .mps import write_mps
-from .report import VARIANT_ORDER, compute_metrics, render_plan_csv, render_report
+from .report import compute_metrics, render_plan_csv, render_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="export a model as MPS without solving")
     p.add_argument("case", help="path to a case JSON file")
-    p.add_argument("--variant", type=Variant.from_token, required=True,
-                   help="static, switch-existing, or switch-all")
+    _variant_flag(p)
     p.add_argument("--mps", default=None,
                    help="output path (default <out>/model_<variant>.mps)")
     p.add_argument("--out", default="gridplan-out", help="output directory")
@@ -62,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one variant and write its plan")
     p.add_argument("case", help="path to a case JSON file")
-    p.add_argument("--variant", type=Variant.from_token, required=True,
-                   help="static, switch-existing, or switch-all")
+    _variant_flag(p)
     _solve_flags(p)
     p.set_defaults(handler=_cmd_solve)
 
@@ -72,6 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _solve_flags(p)
     p.set_defaults(handler=_cmd_compare)
     return parser
+
+
+def _variant_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=[v.value for v in Variant], required=True,
+                   help="which lines the plan may switch seasonally")
 
 
 def _solve_flags(p: argparse.ArgumentParser) -> None:
@@ -130,11 +133,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     case = _load_checked(args.case)
     if case is None:
         return 2
-    model, _index = build_milp(case, args.variant)
+    model, _index = build_milp(case, Variant(args.variant))
     if args.mps is not None:
         path = Path(args.mps)
     else:
-        path = Path(args.out) / f"model_{args.variant.value}.mps"
+        path = Path(args.out) / f"model_{args.variant}.mps"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(write_mps(model))
     print(f"wrote {path}")
@@ -180,11 +183,11 @@ def _run(args: argparse.Namespace, variants: tuple[Variant, ...]) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    return _run(args, (args.variant,))
+    return _run(args, (Variant(args.variant),))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    return _run(args, VARIANT_ORDER)
+    return _run(args, tuple(Variant))
 
 
 def run_cli(argv: list[str] | None = None) -> int:

@@ -66,10 +66,11 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .milp import Milp
+from .milp import EQ, GE, LE, SENSES, Milp
 
-_TAGS = "LGE"           # the ROWS tag of each sense code, in SENSES order
-_LE, _GE = 0, 1         # sense codes
+# the ROWS tag of each sense code, a sense's code being its index in SENSES
+_TAGS = [{LE: "L", GE: "G", EQ: "E"}[sense] for sense in SENSES]
+_LE, _GE = SENSES.index(LE), SENSES.index(GE)
 
 _OBJ_ROW = "COST"
 _RHS_SET = "RHS1"
@@ -82,10 +83,16 @@ class MpsError(ValueError):
     """Malformed MPS text or names unusable in MPS."""
 
 
-# ASCII 33..126 (no space, no control), not starting with '*' or '#': an MPS
-# line whose first token starts with '*' is a comment, and so is a solution
-# line whose first token starts with '#'
-_NAME = re.compile(r"(?![*#])[!-~]+")
+def _usable(names: list[str]) -> bool:
+    """Whether ``names`` are distinct, non-empty printable ASCII without
+    spaces, and none starts with ``*`` or ``#``: an MPS line whose first
+    token starts with ``*`` is a comment, and so is a solution line whose
+    first token starts with ``#``."""
+    unique = set(names)
+    flat, heads = "".join(names), "\n" + "\n".join(names)
+    return (flat.isascii() and flat.isprintable() and " " not in flat
+            and "\n*" not in heads and "\n#" not in heads
+            and "" not in unique and len(unique) == len(names))
 
 
 def column_name_table(model: Milp) -> dict[str, int]:
@@ -98,21 +105,12 @@ def column_name_table(model: Milp) -> dict[str, int]:
     """
     table: dict[str, int] = {}
     for column, name in enumerate(model.names):
-        if _NAME.fullmatch(name) is None:
+        if not _usable([name]):
             raise MpsError(f"column {column} has name {name!r}, unusable in MPS")
         if name in table:
             raise MpsError(f"duplicate column name {name!r}")
         table[name] = column
     return table
-
-
-def _usable(names: list[str]) -> bool:
-    """Whether ``column_name_table`` accepts ``names``, checked in bulk."""
-    unique = set(names)
-    flat, heads = "".join(names), "\n" + "\n".join(names)
-    return (flat.isascii() and flat.isprintable() and " " not in flat
-            and "\n*" not in heads and "\n#" not in heads
-            and "" not in unique and len(unique) == len(names))
 
 
 class _Spellings(dict):
@@ -126,7 +124,7 @@ class _Spellings(dict):
         return text
 
 
-def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
+def write_mps(model: Milp) -> str:
     """Render ``model`` as fixed-format MPS text.
 
     Output is a pure function of the model: identical models give identical
@@ -144,7 +142,7 @@ def write_mps(model: Milp, name: str = "GRIDPLAN") -> str:
     padded = [f"{col_name:<{width}}  " for col_name in names]
 
     # the text is one join of fragments, each line's fields and its newline
-    text = [f"NAME          {name}\nROWS\n N  {_OBJ_ROW}\n"]
+    text = [f"NAME          GRIDPLAN\nROWS\n N  {_OBJ_ROW}\n"]
     tags = [f" {tag}  " for tag in _TAGS]
     text += chain.from_iterable(zip(map(tags.__getitem__, model.row_sense), rows,
                                     repeat("\n")))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .builder import Plan, Variant
 
-VARIANT_ORDER = (Variant.STATIC, Variant.SWITCH_EXISTING, Variant.SWITCH_ALL)
+VARIANT_ORDER = tuple(Variant)
 
 
 @dataclass(frozen=True)

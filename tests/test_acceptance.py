@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import ALL_CASES, ENVELOPE, physics_violations
+from gridplan import builder
 from gridplan.branch_bound import (
     GAP_LIMIT,
     OPTIMAL,
@@ -170,17 +171,27 @@ def test_criterion_08_physics_invariants(bundled):
                 assert value <= 1e-6, f"{name}/{variant.value}/{check}={value}"
 
 
-def test_criterion_09_big_m_validity(bundled, oracle):
+def test_criterion_09_big_m_validity(bundled, oracle, monkeypatch):
     """Scaling every deactivation constant tenfold moves no bundled case's
     optimal objective by more than 1e-6 relative: the tight constants are
     valid, not binding by accident."""
+    tight = builder.branch_big_m
+    scaled_lines = []
+
+    def loose(reactance, angle_bound):
+        scaled_lines.append(reactance)
+        return 10.0 * tight(reactance, angle_bound)
+
     for name in ALL_CASES:
         case = bundled(name)
         for variant in Variant:
             base = oracle(name, variant).objective
-            scaled_model, _ = build_milp(case, variant, big_m_scale=10.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(builder, "branch_big_m", loose)
+                scaled_model, _ = build_milp(case, variant)
             scaled = enumerate_exact(scaled_model).objective
             assert abs(scaled - base) <= 1e-6 * abs(base), f"{name}/{variant.value}"
+    assert scaled_lines
 
 
 def test_criterion_10_interop_round_trip(bundled, oracle):

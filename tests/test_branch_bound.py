@@ -121,6 +121,7 @@ def test_time_limit_marks_nondeterminism():
     assert out.nondeterministic is True
     # the limit expires before the root LP, which is the first node
     assert out.nodes == 0 and out.bound is None and out.assignment is None
+    assert out.gap is None
 
 
 def test_loose_gap_still_within_target():
@@ -293,6 +294,25 @@ def test_enumerate_respects_pinned_binaries():
     out = enumerate_exact(forced)
     assert out.assignment[1] == 1.0
     assert out.objective == pytest.approx(-9.0)   # weight leaves room for item 2
+
+
+def test_enumerate_refuses_an_unbounded_block():
+    # x - y + b <= 1 with x, y >= 0 and cost -x: x rises with y, whatever b is
+    m = Milp()
+    x = m.add_variable(CONTINUOUS, 0.0, math.inf, "x")
+    y = m.add_variable(CONTINUOUS, 0.0, math.inf, "y")
+    b = m.add_variable(BINARY, 0.0, 1.0, "b")
+    m.add_constraint([(x, 1.0), (y, -1.0), (b, 1.0)], LE, 1.0)
+    m.set_objective_coefficient(x, -1.0)
+    with pytest.raises(RuntimeError,
+                       match="^model is unbounded for a feasible binary assignment$"):
+        enumerate_exact(m)
+    # an unbounded block is no error when another block rules out every
+    # binary assignment: 0 <= z <= 1 cannot reach z >= 2
+    z = m.add_variable(CONTINUOUS, 0.0, 1.0, "z")
+    m.add_constraint([(z, 1.0)], GE, 2.0)
+    out = enumerate_exact(m)
+    assert out.status == INFEASIBLE and out.assignment is None and out.gap is None
 
 
 def test_row_free_binary_model():

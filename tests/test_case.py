@@ -57,6 +57,16 @@ def test_parse_missing_field_named():
         parse_case(MINIMAL.replace('"rate": 5', '"rating": 5'))
 
 
+@pytest.mark.parametrize("document, message", [
+    ("[]", "case document must be a JSON object"),
+    ('{"buses": [{"id": "a", "reference": true}]}',
+     "missing required field 'generators' in case"),
+])
+def test_parse_refuses_a_document_of_the_wrong_shape(document, message):
+    with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+        parse_case(document)
+
+
 def test_parse_unknown_bus_reference():
     with pytest.raises(CaseError, match="unknown bus reference 'z'"):
         parse_case(MINIMAL.replace('"from": "a"', '"from": "z"'))

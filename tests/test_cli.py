@@ -1,5 +1,6 @@
 """CLI workflows: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from gridplan import cli
+from gridplan.branch_bound import TIME_LIMIT, solve_milp
 from gridplan.case import render_case
 from gridplan.cli import run_cli
 from gridplan.report import VARIANT_ORDER
@@ -66,7 +69,17 @@ def test_invalid_case_prints_each_finding_once(tmp_path, capsys, argv):
 
 def test_input_errors_exit_2(case_file, tmp_path, capsys):
     assert run_cli(["validate", str(tmp_path / "missing.json")]) == 2
-    assert run_cli(["solve", case_file("two_bus"), "--variant", "bogus"]) == 2
+    for command in ("build", "solve"):
+        capsys.readouterr()
+        assert run_cli([command, case_file("two_bus"), "--variant", "bogus",
+                        "--out", str(tmp_path / "o")]) == 2
+        # the usage and the error name every variant
+        err = capsys.readouterr().err
+        assert "--variant {static,switch-existing,switch-all}" in err
+        error = err.splitlines()[-1]
+        assert "invalid choice" in error and "bogus" in error
+        assert all(v in error for v in ("static", "switch-existing", "switch-all"))
+        assert not (tmp_path / "o").exists()
     assert run_cli(["solve", case_file("two_bus"), "--variant", "static",
                     "--frobnicate"]) == 2
     assert run_cli(["unknown-command"]) == 2
@@ -256,6 +269,27 @@ def test_compare_time_limit_exits_1(case_file, tmp_path, capsys):
     assert ("no plan for static, switch-existing, switch-all (static: time_limit, "
             "switch-existing: time_limit, switch-all: time_limit)") in err
     assert not (tmp_path / "t").exists()
+
+
+def test_compare_warns_when_a_solve_stops_at_a_limit(case_file, tmp_path, capsys, monkeypatch):
+    # the second solve, switch-existing, stops at its time limit with a plan
+    calls = []
+
+    def second_stops(model, params):
+        calls.append(model)
+        outcome = solve_milp(model, params)
+        return dataclasses.replace(outcome, status=TIME_LIMIT) if len(calls) == 2 else outcome
+
+    monkeypatch.setattr(cli, "solve_milp", second_stops)
+    out_dir = tmp_path / "cmp"
+    assert run_cli(["compare", case_file("tri_switch"), "--out", str(out_dir)]) == 1
+    header = (out_dir / "report.txt").read_text().split("\n\n")[0].splitlines()
+    assert [line.split(",")[0] for line in header[4:]] == [
+        "static: optimal", "switch-existing: time_limit", "switch-all: optimal",
+        "warning: a solve stopped at a limit; the incumbent may differ between runs",
+    ]
+    assert (out_dir / "plan_switch-existing.csv").exists()
+    capsys.readouterr()
 
 
 def test_validate_overflowing_load_growth_exits_2(tmp_path, capsys):

@@ -102,6 +102,43 @@ def test_add_constraint_validates(bulk):
         assert _state(m) == before, args
 
 
+def test_malformed_calls_are_refused_and_change_nothing():
+    m = Milp()
+    x = m.add_variable(CONTINUOUS, 0.0, 10.0, "x")
+    m.add_variable(BINARY, 0.0, 1.0, "b")
+    m.add_constraint([(x, 1.0)], LE, 5.0)
+    m.set_objective_coefficient(x, 2.0)
+    before, objective = _state(m), dict(m.objective)
+    for call, error, message in [
+        (lambda: m.add_variables(CONTINUOUS, [0.0, 0.0], [1.0], ["y", "z"]), ValueError,
+         "bounds, names and objective must give one entry per column"),
+        (lambda: m.add_variables(CONTINUOUS, [0.0], [1.0], ["y"], [1.0, 2.0]), ValueError,
+         "bounds, names and objective must give one entry per column"),
+        (lambda: m.add_constraint([(0.0, 1.0)], LE, 1.0), TypeError,
+         "column ids must be integers, got float64"),
+        (lambda: m.add_constraints([1, 2], [0, 1], [1.0, 1.0], [LE, GE], [1.0]), ValueError,
+         "ends, senses and rhs must give one entry per row, ends the end of each row's terms"),
+        (lambda: m.add_constraints([2, 1], [0, 1], [1.0, 1.0], [LE, GE], [1.0, 1.0]),
+         ValueError,
+         "ends, senses and rhs must give one entry per row, ends the end of each row's terms"),
+        (lambda: m.set_objective_coefficient(2, 1.0), ValueError,
+         "objective references unknown column 2"),
+        (lambda: m.set_objective_coefficient(-1, 1.0), ValueError,
+         "objective references unknown column -1"),
+        (lambda: m.set_objective_coefficient(x, math.inf), ValueError,
+         "non-finite objective coefficient inf"),
+        (lambda: m.set_objective_coefficient(x, math.nan), ValueError,
+         "non-finite objective coefficient nan"),
+        (lambda: evaluate_assignment(m, [1.0]), ValueError,
+         "assignment has 1 entries, model has 2 columns"),
+        (lambda: evaluate_assignment(m, [1.0, 0.0, 0.0]), ValueError,
+         "assignment has 3 entries, model has 2 columns"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+        assert _state(m) == before and m.objective == objective, message
+
+
 def test_bulk_append_equals_one_at_a_time():
     one, bulk = Milp(), Milp()
     for kind, lower, upper, names, costs in [
