@@ -71,7 +71,8 @@ class SolveParams:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.mip_gap < 0:
+        # NaN fails every cutoff comparison, so it would prune nothing
+        if not self.mip_gap >= 0:
             raise ValueError(f"mip_gap must be nonnegative, got {self.mip_gap}")
         if not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
@@ -239,24 +240,26 @@ class _Search:
             self.lowest_pruned = min(self.lowest_pruned, outcome.objective)
             return
         x = outcome.x
-        frac = np.abs(x[self.bins] - np.round(x[self.bins]))
+        x_bins = x[self.bins]
+        frac = np.abs(x_bins - np.round(x_bins))
         if not frac.size or frac.max() <= FEASIBILITY_TOL:
             self._try_incumbent(lo, up, outcome)
             return
         # most fractional binary; argmax sends ties to the lowest column
         frac_col = self.bins[int(np.argmax(frac))]
-        down_lo, down_up = lo.copy(), up.copy()
-        up_lo, up_up = lo.copy(), up.copy()
+        # each child narrows one bound array and shares the other with this
+        # node: no node's bounds are written once it is pushed
+        down_up, up_lo = up.copy(), lo.copy()
         down_up[frac_col] = 0.0
         up_lo[frac_col] = 1.0
         # push the plunge branch last so depth-first picks it first
         est, basis = outcome.objective, outcome.basis
         if x[frac_col] >= 0.5:
-            self._push(est, down_lo, down_up, basis)
-            self._push(est, up_lo, up_up, basis)
+            self._push(est, lo, down_up, basis)
+            self._push(est, up_lo, up, basis)
         else:
-            self._push(est, up_lo, up_up, basis)
-            self._push(est, down_lo, down_up, basis)
+            self._push(est, up_lo, up, basis)
+            self._push(est, lo, down_up, basis)
 
     def _outcome(self, status, message="") -> SolveOutcome:
         """Every way ``run`` ends: the incumbent, if any, and the proof bound."""

@@ -15,9 +15,9 @@ tableau simplex over general variable bounds:
   failure is final.  The dual simplex is the only code that pivots: the
   leaving row r is the largest primal infeasibility, the entering column the
   smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|, then to
-  the lowest column id) among the entries of row r above
-  ``_PIV_TOL * max(1, max_j |alpha_rj|)``, so noise beside a large entry
-  never pivots;
+  the lowest column id) among the columns that, moved off their bound, move
+  the leaving value toward its violated bound, and whose entry in row r
+  exceeds ``_PIV_TOL * max(1, max_j |alpha_rj|)``: noise never pivots;
 * each nonbasic column sits at the bound its reduced cost calls for.  A
   column whose reduced cost pulls it toward an infinite bound (a one-sided
   or free column) gets an artificial bound a fixed width from its finite
@@ -33,8 +33,10 @@ tableau simplex over general variable bounds:
 * the tableau is condensed: it holds ``B^-1 [A | I]`` at the n nonbasic
   columns only (m x n), with ``nonbasic`` naming the column at each of its
   positions; basic columns are implicit unit vectors.  A pivot exchanges
-  columns: the leaving column takes the entering one's position, and only
-  the rows where the entering column is nonzero are updated.  Positions
+  columns: the leaving column takes the entering one's position.  It costs
+  the selection, a few vector operations over row r, and a rank-1 update
+  of only the rows where the entering column is nonzero, done in place with
+  the dense formula's operations on every entry it writes.  Positions
   permute as columns swap, so no rule reads a position's order;
 * a basis is factored in one place, ``_Simplex._refresh``, which rebuilds
   the tableau from original data.  B is block triangular once the rows
@@ -88,6 +90,9 @@ _AT_LO = 1
 _AT_UP = 2
 _FREE = 3
 _FIXED = 4
+# per marker, the way a nonbasic column may leave its bound (_track_positions)
+_LEAN = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+_LEAN.flags.writeable = False
 
 _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
@@ -237,15 +242,14 @@ class _Simplex:
         self.m, self.n = problem.a.shape
         self.lo = np.concatenate([lo, problem.slack_lo])
         self.up = np.concatenate([up, problem.slack_up])
-        if np.any(self.lo > self.up):
+        if (self.lo > self.up).any():
             raise ValueError("crossed variable bounds")
         # shared with the problem and never written
         self.a = problem.a
         self.b = problem.b
         self.cost = problem.cost
         # the bounds the dual simplex works in: the true ones, narrowed by a
-        # round's artificial bounds; each round's _start_round places x and
-        # status
+        # round's artificial bounds; _start_round places x and status
         self.work_lo, self.work_up = self.lo, self.up
         self.iterations = 0
 
@@ -263,9 +267,8 @@ class _Simplex:
 
     def _refresh(self):
         """Refactor the basis: rebuild the tableau and its nonbasic columns
-        in id order from original data.  This is the only factorization.
-        It leaves the basic values as they were: a caller that needs them
-        calls ``_basic_values``, and a new round computes them anyway.
+        in id order from original data.  This is the only factorization;
+        it leaves the basic values to its caller.
 
         With S the rows whose slack is basic and R the others, B is
         ``[[A_RJ, 0], [A_SJ, I]]`` for the k basic structural columns J, so
@@ -277,27 +280,30 @@ class _Simplex:
         refuses it as it refuses a singular one."""
         n = self.n
         struct = self.basis < n
-        cols, slack_rows = self.basis[struct], self.basis[~struct] - n
-        rows = np.ones(self.m, dtype=bool)
-        rows[slack_rows] = False
-        rows = np.flatnonzero(rows)
-        a = self.a
+        # basis positions of the structural columns J and of the slacks
+        jpos, spos = struct.nonzero()[0], (~struct).nonzero()[0]
+        cols, slack_rows = self.basis[jpos], self.basis[spos] - n
+        nonbasic = np.ones(n + self.m, dtype=bool)
+        nonbasic[self.basis] = False
+        nonbasic = nonbasic.nonzero()[0]
+        k = int(nonbasic.searchsorted(n))
+        out, rows = nonbasic[:k], nonbasic[k:] - n
+        # every block C-contiguous, as BLAS is given it
+        a_r, a_s = self.a.take(rows, 0), self.a.take(slack_rows, 0)
         try:
-            inv = np.linalg.inv(a[np.ix_(rows, cols)])
+            inv = np.linalg.inv(a_r.take(cols, 1))
         except np.linalg.LinAlgError:
             return False
-        out = np.ones(n, dtype=bool)
-        out[cols] = False
-        out = np.flatnonzero(out)
-        self.nonbasic = np.concatenate([out, n + rows])
-        a_out = a[:, out]
-        a_sj = a[np.ix_(slack_rows, cols)]
-        top = inv @ a_out[rows]
+        self.nonbasic = nonbasic
+        a_sj = a_s.take(cols, 1)
+        top = inv @ a_r.take(out, 1)
         self.tableau = tableau = np.empty((self.m, n))
-        tableau[struct, :out.size] = top
-        tableau[~struct, :out.size] = a_out[slack_rows] - a_sj @ top
-        tableau[struct, out.size:] = inv
-        tableau[~struct, out.size:] = -(a_sj @ inv)
+        tableau[jpos, :k] = top
+        low = a_sj @ top
+        tableau[spos, :k] = np.subtract(a_s.take(out, 1), low, out=low)
+        tableau[jpos, k:] = inv
+        low = a_sj @ inv
+        tableau[spos, k:] = np.negative(low, out=low)
         self.factor_age = 0
         return True
 
@@ -306,24 +312,20 @@ class _Simplex:
         column of its slack when that slack is nonbasic, and the unit vector
         of the slack's position when it is basic."""
         n = self.n
-        slack = self.nonbasic >= n
-        w = np.zeros(n)
-        w[slack] = v[self.nonbasic[slack] - n]
+        # w: v at the slack positions, 0 at the structural ones
+        w = np.concatenate([np.zeros(n), v])[self.nonbasic]
         out = self.tableau @ w
         basic = self.basis >= n
         out[basic] += v[self.basis[basic] - n]
         return out
 
     def _times_binv(self, u):
-        """``u B^-1``, read off the tableau as in ``_binv_times``."""
-        n = self.n
-        ut = u @ self.tableau
-        y = np.zeros(self.m)
-        slack = self.nonbasic >= n
-        y[self.nonbasic[slack] - n] = ut[slack]
-        basic = self.basis >= n
-        y[self.basis[basic] - n] = u[basic]
-        return y
+        """``u B^-1``, read off the tableau as in ``_binv_times``: the slack
+        ids of a vector with ``u T`` at the nonbasic ids and ``u`` at the basic."""
+        z = np.zeros(self.n + self.m)
+        z[self.nonbasic] = u @ self.tableau
+        z[self.basis] = u
+        return z[self.n:].copy()
 
     def _basic_values(self):
         """x_B = B^-1 (b - N x_N), with B^-1 read off the tableau."""
@@ -353,13 +355,8 @@ class _Simplex:
     def _primal_error(self):
         resid = self.b - self._activity(self.x)
         row_err = float(np.max(np.abs(resid), initial=0.0))
-        bound_err = float(
-            max(
-                np.max(self.lo - self.x, initial=0.0),
-                np.max(self.x - self.up, initial=0.0),
-                0.0,
-            )
-        )
+        bound_err = float(max(np.max(self.lo - self.x, initial=0.0),
+                              np.max(self.x - self.up, initial=0.0), 0.0))
         return row_err, bound_err
 
     def _dual_bound(self, y, d):
@@ -371,10 +368,11 @@ class _Simplex:
         instead (the exact worst case would be unbounded); a larger one keeps
         the honest minus-infinity answer.
         """
-        big = np.abs(d) > 1e-9
+        mag = np.abs(d)
+        big = mag > 1e-9
         side = np.where(d > 0, self.lo, self.up)
         finite = np.isfinite(side)
-        if np.any(big & ~finite & (np.abs(d) > 1e-5)):
+        if (big & ~finite & (mag > 1e-5)).any():
             return -np.inf
         value = np.where(finite, side, self.x)
         return float(y @ self.b) + float(d[big] @ value[big])
@@ -384,22 +382,25 @@ class _Simplex:
     def _exchange(self, r, p):
         """Make the column at tableau position ``p`` basic in row ``r``, and
         put the column leaving row ``r`` at position ``p``: rank-1 tableau
-        and drow update over only the rows where the entering column is
-        nonzero.  The leaving column was the unit vector of row ``r``, so
-        its new tableau column is ``-col * (1 / piv)`` with ``1 / piv`` in
-        row ``r``.  Returns the entering column as it was, zero in row ``r``."""
+        and drow update, in place, of only the rows where the entering column
+        is nonzero.  The leaving column was the unit vector of row ``r``, so
+        its new tableau column is ``col * -(1 / piv)``, ``1 / piv`` in row
+        ``r``.  Returns a copy of the entering column, zero in row ``r``."""
         tableau = self.tableau
         col = tableau[:, p].copy()
+        prow = tableau[r]
         piv = col[r]
-        tableau[r] /= piv
+        prow /= piv
         col[r] = 0.0
-        rows = np.nonzero(col)[0]
-        tableau[rows] -= col[rows, None] * tableau[r]
+        rows = col.nonzero()[0]
+        touched = tableau.take(rows, 0)
+        touched -= col.take(rows)[:, None] * prow
+        tableau[rows] = touched
         inv = 1.0 / piv
-        tableau[:, p] = -col * inv
-        tableau[r, p] = inv
+        np.multiply(col, -inv, out=tableau[:, p])
+        prow[p] = inv
         dq = self.drow[p]
-        self.drow -= dq * tableau[r]
+        self.drow -= dq * prow
         self.drow[p] = -dq * inv
         q = self.nonbasic[p]
         self.nonbasic[p] = self.basis[r]
@@ -408,49 +409,65 @@ class _Simplex:
         return col
 
     def _track_positions(self):
-        """Per tableau position, whether its column may rise or fall from
-        its bound; ``_dual_loop`` keeps these up to date pivot by pivot."""
+        """Per tableau position, the way its column may leave its bound: 1 at
+        a lower bound, -1 at an upper one, else 0 (``lean``), and either way
+        when free (``free``).  ``_dual_loop`` updates both pivot by pivot."""
         stat = self.status[self.nonbasic]
-        self.can_inc = (stat == _AT_LO) | (stat == _FREE)
-        self.can_dec = (stat == _AT_UP) | (stat == _FREE)
+        self.lean = _LEAN[stat]
+        self.free = stat == _FREE
 
     def _dual_loop(self, max_iter):
-        """Bounded dual simplex in the working bounds, from a dual feasible
-        basis.
+        """Bounded dual simplex in the working bounds from a dual feasible basis.
 
         Returns ``(verdict, r, rise)``: ``OPTIMAL`` once the basic values
-        are within their working bounds, ``FAILURE`` at the iteration limit
-        or a singular refactor, and ``INFEASIBLE`` for a dual-unbounded row
+        are within their working bounds, ``FAILURE`` at the iteration limit,
+        a singular refactor or a NaN ratio, and ``INFEASIBLE`` for a row
         ``r`` (no column can repair it), whose basic value must move up when
         ``rise`` and down otherwise.
         """
+        if not self.m:
+            return OPTIMAL, None, None
         lo, up = self.work_lo, self.work_up
         # per row: the basic value and its working bounds
         xb, blo, bup = self.x[self.basis], lo[self.basis], up[self.basis]
+        below, above, infeas = np.empty((3, self.m))
         self._track_positions()
+        any_free = self.free.any()
         try:
             while True:
-                below = blo - xb
-                above = xb - bup
-                infeas = np.maximum(below, above)
-                if not self.m or infeas.max() <= _FEAS_TOL:
+                np.subtract(blo, xb, out=below)
+                np.subtract(xb, bup, out=above)
+                np.maximum(below, above, out=infeas)
+                r = int(infeas.argmax())
+                if infeas[r] <= _FEAS_TOL:
                     return OPTIMAL, None, None
-                r = int(np.argmax(infeas))
                 if self.iterations >= max_iter:
                     return FAILURE, None, None
                 rise = below[r] > above[r]      # leaving variable moves up to lo
                 alpha = self.tableau[r]
-                sa = alpha if rise else -alpha
-                tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max(initial=0.0)))
-                cand = np.nonzero((self.can_inc & (sa < -tol)) | (self.can_dec & (sa > tol)))[0]
+                mag = np.abs(alpha)
+                tol = _PIV_TOL * max(1.0, mag.item(mag.argmax()) if self.n else 0.0)
+                # entering moves the leaving value toward its violated bound:
+                # alpha * lean < 0 when it must rise, > 0 when it must fall
+                lean = alpha * self.lean
+                cand = lean < -tol if rise else lean > tol
+                if any_free:
+                    cand |= self.free & (mag > tol)
+                cand = cand.nonzero()[0]
                 if cand.size == 0:
                     return INFEASIBLE, r, rise
-                mag = np.abs(alpha[cand])
-                ratios = np.abs(self.drow[cand]) / mag
-                near = ratios <= ratios.min() + 1e-12
-                mag = mag[near]
-                best = cand[near][mag == mag.max()]
-                p = int(best[self.nonbasic[best].argmin()])
+                mag = mag[cand]
+                ratios = np.abs(self.drow[cand])
+                ratios /= mag
+                # |alpha| of the ratios within 1e-12 of the smallest, 0 elsewhere
+                mag = np.where(ratios <= ratios[ratios.argmin()] + 1e-12, mag, 0.0)
+                best = mag.argmax()
+                if mag[best] == 0.0:            # no ratio compares: a NaN one
+                    return FAILURE, None, None
+                ties = (mag == mag[best]).nonzero()[0]
+                if ties.size > 1:
+                    best = ties[self.nonbasic[cand[ties]].argmin()]
+                p = int(cand[best])
 
                 q, leaving = int(self.nonbasic[p]), int(self.basis[r])
                 target = blo[r] if rise else bup[r]
@@ -458,10 +475,12 @@ class _Simplex:
                 self.x[leaving] = target
                 rest = _FIXED if blo[r] == bup[r] else _AT_LO if rise else _AT_UP
                 self.status[leaving] = rest
-                xb -= theta * self._exchange(r, p)
+                col = self._exchange(r, p)
+                col *= theta
+                xb -= col
                 xb[r] = self.x[q] + theta
                 blo[r], bup[r] = lo[q], up[q]
-                self.can_inc[p], self.can_dec[p] = rest == _AT_LO, rest == _AT_UP
+                self.lean[p], self.free[p] = _LEAN[rest], False
                 self.iterations += 1
                 self.factor_age += 1
                 if self.factor_age >= _REFRESH_EVERY:
@@ -480,15 +499,14 @@ class _Simplex:
         for, boxed ties on their ``side``; a column pulled toward an infinite
         bound gets an artificial one ``width`` from its finite bound (from 0
         when free).  Returns whether any bound is artificial."""
-        nonbasic = np.ones(self.n + self.m, dtype=bool)
-        nonbasic[self.basis] = False
-        art_up = nonbasic & (d < -_OPT_TOL) & ~np.isfinite(self.up)
-        art_lo = nonbasic & (d > _OPT_TOL) & ~np.isfinite(self.lo)
-        self.work_up = np.where(art_up, np.where(np.isfinite(self.lo), self.lo, 0.0) + width,
-                                self.up)
-        self.work_lo = np.where(art_lo, np.where(np.isfinite(self.up), self.up, 0.0) - width,
-                                self.lo)
-        boxed_up = (d < -_OPT_TOL) | ((side == _AT_UP) & (d <= _OPT_TOL))
+        lo, up = self.lo, self.up
+        has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+        wants_up = d < -_OPT_TOL
+        art_up, art_lo = wants_up & ~has_up, (d > _OPT_TOL) & ~has_lo
+        art_up[self.basis] = art_lo[self.basis] = False
+        self.work_up = np.where(art_up, np.where(has_lo, lo, 0.0) + width, up)
+        self.work_lo = np.where(art_lo, np.where(has_up, up, 0.0) - width, lo)
+        boxed_up = wants_up | ((side == _AT_UP) & (d <= _OPT_TOL))
         self._place_nonbasic(np.isfinite(self.work_up)
                              & (~np.isfinite(self.work_lo) | boxed_up))
         self.status[self.basis] = _BASIC
@@ -521,9 +539,9 @@ class _Simplex:
         ``unbounded`` if moving them further out is an improving ray.  Any
         other optimum must be dual feasible within ``10 * _OPT_TOL`` with
         basic values that have not drifted, and those duals and residuals
-        certify it.  A verdict the artificial bounds
-        may have caused is retried with bounds ``_ART_GROWTH`` times wider,
-        and a drifted optimum after a refactor.
+        certify it.  A verdict the artificial bounds may have caused is
+        retried with bounds ``_ART_GROWTH`` times wider, and a drifted optimum
+        after a refactor.
         """
         n, m = self.n, self.m
         cols = np.asarray(start.columns, dtype=np.int64)
@@ -547,8 +565,7 @@ class _Simplex:
         max_iter = 50 * (n + 2 * m) + 10_000
         side, width = start.status, _ART_WIDTH
         for _ in range(_MAX_ROUNDS):
-            artificial = self._start_round(self._exact_duals()[1] if d is None else d,
-                                           side, width)
+            artificial = self._start_round(self._exact_duals()[1] if d is None else d, side, width)
             verdict, r, rise = self._dual_loop(max_iter)
             if verdict == FAILURE:
                 return LpOutcome(FAILURE, iterations=self.iterations,
@@ -563,10 +580,12 @@ class _Simplex:
                     return outcome
             else:
                 y, d = self._exact_duals()
-                step = np.where((self.status == _AT_UP) & (self.work_up != self.up), 1.0,
-                                np.where((self.status == _AT_LO) & (self.work_lo != self.lo),
-                                         -1.0, 0.0))
-                if step.any():
+                # the columns resting on artificial bounds, moved further out
+                step = np.where(
+                    (self.status == _AT_UP) & (self.work_up != self.up), 1.0,
+                    np.where((self.status == _AT_LO) & (self.work_lo != self.lo), -1.0, 0.0),
+                ) if artificial else None
+                if step is not None and step.any():
                     if self._improving_ray(step, d):
                         return LpOutcome(UNBOUNDED, iterations=self.iterations)
                 else:
@@ -604,29 +623,20 @@ class _Simplex:
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)
         if not np.isfinite(bound_scaled) or gap > 1e-6 * (1.0 + abs(obj_scaled)):
-            return LpOutcome(
-                FAILURE, iterations=self.iterations,
-                message=f"weak duality check failed (gap {gap:.3e})",
-            )
+            return LpOutcome(FAILURE, iterations=self.iterations,
+                             message=f"weak duality check failed (gap {gap:.3e})")
         row_err, bound_err = errors
         if max(row_err, bound_err) > _FEAS_TOL:
-            return LpOutcome(
-                FAILURE, iterations=self.iterations,
-                message=f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})",
-            )
+            return LpOutcome(FAILURE, iterations=self.iterations, message=(
+                f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})"))
         objective = obj_scaled * self.problem.sigma + self.problem.c0
         basis = Basis(self.basis.copy(), self.status.copy())
         # read-only, so the kept tableau stays the factor of this basis
         basis.columns.flags.writeable = basis.status.flags.writeable = False
         self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age, d)
-        return LpOutcome(
-            OPTIMAL,
-            x=self.x[: self.n].copy(),
-            objective=objective,
-            dual_bound=bound_scaled * self.problem.sigma + self.problem.c0,
-            iterations=self.iterations,
-            basis=basis,
-        )
+        return LpOutcome(OPTIMAL, x=self.x[:self.n].copy(), objective=objective,
+                         dual_bound=bound_scaled * self.problem.sigma + self.problem.c0,
+                         iterations=self.iterations, basis=basis)
 
     def _certify_infeasible(self, y) -> LpOutcome:
         # combination y of the rows bounds y.b from above by sup over the box;
@@ -637,11 +647,7 @@ class _Simplex:
         sup = float(w[big] @ side[big])
         shortfall = float(y @ self.b) - sup
         if not np.isfinite(sup) or shortfall <= 1e-9 * (1.0 + abs(float(y @ self.b))):
-            return LpOutcome(
-                FAILURE, iterations=self.iterations,
-                message="infeasibility could not be certified",
-            )
-        return LpOutcome(
-            INFEASIBLE, iterations=self.iterations,
-            message=f"certified infeasible (shortfall {shortfall:.6e})",
-        )
+            return LpOutcome(FAILURE, iterations=self.iterations,
+                             message="infeasibility could not be certified")
+        return LpOutcome(INFEASIBLE, iterations=self.iterations,
+                         message=f"certified infeasible (shortfall {shortfall:.6e})")

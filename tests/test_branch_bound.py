@@ -31,6 +31,9 @@ EXACT = SolveParams(mip_gap=0.0)
 def test_params_validation():
     with pytest.raises(ValueError, match="mip_gap"):
         SolveParams(mip_gap=-1e-9)
+    # NaN fails every cutoff comparison, so the search would prune nothing
+    with pytest.raises(ValueError, match="mip_gap must be nonnegative, got nan"):
+        SolveParams(mip_gap=float("nan"))
     with pytest.raises(ValueError, match="time_limit"):
         SolveParams(time_limit=0.0)
     with pytest.raises(ValueError, match="node_limit"):

@@ -88,6 +88,16 @@ def test_input_errors_exit_2(case_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["solve", "--variant", "switch-all"], ["compare"]])
+def test_nan_gap_exits_2_and_writes_nothing(case_file, tmp_path, capsys, command):
+    # argparse reads "nan" as a float; SolveParams refuses it
+    out_dir = tmp_path / "o"
+    assert run_cli([command[0], case_file("eight_bus"), *command[1:], "--gap", "nan",
+                    "--out", str(out_dir)]) == 2
+    assert "mip_gap must be nonnegative, got nan" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 _MINIMAL = {
     "buses": [{"id": "a", "reference": True}, {"id": "b"}],
     "generators": [{"id": "g", "bus": "a", "p_max": 10, "cost": 3}],

@@ -18,6 +18,11 @@ from gridplan.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _AT_LO,
+    _AT_UP,
+    _BASIC,
+    _FIXED,
+    _FREE,
     Basis,
     DenseLp,
     LpOutcome,
@@ -683,6 +688,48 @@ def test_a_solve_from_the_cached_factor_equals_one_that_refactors(bundled):
         assert out.iterations == second.iterations
 
 
+def _outcome_bits(out):
+    """Every field of an ``LpOutcome``, floats by their bits."""
+    basis = out.basis and (out.basis.columns.tobytes(), out.basis.status.tobytes())
+    x = None if out.x is None else out.x.tobytes()
+    return (out.status, x, repr(out.objective), repr(out.dual_bound), out.iterations,
+            out.message, basis)
+
+
+def _node_polish_child(model):
+    """Solves on one ``DenseLp``, yielded one at a time: the root, a node
+    (the root's down child) from the root's basis, a polish LP pinning the
+    node's binaries to their rounded values from the node's basis, and then
+    the node's child from the node's basis."""
+    dense = DenseLp.from_milp(model)
+    bins = np.array(model.binary_columns())
+    root = dense.solve()
+    yield root
+    lo, up = _branch_children(dense, root, list(bins))[0]
+    node = dense.solve(lo, up, basis=root.basis)
+    yield node
+    frac = np.abs(node.x[bins] - np.round(node.x[bins]))
+    assert frac.max() > 1e-6
+    plo, pup = lo.copy(), up.copy()
+    plo[bins] = pup[bins] = np.round(node.x[bins])
+    yield dense.solve(plo, pup, basis=node.basis)
+    child_up = up.copy()
+    child_up[bins[int(np.argmax(frac))]] = 0.0
+    yield dense.solve(lo, child_up, basis=node.basis)
+
+
+def test_interleaved_solves_of_two_problems_match_separate_ones(bundled):
+    # each solve reads only its own problem's kept tableau and factor, so
+    # running two problems' solves alternately changes no bit of either
+    models = [build_milp(bundled(name), Variant.SWITCH_ALL)[0]
+              for name in ("eight_bus", "season_flip")]
+    alone = [[_outcome_bits(out) for out in _node_polish_child(m)] for m in models]
+    mixed = [_outcome_bits(out)
+             for pair in zip(*(_node_polish_child(m) for m in models)) for out in pair]
+    assert mixed[0::2] == alone[0] and mixed[1::2] == alone[1]
+    assert all(len(seq) == 4 and all(bits[0] == OPTIMAL for bits in seq) for seq in alone)
+
+
 def test_kept_reduced_costs_are_the_exact_duals_of_the_kept_tableau(bundled):
     # a start from the kept tableau reads the reduced costs kept with it;
     # they are bit for bit what _exact_duals computes on that tableau
@@ -964,6 +1011,66 @@ def test_exchange_updates_only_rows_the_pivot_column_touches():
     assert np.array_equal(simplex.tableau, expected)
     assert np.array_equal(simplex.drow, drow)
     assert simplex.basis[r] == p and simplex.nonbasic[p] == n + r
+
+
+_STATES = {"at lower": _AT_LO, "at upper": _AT_UP, "free": _FREE, "fixed": _FIXED}
+
+
+def _one_row(state, alpha, rise, drow0):
+    """A one-row ``_Simplex`` whose row's slack is basic and fixed at 0,
+    sitting at -1 (below its bound, so it must rise) when ``rise`` and at
+    +1 otherwise.  Tableau position 0 holds column 0 in ``state`` with entry
+    ``alpha`` and reduced cost ``drow0``; position 1 holds column 1, at its
+    lower bound with reduced cost 1, whose entry always repairs the row at
+    ratio 1."""
+    lo, up, x0 = {_AT_LO: (0.0, 1.0, 0.0), _AT_UP: (0.0, 1.0, 1.0),
+                  _FREE: (-math.inf, math.inf, 0.0), _FIXED: (0.5, 0.5, 0.5)}[state]
+    dense = DenseLp(np.zeros((1, 2)), [EQ], np.zeros(1), [lo, 0.0], [up, 1.0], np.zeros(2))
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis, simplex.nonbasic = np.array([2]), np.array([0, 1])
+    simplex.tableau = np.array([[alpha, -1.0 if rise else 1.0]])
+    simplex.drow = np.array([drow0, 1.0])
+    simplex.status = np.array([state, _AT_LO, _BASIC], dtype=np.int8)
+    simplex.x = np.array([x0, 0.0, -1.0 if rise else 1.0])
+    simplex.factor_age = 0
+    return simplex
+
+
+# the module docstring's rule: a column may enter when moving it off its
+# bound moves the leaving value toward its violated bound (x_B falls by
+# alpha per unit the column rises); column 0 has the smaller ratio, so it
+# enters exactly when it may
+@pytest.mark.parametrize("leaving, state, alpha, enters", [
+    ("rises", "at lower", -1.0, 0), ("rises", "at lower", 1.0, 1),
+    ("rises", "at upper", 1.0, 0), ("rises", "at upper", -1.0, 1),
+    ("rises", "free", 1.0, 0), ("rises", "free", -1.0, 0),
+    ("rises", "fixed", 1.0, 1), ("rises", "fixed", -1.0, 1),
+    ("falls", "at lower", 1.0, 0), ("falls", "at lower", -1.0, 1),
+    ("falls", "at upper", -1.0, 0), ("falls", "at upper", 1.0, 1),
+    ("falls", "free", 1.0, 0), ("falls", "free", -1.0, 0),
+    ("falls", "fixed", 1.0, 1), ("falls", "fixed", -1.0, 1),
+])
+def test_entering_column_by_leaving_direction_and_nonbasic_state(leaving, state, alpha, enters):
+    # dual feasible reduced costs: >= 0 at a lower bound, <= 0 at an upper
+    # one, 0 when free
+    drow0 = {"at lower": 0.5, "at upper": -0.5, "free": 0.0, "fixed": 0.5}[state]
+    simplex = _one_row(_STATES[state], alpha, leaving == "rises", drow0)
+    before, entry = simplex.x.copy(), simplex.tableau[0, enters]
+    verdict, _r, _rise = simplex._dual_loop(1)
+    assert simplex.iterations == 1
+    assert list(simplex.basis) == [enters]
+    # the leaving slack takes the entering column's position, at its bound,
+    # and the entering column moves just enough to put it there
+    assert simplex.nonbasic[enters] == 2
+    assert simplex.x[2] == 0.0
+    assert simplex.x[enters] == before[enters] + before[2] / entry
+    assert verdict == OPTIMAL
+
+
+def test_a_nan_ratio_ends_the_round_as_failure():
+    simplex = _one_row(_AT_LO, -1.0, True, math.nan)
+    assert simplex._dual_loop(10)[0] == FAILURE
+    assert simplex.iterations == 0
 
 
 @pytest.mark.parametrize("order", ["id order", "swapped"])
