@@ -1,8 +1,13 @@
 """Branch-and-bound MILP solver and an exhaustive-enumeration oracle.
 
-``solve_milp`` is a plain LP-based branch and bound: most-fractional
-branching (ties to the lowest column), best-bound node selection with
-depth-first plunging until the first incumbent, and no cuts or presolve.
+``solve_milp`` is an LP-based branch and bound over the presolved LP of
+``simplex.presolve``, in its column ids; only an incumbent candidate is
+postsolved to the model's columns.  It branches on the fractional binary
+that gates the most rows, the one with the most nonzeros in its model
+column (an availability binary gates every interval of its epoch, a status
+binary one season's hours), ties to the most fractional, then to the lowest
+column.  Nodes are selected best bound first, with depth-first plunging
+until the first incumbent; there are no cuts.
 Every LP is a bounded dual simplex, in one node loop whose first node is
 the root: the root starts from the model's all-slack basis, every other
 node LP from its parent's optimal basis (each open node carries that basis,
@@ -25,10 +30,11 @@ rounding tolerance.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only
-the LP solver underneath.  To keep full sweeps affordable it works on the
-model's ``DenseLp``: rows that touch binaries alone screen assignments
-without an LP, and the continuous columns split into connected components
-(one DC-flow block per hour, season and epoch in a planning model).  Each
+the LP solver underneath, not the presolve.  To keep full sweeps affordable
+it works on the model's unreduced ``DenseLp``: rows that touch binaries
+alone screen assignments without an LP, and the continuous columns split
+into connected components (one DC-flow block per hour, season and epoch in
+a planning model).  Each
 block becomes one ``DenseLp`` of its continuous columns followed by the
 binaries its rows touch, at zero cost, and each combination of those
 binaries is one solve with their bounds pinned to its bits, the same
@@ -47,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .milp import FEASIBILITY_TOL, SENSES, Milp, evaluate_assignment
-from .simplex import DenseLp
+from .milp import FEASIBILITY_TOL, Milp, evaluate_assignment
+from .simplex import DenseLp, presolve
 
 OPTIMAL = "optimal"
 GAP_LIMIT = "gap_limit"
@@ -118,8 +124,13 @@ class _Search:
     def __init__(self, model: Milp, params: SolveParams):
         self.model = model
         self.params = params
-        self.dense = DenseLp.from_milp(model)
-        self.bins = np.asarray(model.binary_columns(), dtype=np.int64)
+        # the search works in the presolved LP's column ids
+        self.dense, self.postsolve = presolve(model)
+        kept = self.postsolve.kept
+        self.bins = np.flatnonzero(np.frombuffer(bytes(model.is_binary), np.uint8)[kept])
+        # rows each binary gates: the nonzeros of its column in the model
+        self.gates = np.bincount(np.frombuffer(model.row_col, np.int64),
+                                 minlength=model.n_variables)[kept[self.bins]]
         self.incumbent: list[float] | None = None
         self.incumbent_obj = np.inf
         self.lowest_pruned = np.inf
@@ -179,7 +190,7 @@ class _Search:
             polished = self.dense.solve(plo, pup, basis=outcome.basis)
             if polished.status == simplex.OPTIMAL:
                 x = polished.x
-        candidate = [float(v) for v in x]
+        candidate = [float(v) for v in self.postsolve(x)]
         report = evaluate_assignment(self.model, candidate)
         if not report.feasible:
             # refused: the node's LP value stays in the bound
@@ -242,11 +253,14 @@ class _Search:
         x = outcome.x
         x_bins = x[self.bins]
         frac = np.abs(x_bins - np.round(x_bins))
-        if not frac.size or frac.max() <= FEASIBILITY_TOL:
+        fractional = frac > FEASIBILITY_TOL
+        if not fractional.any():
             self._try_incumbent(lo, up, outcome)
             return
-        # most fractional binary; argmax sends ties to the lowest column
-        frac_col = self.bins[int(np.argmax(frac))]
+        # the fractional binary that gates the most rows, then the most
+        # fractional of those; argmax sends ties to the lowest column
+        most = fractional & (self.gates == self.gates[fractional].max())
+        frac_col = self.bins[int(np.argmax(np.where(most, frac, -1.0)))]
         # each child narrows one bound array and shares the other with this
         # node: no node's bounds are written once it is pushed
         down_up, up_lo = up.copy(), lo.copy()
@@ -344,8 +358,8 @@ def enumerate_exact(model: Milp) -> SolveOutcome:
         block_bits = np.nonzero(dense.a[np.ix_(rows, bins)].any(axis=0))[0]
         k, nc = block_bits.size, cols.size
         sub_cols = np.concatenate([cols, bins[block_bits]])
-        sub = DenseLp(dense.a[np.ix_(rows, sub_cols)],
-                      [SENSES[model.row_sense[i]] for i in rows], dense.b[rows],
+        sub = DenseLp(dense.a[np.ix_(rows, sub_cols)], dense.b[rows],
+                      dense.slack_lo[rows], dense.slack_up[rows],
                       dense.lo[sub_cols], dense.up[sub_cols],
                       np.concatenate([dense.c[cols], np.zeros(k)]))
         objs = np.empty(1 << k)

@@ -3,12 +3,23 @@
 Solves continuous relaxations and fixed-binary subproblems.  The method is a
 tableau simplex over general variable bounds:
 
-* every row gets a slack (``<=`` rows a nonnegative one, ``>=`` rows a
-  nonpositive one, ``=`` rows a slack fixed at zero), giving an equality
-  system ``[A | I] z = b`` with box bounds on ``z``.  ``DenseLp`` owns this
-  standard form as ``A`` and the slack box (``I`` stays implicit), built
+* every row gets a slack with a box of its own, giving an equality system
+  ``[A | I] z = b`` with box bounds on ``z``.  ``DenseLp`` owns this
+  standard form as ``A`` and the slack boxes (``I`` stays implicit), built
   with the scaled cost once per model and shared read-only by every solve,
-  so LPs of one model differ only in the structural bounds a solve passes in;
+  so LPs of one model differ only in the structural bounds a solve passes in.
+  ``from_milp`` maps each row's sense to a box: ``<=`` rows take a
+  nonnegative slack, ``>=`` rows a nonpositive one, ``=`` rows a slack fixed
+  at zero.  ``presolve`` uses wider boxes, below;
+* ``presolve`` makes the search's smaller LP.  Each column fixed by its
+  bounds folds into ``b`` and the objective constant.  A zero-cost
+  continuous column f with coefficient 1 in an ``=`` row r of three terms,
+  whose other two columns could not leave this way themselves (a line's
+  flow in its flow-law row), leaves too: row r keeps its other terms, its
+  slack becomes f with f's box, and every other row that held f gets row
+  r's terms in its place.  ``Postsolve`` maps x back: f is the slack,
+  ``b_r`` minus the rest of row r times x (Andersen & Andersen, "Presolving
+  in linear programming", Math. Programming 71(2), 1995);
 * every solve is a bounded dual simplex from a start basis: the caller's
   (a branch and bound parent, whose child differs only in variable bounds),
   and, only if that attempt fails, the all-slack basis ``B = I``, whose
@@ -77,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import EQ, GE, LE, SENSES, Milp
+from .milp import GE, LE, SENSES, Milp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -105,9 +116,7 @@ _ART_WIDTH = 1e6
 _ART_GROWTH = 1e3
 _MAX_ROUNDS = 8
 
-# slack bounds per row sense: a <= row takes a nonnegative slack, a >= row a
-# nonpositive one, and an = row a slack fixed at zero
-_SLACK_BOX = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
+_LE_CODE, _GE_CODE = SENSES.index(LE), SENSES.index(GE)
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ class DenseLp:
     of refactoring, bit for bit the same.  So at most two tableaux are kept.
     """
 
-    def __init__(self, a, senses, b, lo, up, c, c0=0.0):
+    def __init__(self, a, b, slack_lo, slack_up, lo, up, c, c0=0.0):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.lo = np.asarray(lo, dtype=float)
@@ -176,11 +185,8 @@ class DenseLp:
         self.c0 = float(c0)
 
         m, n = self.a.shape
-        try:
-            box = np.array([_SLACK_BOX[sense] for sense in senses]).reshape(m, 2)
-        except KeyError as exc:
-            raise ValueError(f"unknown sense {exc.args[0]!r}") from None
-        self.slack_lo, self.slack_up = box[:, 0], box[:, 1]
+        self.slack_lo = np.array(slack_lo, dtype=float).reshape(m)
+        self.slack_up = np.array(slack_up, dtype=float).reshape(m)
         # objective scaling keeps reduced-cost tolerances meaningful when
         # capital costs (1e6..1e9 dollars) share a model with MW quantities
         self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
@@ -190,19 +196,13 @@ class DenseLp:
         status = np.full(n + m, _AT_LO, dtype=np.int8)
         status[n:] = _BASIC
         self.slack_basis = Basis(slacks, status)
-        for shared in (box, self.cost, slacks, status):
+        for shared in (self.slack_lo, self.slack_up, self.cost, slacks, status):
             shared.flags.writeable = False
         self._slot = self._factor = None
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
-        rows, cols, coefs = model.entries()
-        a = np.zeros((model.n_constraints, model.n_variables))
-        a[rows, cols] = coefs
-        c = np.zeros(model.n_variables)
-        c[np.fromiter(model.objective, dtype=np.int64)] = list(model.objective.values())
-        return cls(a, [SENSES[code] for code in model.row_sense], np.array(model.rhs),
-                   np.array(model.lower), np.array(model.upper), c, model.objective_offset)
+        return cls(*_dense_form(model), model.objective_offset)
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
         """Solve with bounds ``lo``/``up`` by dual simplex from ``basis`` when
@@ -221,6 +221,90 @@ class DenseLp:
             if outcome.status != FAILURE:
                 break
         return outcome
+
+
+def _dense_form(model: Milp):
+    """``A``, ``b``, the slack boxes, the column bounds and the cost of
+    ``model``, as new arrays.  A ``<=`` row takes a nonnegative slack, a
+    ``>=`` row a nonpositive one, and an ``=`` row a slack fixed at zero."""
+    rows, cols, coefs = model.entries()
+    a = np.zeros((model.n_constraints, model.n_variables))
+    a[rows, cols] = coefs
+    c = np.zeros(model.n_variables)
+    c[np.fromiter(model.objective, dtype=np.int64)] = list(model.objective.values())
+    sense = np.frombuffer(bytes(model.row_sense), dtype=np.uint8)
+    return (a, np.array(model.rhs), np.where(sense == _GE_CODE, -np.inf, 0.0),
+            np.where(sense == _LE_CODE, np.inf, 0.0),
+            np.array(model.lower), np.array(model.upper), c)
+
+
+@dataclass(frozen=True)
+class Postsolve:
+    """Maps an x of a presolved LP to every column of its model.
+
+    LP column i is model column ``kept[i]``; model columns ``fixed`` sit at
+    ``value``; model column ``flows[k]`` is the slack of the LP row whose
+    coefficients and right-hand side are ``law_a[k]`` and ``law_b[k]``.
+    """
+
+    kept: np.ndarray
+    fixed: np.ndarray
+    value: np.ndarray
+    flows: np.ndarray
+    law_a: np.ndarray
+    law_b: np.ndarray
+
+    def __call__(self, x) -> np.ndarray:
+        full = np.empty(self.kept.size + self.fixed.size + self.flows.size)
+        full[self.kept] = x
+        full[self.fixed] = self.value
+        full[self.flows] = self.law_b - self.law_a @ x
+        return full
+
+
+def presolve(model: Milp) -> tuple[DenseLp, Postsolve]:
+    """The smaller LP of ``model`` that the search solves, and its postsolve.
+
+    Fixed columns fold into ``b`` and the objective constant.  A zero-cost
+    continuous column with coefficient 1 in an ``=`` row of three model
+    terms (a fixed one counts) leaves when no other column of that row could
+    leave this way, by its lowest such row: the row's slack takes the
+    column's box, and every other row that held it subtracts its coefficient
+    times that row, in row order.  The LP keeps every row, and the other
+    columns in model order.
+    """
+    a, b, slack_lo, slack_up, lo, up, c = _dense_form(model)
+    terms = a != 0.0
+    law = (slack_lo == 0.0) & (slack_up == 0.0) & (terms.sum(axis=1) == 3)
+    fixed = lo == up
+    value = lo[fixed]
+    # numpy sums, not BLAS products: b and c0 do not depend on the threads
+    b -= (a[:, fixed] * value).sum(axis=1)
+    c0 = model.objective_offset + float((c[fixed] * value).sum())
+    a[:, fixed] = 0.0
+
+    movable = (c == 0.0) & ~fixed & (np.frombuffer(bytes(model.is_binary), np.uint8) == 0)
+    unit = law[:, None] & movable & (a == 1.0)
+    # a row whose only term that could leave is its unit one
+    rows = ((terms & unit.any(axis=0)).sum(axis=1) == 1) & unit.any(axis=1)
+    rows = rows.nonzero()[0]
+    flows, first = np.unique(unit[rows].nonzero()[1], return_index=True)
+    rows = rows[first]
+
+    held = a[:, flows]
+    held[rows, np.arange(flows.size)] = 0.0
+    at, k = held.nonzero()
+    coef = held[at, k]
+    np.subtract.at(a, at, coef[:, None] * a[rows[k]])
+    np.subtract.at(b, at, coef * b[rows[k]])
+    slack_lo[rows], slack_up[rows] = lo[flows], up[flows]
+
+    kept = np.ones(model.n_variables, dtype=bool)
+    kept[fixed] = kept[flows] = False
+    kept = kept.nonzero()[0]
+    a = a[:, kept]
+    lp = DenseLp(a, b, slack_lo, slack_up, lo[kept], up[kept], c[kept], c0)
+    return lp, Postsolve(kept, fixed.nonzero()[0], value, flows, a[rows], b[rows])
 
 
 def solve_lp(model: Milp) -> LpOutcome:

@@ -8,17 +8,27 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import math  # noqa: E402
+
 import pytest  # noqa: E402
 
 from gridplan.branch_bound import enumerate_exact
 from gridplan.builder import Variant, build_milp
 from gridplan.cases import case_names, load_bundled
+from gridplan.milp import EQ, GE, LE
 
 # Bundled cases inside the 3-8 bus acceptance envelope; the full bundle
 # additionally carries two_bus and braess_build.
 ENVELOPE = ("defer_build", "diamond", "eight_bus", "season_flip", "tri_switch")
 
 ALL_CASES = tuple(case_names())
+
+
+def slack_box(senses):
+    """``DenseLp``'s slack bounds for rows of these senses: a ``<=`` row's
+    slack is nonnegative, a ``>=`` row's nonpositive, an ``=`` row's zero."""
+    box = {LE: (0.0, math.inf), GE: (-math.inf, 0.0), EQ: (0.0, 0.0)}
+    return [box[s][0] for s in senses], [box[s][1] for s in senses]
 
 
 @pytest.fixture(scope="session")

@@ -158,11 +158,11 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 256 LPs, 2,117 pivots, 238 nodes with the condensed m x n tableau,
-    # under the one BLAS thread conftest sets and the same under two
-    # threads (eight_bus switch-all takes 56 nodes and diamond switch-all
-    # 28).  The caps keep the two-thread figures of the full m x m factor
-    # (281, 2,120 and 238), so a run with more threads passes too
+    # 224 LPs, 1,796 pivots, 204 nodes on the presolved LP with gate-count
+    # branching, under the one BLAS thread conftest sets and the same under
+    # two threads (eight_bus switch-all takes 52 nodes and diamond
+    # switch-all 16).  The caps keep the two-thread figures of the full
+    # m x m factor (281, 2,120 and 238), so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 
@@ -182,6 +182,58 @@ def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     assert lps <= 281, figures
     assert pivots <= 2120, figures
     assert nodes <= 238, figures
+
+
+def _first_branch(model, monkeypatch):
+    """The column whose bound the first child LP of ``model``'s search
+    changes, and the bound it gets."""
+    bounds = []
+    solve = DenseLp.solve
+
+    def recording(self, lo=None, up=None, basis=None):
+        bounds.append((np.array(lo), np.array(up)))
+        return solve(self, lo, up, basis=basis)
+
+    monkeypatch.setattr(DenseLp, "solve", recording)
+    solve_milp(model, EXACT)
+    monkeypatch.undo()
+    (root_lo, root_up), (lo, up) = bounds[:2]
+    changed = np.flatnonzero((lo != root_lo) | (up != root_up))
+    assert changed.size == 1
+    col = int(changed[0])
+    return col, (lo[col], up[col])
+
+
+def _fractional_pair(caps, extra_rows):
+    """Binaries b0 and b1 whose root LP values are 1 / caps[i], the rest of
+    the objective a continuous y; b0 also sits in ``extra_rows`` slack rows,
+    so it has that many more nonzeros in its column."""
+    m = Milp()
+    bins = [m.add_variable(BINARY, 0.0, 1.0, f"b{i}") for i in range(2)]
+    y = m.add_variable(CONTINUOUS, 0.0, 1.0, "y")
+    for b, cap in zip(bins, caps):
+        m.set_objective_coefficient(b, -1.0)
+        m.add_constraint([(b, float(cap))], LE, 1.0)
+    for _ in range(extra_rows):
+        m.add_constraint([(bins[0], 1.0), (y, 1.0)], LE, 5.0)
+    m.set_objective_coefficient(y, 1.0)
+    return m
+
+
+def test_branching_takes_the_binary_that_gates_most_rows(monkeypatch):
+    # b1 = 1/2 is the most fractional, but b0 = 1/4 sits in three rows and
+    # b1 in one: the first child pins b0 down, the plunge side of 1/4
+    model = _fractional_pair([4, 2], extra_rows=2)
+    assert _first_branch(model, monkeypatch) == (0, (0.0, 0.0))
+
+
+def test_branching_ties_go_to_most_fractional_then_lowest_column(monkeypatch):
+    # one row each: b1 = 1/2 beats b0 = 1/4, and its plunge side is up
+    model = _fractional_pair([4, 2], extra_rows=0)
+    assert _first_branch(model, monkeypatch) == (1, (1.0, 1.0))
+    # one row each and both 1/2: the lowest column, b0
+    model = _fractional_pair([2, 2], extra_rows=0)
+    assert _first_branch(model, monkeypatch) == (0, (1.0, 1.0))
 
 
 def test_exactly_integral_node_is_not_polished(monkeypatch):

@@ -25,6 +25,7 @@ from gridplan.milp import (
 )
 from gridplan.mps import parse_mps, write_mps
 from gridplan.simplex import DenseLp
+from conftest import slack_box
 
 
 def _state(m):
@@ -369,7 +370,7 @@ def _reference_dense(model):
     c = np.zeros(model.n_variables)
     for j, coef in model.objective.items():
         c[j] = coef
-    return DenseLp(a, [con.sense for con in cons], [con.rhs for con in cons],
+    return DenseLp(a, [con.rhs for con in cons], *slack_box([con.sense for con in cons]),
                    [v.lower for v in model.variables], [v.upper for v in model.variables],
                    c, model.objective_offset)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import ALL_CASES
+from conftest import ALL_CASES, slack_box
 from gridplan.builder import Variant, build_milp
 from gridplan.case import parse_case
 from gridplan.milp import CONTINUOUS, EQ, GE, LE, Milp
@@ -272,8 +272,8 @@ def test_dual_bound_matches_the_column_definition():
     finite = infinite = 0
     for _ in range(200):
         bounds, rows, c = _random_instance(rng)
-        dense = DenseLp([coefs for coefs, _s, _b in rows], [s for _c, s, _b in rows],
-                        [b for _c, _s, b in rows], *zip(*bounds), c)
+        dense = DenseLp([coefs for coefs, _s, _b in rows], [b for _c, _s, b in rows],
+                        *slack_box([s for _c, s, _b in rows]), *zip(*bounds), c)
         lp = _placed(_Simplex(dense, dense.lo, dense.up))
         y = rng.normal(size=lp.m)
         scale = rng.choice([0.0, 1e-10, 1e-6, 1.0], size=lp.lo.size)
@@ -782,7 +782,7 @@ def _dense_by_rows(model):
     c = np.zeros(model.n_variables)
     for col, coef in model.objective.items():
         c[col] = coef
-    return DenseLp(a, [con.sense for con in model.constraints], b,
+    return DenseLp(a, b, *slack_box([con.sense for con in model.constraints]),
                    [v.lower for v in model.variables], [v.upper for v in model.variables],
                    c, model.objective_offset)
 
@@ -983,7 +983,7 @@ def test_exchange_updates_only_rows_the_pivot_column_touches():
     # column's position takes the leaving column: -col / piv, 1 / piv in row r
     rng = np.random.default_rng(20261018)
     m, n = 40, 25
-    dense = DenseLp(np.zeros((m, n)), [LE] * m, np.zeros(m), np.zeros(n),
+    dense = DenseLp(np.zeros((m, n)), np.zeros(m), *slack_box([LE] * m), np.zeros(n),
                     np.ones(n), np.zeros(n))
     simplex = _placed(_Simplex(dense, dense.lo, dense.up))
     simplex.basis = dense.slack_basis.columns.copy()
@@ -1025,7 +1025,8 @@ def _one_row(state, alpha, rise, drow0):
     ratio 1."""
     lo, up, x0 = {_AT_LO: (0.0, 1.0, 0.0), _AT_UP: (0.0, 1.0, 1.0),
                   _FREE: (-math.inf, math.inf, 0.0), _FIXED: (0.5, 0.5, 0.5)}[state]
-    dense = DenseLp(np.zeros((1, 2)), [EQ], np.zeros(1), [lo, 0.0], [up, 1.0], np.zeros(2))
+    dense = DenseLp(np.zeros((1, 2)), np.zeros(1), *slack_box([EQ]), [lo, 0.0], [up, 1.0],
+                    np.zeros(2))
     simplex = _Simplex(dense, dense.lo, dense.up)
     simplex.basis, simplex.nonbasic = np.array([2]), np.array([0, 1])
     simplex.tableau = np.array([[alpha, -1.0 if rise else 1.0]])
