@@ -38,8 +38,14 @@ def compute_metrics(tc_baseline: float, tc_variant: float) -> Metrics:
     return Metrics(tcr=tcr, rho=tcr / tc_baseline)
 
 
+# Both round as the format would, then add 0.0, which turns the -0.0 of a
+# value that rounds to zero into 0.0: a saving a few ulp below zero reads 0
 def _money(value: float) -> str:
-    return f"{value:,.0f}"
+    return f"{round(value, 0) + 0.0:,.0f}"
+
+
+def _percent(fraction: float) -> str:
+    return f"{round(100 * fraction, 2) + 0.0:.2f}"
 
 
 def _table(rows: list[list[str]]) -> list[str]:
@@ -89,7 +95,7 @@ def render_report(plans: dict[Variant, Plan],
     ])
     rows.append([
         "saving vs baseline (%)",
-        *[f"{100 * metrics[v].rho:.2f}" if metrics.get(v) is not None else "N/A"
+        *[_percent(metrics[v].rho) if metrics.get(v) is not None else "N/A"
           for v in variants],
     ])
     lines.extend(_table(rows))

@@ -29,13 +29,21 @@ tableau simplex over general variable bounds:
   the lowest column id) among the columns that, moved off their bound, move
   the leaving value toward its violated bound, and whose entry in row r
   exceeds ``_PIV_TOL * max(1, max_j |alpha_rj|)``: noise never pivots;
-* each nonbasic column sits at the bound its reduced cost calls for.  A
-  column whose reduced cost pulls it toward an infinite bound (a one-sided
-  or free column) gets an artificial bound a fixed width from its finite
-  bound, or from 0 when free, so every start is dual feasible (Koberstein's
-  artificial-bounds dual phase 1).  Outcomes are checked against the true
-  bounds, and a verdict that the artificial bounds may have caused is
-  retried with wider ones;
+* each nonbasic column sits at the bound its reduced cost calls for, but
+  one marked free in its start whose reduced cost is zero (within
+  ``_OPT_TOL``) and whose box holds 0 strictly inside sits free at 0: it
+  enters at ratio 0 whichever way a row needs it, so that costs no dual
+  feasibility.  The slack basis marks every zero-cost column with 0
+  inside its box, the angles and flows of a planning model, so on such a
+  model its start breaks only the loaded balance rows; a basis passes
+  the marks of its columns still free on to the LPs that start from it.
+  A column whose reduced cost pulls it toward an infinite bound (a
+  one-sided or free column) gets an artificial bound a fixed width from
+  its finite bound, or from 0 when free, so every start is dual feasible
+  (Koberstein, "The dual simplex method", PhD thesis, Paderborn 2005, for
+  both rules).  Outcomes are checked against the true bounds, and a
+  verdict that the artificial bounds may have caused is retried with
+  wider ones;
 * a row that no column can repair proves the LP infeasible: that row of
   ``B^-1``, signed by the direction its basic value must move, is a Farkas
   ray.  An optimum resting on artificial bounds proves the LP unbounded
@@ -191,9 +199,11 @@ class DenseLp:
         # capital costs (1e6..1e9 dollars) share a model with MW quantities
         self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
         self.cost = np.concatenate([self.c / self.sigma, np.zeros(m)])
-        # B = I, the start of every solve that has no usable caller basis
+        # B = I, the start of every solve that has no usable caller basis; a
+        # zero-cost column with 0 inside its box may start free at zero
         slacks = np.arange(n, n + m, dtype=np.int64)
         status = np.full(n + m, _AT_LO, dtype=np.int8)
+        status[:n][(self.c == 0.0) & (self.lo < 0.0) & (self.up > 0.0)] = _FREE
         status[n:] = _BASIC
         self.slack_basis = Basis(slacks, status)
         for shared in (self.slack_lo, self.slack_up, self.cost, slacks, status):
@@ -582,7 +592,9 @@ class _Simplex:
         """Put every nonbasic column at the bound reduced costs ``d`` call
         for, boxed ties on their ``side``; a column pulled toward an infinite
         bound gets an artificial one ``width`` from its finite bound (from 0
-        when free).  Returns whether any bound is artificial."""
+        when free).  A tie whose side is ``_FREE`` and whose box holds 0
+        strictly inside sits free at 0 instead.  Returns whether any bound
+        is artificial."""
         lo, up = self.lo, self.up
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
         wants_up = d < -_OPT_TOL
@@ -593,6 +605,8 @@ class _Simplex:
         boxed_up = wants_up | ((side == _AT_UP) & (d <= _OPT_TOL))
         self._place_nonbasic(np.isfinite(self.work_up)
                              & (~np.isfinite(self.work_lo) | boxed_up))
+        zero = (side == _FREE) & (lo < 0.0) & (up > 0.0) & (np.abs(d) <= _OPT_TOL)
+        self.status[zero], self.x[zero] = _FREE, 0.0
         self.status[self.basis] = _BASIC
         self._basic_values()
         self.drow = d[self.nonbasic]

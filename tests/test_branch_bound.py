@@ -158,11 +158,12 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 224 LPs, 1,796 pivots, 204 nodes on the presolved LP with gate-count
-    # branching, under the one BLAS thread conftest sets and the same under
-    # two threads (eight_bus switch-all takes 52 nodes and diamond
-    # switch-all 16).  The caps keep the two-thread figures of the full
-    # m x m factor (281, 2,120 and 238), so a run with more threads passes too
+    # 204 LPs, 1,555 pivots, 189 nodes on the presolved LP with gate-count
+    # branching and zero-cost columns starting free at zero, under the one
+    # BLAS thread conftest sets and the same under two threads (eight_bus
+    # switch-all takes 50 nodes and diamond switch-all 16).  The caps keep
+    # the two-thread figures of the full m x m factor (281, 2,120 and 238),
+    # so a run with more threads passes too
     outcomes = []
     solve = DenseLp.solve
 

@@ -21,8 +21,10 @@ from gridplan.simplex import (
     _AT_LO,
     _AT_UP,
     _BASIC,
+    _FEAS_TOL,
     _FIXED,
     _FREE,
+    _OPT_TOL,
     Basis,
     DenseLp,
     LpOutcome,
@@ -447,6 +449,74 @@ def test_bundled_root_lps_start_from_the_slack_basis(bundled):
     assert pivots <= 1300
 
 
+# -- zero-cost columns start free at zero ----------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_slack_start_leaves_only_the_loaded_balance_rows_infeasible(variant):
+    # every angle and flow starts at 0, not at a bound, so no flow-law or
+    # gating row starts violated: only the = rows that carry a load
+    case = parse_case((DATA / "probe_10x2x2x2x3_s1.json").read_text())
+    model, _index = build_milp(case, variant)
+    dense = DenseLp.from_milp(model)
+    n = dense.a.shape[1]
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+    simplex._start_round(simplex._exact_duals()[1], dense.slack_basis.status, 1e6)
+    slack = simplex.x[n:]
+    infeasible = (slack < dense.slack_lo - _FEAS_TOL) | (slack > dense.slack_up + _FEAS_TOL)
+    loaded = (dense.slack_lo == 0.0) & (dense.slack_up == 0.0) & (dense.b != 0.0)
+    assert loaded.any()
+    assert np.array_equal(infeasible, loaded)
+    zero = (dense.c == 0.0) & (dense.lo < 0.0) & (dense.up > 0.0)
+    assert zero.any()
+    assert np.all(simplex.x[:n][zero] == 0.0)
+    assert np.all(simplex.status[:n][zero] == _FREE)
+
+
+def test_a_resolve_from_an_optimum_with_a_free_column_pivots_none(bundled):
+    # tri_switch's switch-all optimum leaves the flows of line k23 and of the
+    # unbuilt candidate c1 free at zero
+    model, _index = build_milp(bundled("tri_switch"), Variant.SWITCH_ALL)
+    dense = DenseLp.from_milp(model)
+    root = dense.solve()
+    assert root.status == OPTIMAL
+    free = root.basis.status[:dense.a.shape[1]] == _FREE
+    assert free.any() and np.all(root.x[free] == 0.0)
+    again = dense.solve(basis=root.basis)
+    assert again.status == OPTIMAL and again.iterations == 0
+    assert _same_bits(again.x, root.x)
+    assert repr(again.objective) == repr(root.objective)
+
+
+@pytest.mark.parametrize("lo, up, cost, x, state", [
+    (-1.0, 2.0, 0.5 * _OPT_TOL, 0.0, _FREE),
+    (-1.0, 2.0, -0.5 * _OPT_TOL, 0.0, _FREE),
+    (-1.0, 2.0, 2 * _OPT_TOL, -1.0, _AT_LO),
+    (-1.0, 2.0, -2 * _OPT_TOL, 2.0, _AT_UP),
+    (-1.0, 2.0, 1.0, -1.0, _AT_LO),
+    (-1.0, 2.0, -1.0, 2.0, _AT_UP),
+    # 0 on the box's edge or outside it: the lower bound, as for any tie
+    (0.0, 2.0, 0.0, 0.0, _AT_LO),
+    (0.25, 2.0, 0.0, 0.25, _AT_LO),
+])
+def test_only_a_zero_reduced_cost_inside_its_box_starts_at_zero(lo, up, cost, x, state):
+    # column 0 is marked free in the start, as the slack basis marks a
+    # zero-cost column; the round leaves it at 0 only when |d| <= _OPT_TOL
+    # and 0 is strictly inside its box
+    m = _model([(lo, up), (-1.0, 1.0)], [([(0, 1.0), (1, 1.0)], EQ, 0.5)], [(0, cost)])
+    dense = DenseLp.from_milp(m)
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.slack_basis.columns.copy()
+    assert simplex._refresh()
+    side = dense.slack_basis.status.copy()
+    side[0] = _FREE
+    simplex._start_round(simplex._exact_duals()[1], side, 1e6)
+    assert (simplex.x[0], simplex.status[0]) == (x, state)
+    assert (simplex.x[1], simplex.status[1]) == (0.0, _FREE)
+
+
 # -- warm starts ------------------------------------------------------------------
 
 
@@ -720,9 +790,11 @@ def _node_polish_child(model):
 
 def test_interleaved_solves_of_two_problems_match_separate_ones(bundled):
     # each solve reads only its own problem's kept tableau and factor, so
-    # running two problems' solves alternately changes no bit of either
+    # running two problems' solves alternately changes no bit of either.
+    # Both cases have a fractional down child of the root, which
+    # _node_polish_child branches on
     models = [build_milp(bundled(name), Variant.SWITCH_ALL)[0]
-              for name in ("eight_bus", "season_flip")]
+              for name in ("eight_bus", "diamond")]
     alone = [[_outcome_bits(out) for out in _node_polish_child(m)] for m in models]
     mixed = [_outcome_bits(out)
              for pair in zip(*(_node_polish_child(m) for m in models)) for out in pair]
