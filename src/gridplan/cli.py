@@ -138,9 +138,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         path = Path(args.mps)
     else:
         path = Path(args.out) / f"model_{args.variant}.mps"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(write_mps(model))
-    print(f"wrote {path}")
+    _write(path.parent, path.name, write_mps(model))
     return 0
 
 

@@ -29,10 +29,11 @@ tableau simplex over general variable bounds:
   the lowest column id) among the columns that, moved off their bound, move
   the leaving value toward its violated bound, and whose entry in row r
   exceeds ``_PIV_TOL * max(1, max_j |alpha_rj|)``: noise never pivots;
-* each nonbasic column sits at the bound its reduced cost calls for, but
-  one marked free in its start whose reduced cost is zero (within
-  ``_OPT_TOL``) and whose box holds 0 strictly inside sits free at 0: it
-  enters at ratio 0 whichever way a row needs it, so that costs no dual
+* each nonbasic column sits at the bound its reduced cost calls for, with
+  one exception: a column whose reduced cost is zero (within
+  ``_OPT_TOL``), whose box holds 0 strictly inside, and which its start
+  marks free or which has no finite bound sits free at 0.  It enters at
+  ratio 0 whichever way a row needs it, so that costs no dual
   feasibility.  The slack basis marks every zero-cost column with 0
   inside its box, the angles and flows of a planning model, so on such a
   model its start breaks only the loaded balance rows; a basis passes
@@ -336,8 +337,10 @@ class _Simplex:
         self.m, self.n = problem.a.shape
         self.lo = np.concatenate([lo, problem.slack_lo])
         self.up = np.concatenate([up, problem.slack_up])
-        if (self.lo > self.up).any():
-            raise ValueError("crossed variable bounds")
+        # the bounds a Milp admits: NaN fails the test, and a column fixed
+        # at an infinite value has no bound to start at
+        if not ((self.lo <= self.up) & (self.lo < np.inf) & (self.up > -np.inf)).all():
+            raise ValueError("crossed, NaN or infinite fixed variable bounds")
         # shared with the problem and never written
         self.a = problem.a
         self.b = problem.b
@@ -346,16 +349,6 @@ class _Simplex:
         # round's artificial bounds; _start_round places x and status
         self.work_lo, self.work_up = self.lo, self.up
         self.iterations = 0
-
-    def _place_nonbasic(self, at_up):
-        """Put every column at a working bound: the upper one where
-        ``at_up``, else the lower one, or zero when free; equal bounds make
-        it fixed."""
-        has_lo = np.isfinite(self.work_lo)
-        status = np.where(at_up, _AT_UP, np.where(has_lo, _AT_LO, _FREE))
-        status[self.lo == self.up] = _FIXED
-        self.status = status.astype(np.int8)
-        self.x = np.where(at_up, self.work_up, np.where(has_lo, self.work_lo, 0.0))
 
     # -- linear algebra helpers ---------------------------------------------
 
@@ -589,12 +582,13 @@ class _Simplex:
             self.x[self.basis] = xb
 
     def _start_round(self, d, side, width):
-        """Put every nonbasic column at the bound reduced costs ``d`` call
-        for, boxed ties on their ``side``; a column pulled toward an infinite
-        bound gets an artificial one ``width`` from its finite bound (from 0
-        when free).  A tie whose side is ``_FREE`` and whose box holds 0
-        strictly inside sits free at 0 instead.  Returns whether any bound
-        is artificial."""
+        """Put every nonbasic column at the working bound reduced costs ``d``
+        call for, boxed ties on their ``side``; a column pulled toward an
+        infinite bound gets an artificial one ``width`` from its finite bound
+        (from 0 when free), and equal bounds make it fixed.  A tie (``|d|``
+        within ``_OPT_TOL``) whose box holds 0 strictly inside sits free at 0
+        instead when its side is ``_FREE`` or it has no finite bound.
+        Returns whether any bound is artificial."""
         lo, up = self.lo, self.up
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
         wants_up = d < -_OPT_TOL
@@ -603,9 +597,12 @@ class _Simplex:
         self.work_up = np.where(art_up, np.where(has_lo, lo, 0.0) + width, up)
         self.work_lo = np.where(art_lo, np.where(has_up, up, 0.0) - width, lo)
         boxed_up = wants_up | ((side == _AT_UP) & (d <= _OPT_TOL))
-        self._place_nonbasic(np.isfinite(self.work_up)
-                             & (~np.isfinite(self.work_lo) | boxed_up))
-        zero = (side == _FREE) & (lo < 0.0) & (up > 0.0) & (np.abs(d) <= _OPT_TOL)
+        at_up = np.isfinite(self.work_up) & (~np.isfinite(self.work_lo) | boxed_up)
+        self.status = np.where(at_up, _AT_UP, _AT_LO).astype(np.int8)
+        self.status[lo == up] = _FIXED
+        self.x = np.where(at_up, self.work_up, self.work_lo)
+        zero = ((np.abs(d) <= _OPT_TOL) & (lo < 0.0) & (up > 0.0)
+                & ((side == _FREE) | ~(has_lo | has_up)))
         self.status[zero], self.x[zero] = _FREE, 0.0
         self.status[self.basis] = _BASIC
         self._basic_values()

@@ -371,6 +371,27 @@ def test_enumerate_refuses_an_unbounded_block():
     assert out.status == INFEASIBLE and out.assignment is None and out.gap is None
 
 
+def test_enumerate_raises_when_a_block_lp_fails(bundled, monkeypatch):
+    # the oracle has no failure status: a block LP it cannot solve ends it
+    model, _index = build_milp(bundled("tri_switch"), Variant.SWITCH_ALL)
+    monkeypatch.setattr(DenseLp, "solve",
+                        lambda self, *args, **kwargs: LpOutcome(FAILURE, message="injected"))
+    with pytest.raises(RuntimeError, match="^block LP failed: injected$"):
+        enumerate_exact(model)
+
+
+def test_enumerate_raises_when_its_optimum_fails_evaluation(bundled, monkeypatch):
+    model, _index = build_milp(bundled("tri_switch"), Variant.SWITCH_ALL)
+
+    def rejecting(*args):
+        return dataclasses.replace(evaluate_assignment(*args), feasible=False)
+
+    monkeypatch.setattr(branch_bound, "evaluate_assignment", rejecting)
+    with pytest.raises(RuntimeError, match="^enumeration produced an assignment "
+                                           "that fails evaluation$"):
+        enumerate_exact(model)
+
+
 def test_row_free_binary_model():
     m = Milp()
     m.add_variable(BINARY, 0.0, 1.0, "b0")

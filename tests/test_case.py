@@ -27,6 +27,7 @@ from gridplan.case import (
     validate_case,
 )
 from gridplan.builder import Variant, build_milp
+from gridplan.cases import load_bundled
 
 MINIMAL = """
 {
@@ -324,6 +325,15 @@ def test_bundled_cases_all_valid(bundled):
         assert case.name == name
         assert case.description
         assert parse_case(render_case(case)) == case
+
+
+def test_an_unknown_bundled_case_lists_the_available_ones():
+    from conftest import ALL_CASES
+
+    with pytest.raises(KeyError) as raised:
+        load_bundled("nine_bus")
+    assert raised.value.args[0] == (
+        f"no bundled case named 'nine_bus'; available: {', '.join(ALL_CASES)}")
 
 
 def _grown(epochs, growth, load):

@@ -24,6 +24,7 @@ from gridplan.simplex import (
     _FEAS_TOL,
     _FIXED,
     _FREE,
+    _MAX_ROUNDS,
     _OPT_TOL,
     Basis,
     DenseLp,
@@ -248,10 +249,14 @@ def _scipy_solve(bounds, rows, c):
 
 def _placed(simplex):
     """``simplex`` with every column at a bound, the upper one only where
-    just that one is finite: the ``x`` and ``status`` that a round's
-    ``_start_round`` would otherwise set, for tests that read them without
-    running a round."""
-    simplex._place_nonbasic(np.isfinite(simplex.up) & ~np.isfinite(simplex.lo))
+    just that one is finite, and free at 0 where neither is: the ``x`` and
+    ``status`` that a round's ``_start_round`` would otherwise set, for
+    tests that read them without running a round."""
+    lo, up = simplex.lo, simplex.up
+    at_up, has_lo = np.isfinite(up) & ~np.isfinite(lo), np.isfinite(lo)
+    simplex.status = np.where(at_up, _AT_UP, np.where(has_lo, _AT_LO, _FREE)).astype(np.int8)
+    simplex.status[lo == up] = _FIXED
+    simplex.x = np.where(at_up, up, np.where(has_lo, lo, 0.0))
     return simplex
 
 
@@ -1210,3 +1215,139 @@ def test_unusable_snapshot_falls_back_to_the_cold_answer(bundled, defect):
     assert warm.objective == cold.objective
     assert np.array_equal(warm.x, cold.x)
     assert warm.iterations == cold.iterations
+
+
+@pytest.mark.parametrize("lo, up", [(2.0, 1.0), (0.0, math.nan), (math.nan, 1.0),
+                                    (math.inf, math.inf), (-math.inf, -math.inf)],
+                         ids=["crossed", "nan-upper", "nan-lower", "fixed-at-inf",
+                              "fixed-at-minus-inf"])
+def test_a_bound_no_model_admits_is_refused(lo, up):
+    # NaN fails every comparison, so only a test that NaN fails refuses it
+    dense = DenseLp([[1.0, 1.0]], [1.0], [0.0], [math.inf], [0.0, 0.0], [5.0, 5.0],
+                    [1.0, 1.0])
+    with pytest.raises(ValueError, match="^crossed, NaN or infinite fixed variable bounds$"):
+        dense.solve([0.0, lo], [5.0, up])
+
+
+# -- failure paths: certificates and rounds that give up ---------------------
+
+
+def _answering(monkeypatch, name, answer):
+    """Replace ``_Simplex.<name>`` by ``answer(call, real)``, where ``call``
+    counts its calls from 1 and ``real()`` returns the real answer; returns
+    the list of calls, one entry each."""
+    method = getattr(_Simplex, name)
+    calls = []
+
+    def patched(self, *args):
+        calls.append(name)
+        return answer(len(calls), lambda: method(self, *args))
+
+    monkeypatch.setattr(_Simplex, name, patched)
+    return calls
+
+
+def _real(call, real):
+    return real()
+
+
+def test_a_failed_certificate_is_retried_on_a_refactor_with_fresh_duals(bundled,
+                                                                        monkeypatch):
+    # the optimality test's duals fail weak duality once: the tableau is
+    # refactored, and the duals and residuals computed from it certify
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    ref_dense, ref_root, _bounds = _eight_bus_child(bundled)
+    ref = ref_dense.solve(lo, up, basis=ref_root.basis)
+    bound = _answering(monkeypatch, "_dual_bound",
+                       lambda call, real: -np.inf if call == 1 else real())
+    refresh = _answering(monkeypatch, "_refresh", _real)
+    duals = _answering(monkeypatch, "_exact_duals", _real)
+    errors = _answering(monkeypatch, "_primal_error", _real)
+    with _attempts() as attempts:
+        warm = dense.solve(lo, up, basis=root.basis)
+    assert attempts.call_count == 1
+    assert warm.status == OPTIMAL
+    # a start from the kept tableau refactors nothing and takes its reduced
+    # costs from the slot, so each of these is the certificate's retry
+    assert (len(bound), len(refresh), len(duals), len(errors)) == (2, 1, 2, 2)
+    # the same optimum as the run whose first certificate holds
+    assert np.array_equal(warm.basis.columns, ref.basis.columns)
+    assert abs(warm.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+    assert np.allclose(warm.x, ref.x, rtol=0.0, atol=1e-9)
+
+
+def test_a_certificate_that_always_fails_retries_from_the_slack_basis(bundled,
+                                                                      monkeypatch):
+    # both attempts pivot to an optimum that no duals certify; the caller's
+    # basis is tried first, and the iterations of both are reported
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    _answering(monkeypatch, "_dual_bound", lambda call, real: -np.inf)
+    attempts = []
+    run = _Simplex.run
+
+    def recorded(self, start):
+        outcome = run(self, start)
+        attempts.append((start, outcome, self.iterations))
+        return outcome
+
+    monkeypatch.setattr(_Simplex, "run", recorded)
+    out = dense.solve(lo, up, basis=root.basis)
+    assert [start for start, _out, _its in attempts] == [root.basis, dense.slack_basis]
+    for _start, attempt, iterations in attempts:
+        assert attempt.status == FAILURE and iterations > 0
+        assert attempt.message == "weak duality check failed (gap inf)"
+    assert out.status == FAILURE and out.message == "weak duality check failed (gap inf)"
+    assert out.iterations == sum(its for _start, _out, its in attempts)
+    assert out.x is None and out.basis is None
+
+
+def test_residuals_that_grow_after_the_refactor_fail_the_retry(bundled, monkeypatch):
+    dense, root, (lo, up) = _eight_bus_child(bundled)
+    _answering(monkeypatch, "_dual_bound",
+               lambda call, real: -np.inf if call == 1 else real())
+    _answering(monkeypatch, "_primal_error",
+               lambda call, real: real() if call == 1 else (2e-7, 0.0))
+    simplex = _Simplex(dense, lo, up)
+    out = simplex.run(root.basis)
+    assert out.status == FAILURE
+    assert out.message == "primal residuals too large (2.000e-07, 0.000e+00)"
+    assert out.iterations == simplex.iterations > 0
+
+
+def test_an_optimum_that_drifts_every_round_ends_after_the_round_cap(bundled, monkeypatch):
+    # every round's optimum reads as drifted, so each refactors and starts
+    # another round, until no round is left
+    dense, _root, (lo, up) = _eight_bus_child(bundled)
+    _answering(monkeypatch, "_primal_error", lambda call, real: (1.0, 0.0))
+    refresh = _answering(monkeypatch, "_refresh", _real)
+    spy, verdicts = _dual_verdicts()
+    simplex = _Simplex(dense, lo, up)
+    with spy:
+        out = simplex.run(dense.slack_basis)
+    assert verdicts == [OPTIMAL] * _MAX_ROUNDS
+    assert len(refresh) == 1 + _MAX_ROUNDS  # the start's factor, then one a round
+    assert out.status == FAILURE
+    assert out.message == f"no certified outcome in {_MAX_ROUNDS} rounds"
+    assert out.iterations == simplex.iterations > 0
+
+
+def test_a_singular_refactor_between_rounds_fails_the_attempt(bundled, monkeypatch):
+    dense, _root, (lo, up) = _eight_bus_child(bundled)
+    _answering(monkeypatch, "_primal_error", lambda call, real: (1.0, 0.0))
+    _answering(monkeypatch, "_refresh", lambda call, real: real() if call == 1 else False)
+    simplex = _Simplex(dense, lo, up)
+    out = simplex.run(dense.slack_basis)
+    assert out.status == FAILURE and out.message == "singular basis during refresh"
+    assert out.iterations == simplex.iterations > 0
+
+
+def test_a_round_that_hits_the_iteration_limit_fails_the_attempt(bundled, monkeypatch):
+    # the slack start leaves the loaded balance rows infeasible, so a limit
+    # of no pivots ends the first round
+    dense, _root, (lo, up) = _eight_bus_child(bundled)
+    dual_loop = _Simplex._dual_loop
+    monkeypatch.setattr(_Simplex, "_dual_loop", lambda self, max_iter: dual_loop(self, 0))
+    out = _Simplex(dense, lo, up).run(dense.slack_basis)
+    assert out.status == FAILURE
+    assert out.message == "dual: iteration limit or singular basis"
+    assert out.iterations == 0
