@@ -9,13 +9,14 @@ binary one season's hours), ties to the most fractional, then to the lowest
 column.  Nodes are selected best bound first, with depth-first plunging
 until the first incumbent; there are no cuts.
 Every LP is a bounded dual simplex, in one node loop whose first node is
-the root: the root starts from the model's all-slack basis, every other
-node LP from its parent's optimal basis (each open node carries that basis,
-not a tableau) and, if that attempt fails, from the slack basis, under the
-same certificate.  The ``DenseLp`` keeps the tableau of the last optimal
-LP, so a plunge child popped right after its parent, and a polish LP,
-start from that tableau with no refactor; it also keeps the factor of the
-last parent basis it factored, which a sibling popped right after copies.
+the root: the root starts from the model's crash basis, every other node
+LP from its parent's optimal basis (each open node carries that basis, not
+a tableau), and an attempt that fails is retried from the crash basis and
+then the all-slack basis, under the same certificate.  The ``DenseLp``
+keeps the tableau of the last optimal LP, so a plunge child popped right
+after its parent, and a polish LP, start from that tableau with no
+refactor; it also keeps the factor of the last parent basis it factored,
+which a sibling popped right after copies.
 A node LP that still fails, or an incumbent candidate that fails the model
 evaluator, leaves its subtree unsolved: the node's value stays in the
 bound, which stays valid, so the gap target and the limits stop the search
@@ -210,7 +211,7 @@ class _Search:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> SolveOutcome:
-        # the root is the first open node: model bounds, slack basis
+        # the root is the first open node: model bounds, no basis of its own
         self._push(-np.inf, self.dense.lo, self.dense.up, None)
         while self.open:
             if time.monotonic() - self.started > self.params.time_limit:

@@ -137,9 +137,10 @@ def write_mps(model: Milp) -> str:
     rows = [f"R{i + 1:07d}" for i in range(model.n_constraints)]
     # the last row name is the longest
     width = max(map(len, [*names, *rows[-1:], _OBJ_ROW, _RHS_SET, _BOUND_SET]))
-    # padded name fields: each row's, then the objective row's at index m
-    fields = [f"{row:<{width}}  " for row in [*rows, _OBJ_ROW]]
-    padded = [f"{col_name:<{width}}  " for col_name in names]
+    # padded name fields, each name then blanks to width + 2: each row's,
+    # then the objective row's at index m
+    fields = list(map(str.ljust, [*rows, _OBJ_ROW], repeat(width + 2)))
+    padded = list(map(str.ljust, names, repeat(width + 2)))
 
     # the text is one join of fragments, each line's fields and its newline
     text = [f"NAME          GRIDPLAN\nROWS\n N  {_OBJ_ROW}\n"]
@@ -183,8 +184,11 @@ def write_mps(model: Milp) -> str:
     head = f"    {_RHS_SET:<{width}}  "
     if model.objective_offset:
         text += (head, fields[-1], repr(-model.objective_offset), "\n")
-    text += chain.from_iterable((head, field, spell[rhs], "\n")
-                                for field, rhs in zip(fields, model.rhs) if rhs != 0.0)
+    rhs = np.frombuffer(model.rhs)
+    given = np.flatnonzero(rhs != 0.0)
+    text += chain.from_iterable(zip(repeat(head), map(fields.__getitem__, given.tolist()),
+                                    map(spell.__getitem__, rhs[given].tolist()),
+                                    repeat("\n")))
 
     # a valued line pads the column name; a bare one ends with it
     text.append("BOUNDS\n")

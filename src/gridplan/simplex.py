@@ -20,13 +20,24 @@ tableau simplex over general variable bounds:
   r's terms in its place.  ``Postsolve`` maps x back: f is the slack,
   ``b_r`` minus the rest of row r times x (Andersen & Andersen, "Presolving
   in linear programming", Math. Programming 71(2), 1995);
-* every solve is a bounded dual simplex from a start basis: the caller's
-  (a branch and bound parent, whose child differs only in variable bounds),
-  and, only if that attempt fails, the all-slack basis ``B = I``, whose
-  failure is final.  The dual simplex is the only code that pivots: the
-  leaving row r is the largest primal infeasibility, the entering column the
-  smallest ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|, then to
-  the lowest column id) among the columns that, moved off their bound, move
+* every solve is a bounded dual simplex from the first of three start
+  bases whose attempt does not fail: the caller's (a branch and bound
+  parent, whose child differs only in variable bounds), the crash basis,
+  and the all-slack basis ``B = I``, the one start that always factors,
+  whose outcome is final.  The crash basis is ``B = I`` with some columns
+  that the slack basis marks free (below) made basic in ``=`` rows: a row
+  and a column pair up when each is the other's largest |entry| among
+  them, and when the pairs' block of A has no clean inverse, an
+  elimination in row order drops the pairs whose pivot vanishes (Bixby,
+  "Implementing the simplex method: the initial basis", ORSA J. Computing
+  4(3), 1992).  Those columns cost 0, so the duals stay 0, and reduced
+  costs and nonbasic placement are the slack basis's: only x_B differs.
+  On a planning model the angles and gated flows start basic in the
+  balance rows instead of entering them at ratio 0, one pivot each.
+  The dual simplex is the only code that pivots: the leaving row r is
+  the largest primal infeasibility, the entering column the smallest
+  ratio |d_j / alpha_rj| (ties to the largest |alpha_rj|, then to the
+  lowest column id) among the columns that, moved off their bound, move
   the leaving value toward its violated bound, and whose entry in row r
   exceeds ``_PIV_TOL * max(1, max_j |alpha_rj|)``: noise never pivots;
 * each nonbasic column sits at the bound its reduced cost calls for, with
@@ -72,11 +83,12 @@ tableau simplex over general variable bounds:
   solve that starts from that very ``Basis`` (a plunge child, a polish LP)
   pivots on from it with no refactor and no new duals.  The refactor
   cadence counts pivots since the tableau was factored, across solves.
-  The other is the fresh factor of the last caller basis a solve
-  refactored (the slack basis excepted, whose factor is free): a later
-  start from the same columns (the sibling of a node whose parent basis
-  was just factored) copies it.  A factor is a function of the basis
-  columns and ``A`` alone, so the copy is exactly the refactor it saves;
+  The other is the fresh factor of the last start a solve refactored,
+  the slack basis excepted, whose factor is free: a later start from the
+  same columns (the sibling of a node whose parent basis was just
+  factored, or another crash start) copies it.  A factor is a function of
+  the basis columns and ``A`` alone, so the copy is exactly the refactor
+  it saves;
 * before any outcome is reported, it is checked against the original data
   with the tableau's duals: optimal claims carry a weak-duality bound that
   must match the primal objective, and infeasible claims carry a row
@@ -118,6 +130,8 @@ _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
 _PIV_TOL = 1e-10
 _REFRESH_EVERY = 700
+# a crash block's inverse residual, and its elimination's relative pivot
+_CRASH_TOL = 1e-9
 
 # artificial bounds: first width, growth per retry, and the number of rounds
 # (dual simplex runs) one attempt may take before it gives up
@@ -131,7 +145,9 @@ _LE_CODE, _GE_CODE = SENSES.index(LE), SENSES.index(GE)
 @dataclass(frozen=True)
 class Basis:
     """Start point for a dual simplex solve: the final basis of an optimal
-    LP, or a model's all-slack basis (``DenseLp.slack_basis``).
+    LP, or one of a model's shared starts, its crash basis
+    (``DenseLp.crash_basis``) and its all-slack basis
+    (``DenseLp.slack_basis``).
 
     ``columns`` lists the basic column of each row; ``status`` holds the
     basic/nonbasic marker of every structural and slack column.  A start
@@ -169,8 +185,9 @@ class DenseLp:
     columns with their [0, 1] (or pinned) bounds.  The standard form that
     every solve shares is built here once: ``A`` and the slack box of each
     row (``I`` stays implicit), the cost scaled by ``sigma`` with zero slack
-    costs, and the all-slack start basis.  Solves read these arrays and
-    never write into them; a solve varies only the structural bounds.
+    costs, and the two shared starts, the all-slack basis and the crash
+    basis.  Solves read these arrays and never write into them; a solve
+    varies only the structural bounds.
 
     A solve writes two fields.  ``_slot`` holds the ``Basis`` of the last
     solve that ended certified optimal, the column at each position of its
@@ -180,9 +197,10 @@ class DenseLp:
     start, an equal copy included, drops it.  So a warm solve's rounding
     depends on whether it starts from the last basis returned.
     ``_factor`` holds the basis columns, the nonbasic columns and the
-    tableau of the last caller start that a solve refactored, as
-    ``_refresh`` left them; a start with those columns copies them instead
-    of refactoring, bit for bit the same.  So at most two tableaux are kept.
+    tableau of the last start other than the slack basis that a solve
+    refactored, as ``_refresh`` left them; a start with those columns copies
+    them instead of refactoring, bit for bit the same.  So at most two
+    tableaux are kept.
     """
 
     def __init__(self, a, b, slack_lo, slack_up, lo, up, c, c0=0.0):
@@ -200,8 +218,8 @@ class DenseLp:
         # capital costs (1e6..1e9 dollars) share a model with MW quantities
         self.sigma = max(1.0, float(np.max(np.abs(self.c))) if n else 1.0)
         self.cost = np.concatenate([self.c / self.sigma, np.zeros(m)])
-        # B = I, the start of every solve that has no usable caller basis; a
-        # zero-cost column with 0 inside its box may start free at zero
+        # B = I, the last start of every solve; a zero-cost column with 0
+        # inside its box may start free at zero
         slacks = np.arange(n, n + m, dtype=np.int64)
         status = np.full(n + m, _AT_LO, dtype=np.int8)
         status[:n][(self.c == 0.0) & (self.lo < 0.0) & (self.up > 0.0)] = _FREE
@@ -209,7 +227,40 @@ class DenseLp:
         self.slack_basis = Basis(slacks, status)
         for shared in (self.slack_lo, self.slack_up, self.cost, slacks, status):
             shared.flags.writeable = False
+        self.crash_basis = self._crash()
         self._slot = self._factor = None
+
+    def _crash(self) -> Basis:
+        """The slack basis with columns it marks ``_FREE`` basic in ``=``
+        rows: a row and a column pair up when each is the other's largest
+        |entry| among them, and when the pairs' block of ``A`` is not
+        ``_invertible``, only those that ``_eliminate`` keeps stay.  With
+        no pair left, it is the slack basis itself."""
+        n = self.a.shape[1]
+        status = self.slack_basis.status
+        rows = ((self.slack_lo == 0.0) & (self.slack_up == 0.0)).nonzero()[0]
+        cols = (status[:n] == _FREE).nonzero()[0]
+        mag = np.abs(self.a[np.ix_(rows, cols)])
+        if not mag.size:
+            return self.slack_basis
+        pick = mag.argmax(axis=1)
+        each = np.arange(rows.size)
+        mutual = (mag.argmax(axis=0)[pick] == each) & (mag[each, pick] > 0.0)
+        rows, cols = rows[mutual], cols[pick[mutual]]
+        block = self.a[np.ix_(rows, cols)]
+        if not _invertible(block):
+            keep = _eliminate(block)
+            rows, cols = rows[keep], cols[keep]
+            if not _invertible(self.a[np.ix_(rows, cols)]):
+                return self.slack_basis
+        if not rows.size:
+            return self.slack_basis
+        columns = self.slack_basis.columns.copy()
+        columns[rows] = cols
+        status = status.copy()
+        status[cols], status[n + rows] = _BASIC, _FIXED
+        columns.flags.writeable = status.flags.writeable = False
+        return Basis(columns, status)
 
     @classmethod
     def from_milp(cls, model: Milp) -> "DenseLp":
@@ -217,14 +268,16 @@ class DenseLp:
 
     def solve(self, lo=None, up=None, basis: Basis | None = None) -> LpOutcome:
         """Solve with bounds ``lo``/``up`` by dual simplex from ``basis`` when
-        given; if that attempt fails, from the slack basis, whose outcome is
-        final."""
+        given, then from the crash basis, then from the slack basis, each
+        start once: the first outcome that is not ``failure`` is final, and
+        so is the slack basis's."""
         lo = self.lo if lo is None else np.asarray(lo, dtype=float)
         up = self.up if up is None else np.asarray(up, dtype=float)
-        iterations = 0
-        for start in (basis, self.slack_basis):
-            if start is None:
+        iterations, tried = 0, []
+        for start in (basis, self.crash_basis, self.slack_basis):
+            if start is None or any(start is seen for seen in tried):
                 continue
+            tried.append(start)
             attempt = _Simplex(self, lo, up)
             outcome = attempt.run(start)
             iterations += attempt.iterations
@@ -232,6 +285,30 @@ class DenseLp:
             if outcome.status != FAILURE:
                 break
         return outcome
+
+
+def _invertible(block) -> bool:
+    """Whether square ``block`` has an inverse that multiplies back to I
+    within ``_CRASH_TOL``."""
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.abs(block @ inv - np.eye(len(block))).max(initial=0.0) <= _CRASH_TOL)
+
+
+def _eliminate(block) -> np.ndarray:
+    """Which diagonal pivots of square ``block`` Gaussian elimination in
+    order keeps: a pivot within ``_CRASH_TOL`` of zero, relative to its
+    entry in ``block``, is skipped with its row and column."""
+    w = block.copy()
+    keep = np.zeros(len(block), dtype=bool)
+    for i in range(len(block)):
+        if abs(w[i, i]) <= _CRASH_TOL * abs(block[i, i]):
+            continue
+        keep[i] = True
+        w[i + 1:, i + 1:] -= np.outer(w[i + 1:, i] / w[i, i], w[i, i + 1:])
+    return keep
 
 
 def _dense_form(model: Milp):

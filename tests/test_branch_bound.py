@@ -158,12 +158,13 @@ def test_node_lps_reuse_the_parent_basis(bundled, monkeypatch, variant, cap):
 
 def test_bundled_sweep_counters_stay_pinned(bundled, monkeypatch):
     # deterministic work of a default solve_milp over the 21 bundled pairs:
-    # 204 LPs, 1,555 pivots, 189 nodes on the presolved LP with gate-count
-    # branching and zero-cost columns starting free at zero, under the one
-    # BLAS thread conftest sets and the same under two threads (eight_bus
-    # switch-all takes 50 nodes and diamond switch-all 16).  The caps keep
-    # the two-thread figures of the full m x m factor (281, 2,120 and 238),
-    # so a run with more threads passes too
+    # 202 LPs, 1,361 pivots, 189 nodes on the presolved LP with gate-count
+    # branching, zero-cost columns starting free at zero and roots from the
+    # crash basis, under the one BLAS thread conftest sets and the same
+    # under two threads (eight_bus switch-all takes 50 nodes and diamond
+    # switch-all 16).  The caps keep the two-thread figures of the full
+    # m x m factor (281, 2,120 and 238), so a run with more threads passes
+    # too
     outcomes = []
     solve = DenseLp.solve
 

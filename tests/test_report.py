@@ -1,5 +1,7 @@
 """Metrics arithmetic and report/CSV rendering."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,24 @@ def test_report_shape_and_formatting():
     # switch-existing never gets a new-lines section
     assert "SWITCHING SCHEDULE (switch-existing): new lines open" not in text
     assert set(csvs) == {"summary.csv", "investment.csv", "switching.csv"}
+
+
+def test_a_saving_a_few_ulp_below_zero_prints_unsigned():
+    # totals that agree but for rounding: the switching ones a few ulp
+    # above the static one give savings just below zero, which print as 0
+    # and 0.00, never as -0 or -0.00
+    static = _plan(18_594_386.6981376, 0.0)
+    above = math.nextafter(math.nextafter(static.tc, math.inf), math.inf)
+    plans = {Variant.STATIC: static, Variant.SWITCH_EXISTING: _plan(above, 0.0),
+             Variant.SWITCH_ALL: _plan(math.nextafter(static.tc, math.inf), 0.0)}
+    metrics = {v: compute_metrics(static.tc, plans[v].tc)
+               for v in (Variant.SWITCH_EXISTING, Variant.SWITCH_ALL)}
+    assert all(-1e-6 < m.tcr < 0.0 and m.rho < 0.0 for m in metrics.values())
+    text, _csvs = render_report(plans, metrics, n_seasons=2, n_epochs=2)
+    lines = text.splitlines()
+    for label, zero in (("saving vs baseline ($)", "0"), ("saving vs baseline (%)", "0.00")):
+        row = next(line for line in lines if line.startswith(label))
+        assert row.split()[-3:] == ["N/A", zero, zero], row
 
 
 def test_summary_csv_round_trips_exact_totals():

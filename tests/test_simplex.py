@@ -1,6 +1,8 @@
 """LP engine: hand-checked optima, certificates, scipy cross-checks, and
 warm starts from a related LP's basis."""
 
+import contextlib
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -10,6 +12,7 @@ import pytest
 import scipy.optimize
 
 from conftest import ALL_CASES, slack_box
+from gridplan.branch_bound import solve_milp
 from gridplan.builder import Variant, build_milp
 from gridplan.case import parse_case
 from gridplan.milp import CONTINUOUS, EQ, GE, LE, Milp
@@ -30,6 +33,7 @@ from gridplan.simplex import (
     DenseLp,
     LpOutcome,
     _Simplex,
+    presolve,
     solve_lp,
 )
 
@@ -350,12 +354,27 @@ def test_probe_grid_root_lps_match_highs():
         assert abs(ours.objective - expected) <= 1e-9 * abs(expected), variant.value
 
 
-# -- the two starts: caller's basis, then slack basis ----------------------------
+# -- the three starts: caller's basis, crash basis, slack basis ------------------
 
 
 def _attempts():
     """Count the ``_Simplex`` attempts that ``DenseLp.solve`` makes."""
     return mock.patch("gridplan.simplex._Simplex", wraps=_Simplex)
+
+
+@contextlib.contextmanager
+def _starts():
+    """Record the start of every ``_Simplex.run``, with the ``DenseLp`` it
+    runs on."""
+    starts = []
+    run = _Simplex.run
+
+    def recorded(self, start):
+        starts.append((self.problem, start))
+        return run(self, start)
+
+    with mock.patch.object(_Simplex, "run", recorded):
+        yield starts
 
 
 def _dual_verdicts():
@@ -439,19 +458,124 @@ def test_infeasible_lp_is_certified_after_the_dual_gives_up():
     assert out.message.startswith("certified infeasible")
 
 
-def test_bundled_root_lps_start_from_the_slack_basis(bundled):
-    # 1,488 root pivots over the 21 pairs when roots ran two-phase primal
+def test_bundled_root_lps_start_from_the_crash_basis(bundled):
+    # 1,488 root pivots over the 21 pairs when roots ran two-phase primal,
+    # 1,025 from the slack basis, 801 from the crash basis
     pivots = 0
     for name in ALL_CASES:
         for variant in Variant:
             model, _index = build_milp(bundled(name), variant)
             dense = DenseLp.from_milp(model)
-            with _attempts() as attempts:
+            with _starts() as starts:
                 root = dense.solve()
             assert root.status == OPTIMAL, (name, variant.value)
-            assert attempts.call_count == 1, (name, variant.value)
+            assert dense.crash_basis is not dense.slack_basis, (name, variant.value)
+            assert starts == [(dense, dense.crash_basis)], (name, variant.value)
             pivots += root.iterations
-    assert pivots <= 1300
+    assert pivots <= 900
+
+
+# -- the crash basis ---------------------------------------------------------------
+
+
+def _island(reactances):
+    """The reference bus r, with the only generator, feeds a ring a-b-c of
+    unswitchable lines with these reactances through the switchable line
+    r-a; loads sit at b and c over two seasons of two hours."""
+    xab, xbc, xca = reactances
+    return parse_case(json.dumps({
+        "name": "island",
+        "buses": [{"id": "r", "reference": True}, {"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "generators": [{"id": "g1", "bus": "r", "p_max": 500, "cost": 6}],
+        "branches": [
+            {"id": "kra", "from": "r", "to": "a", "x": 0.002, "rate": 300},
+            {"id": "kab", "from": "a", "to": "b", "x": xab, "rate": 300, "switchable": False},
+            {"id": "kbc", "from": "b", "to": "c", "x": xbc, "rate": 300, "switchable": False},
+            {"id": "kca", "from": "c", "to": "a", "x": xca, "rate": 300, "switchable": False},
+        ],
+        "candidates": [],
+        "horizon": {"epochs": 1, "years_per_epoch": 5, "seasons": 2, "hours": 2,
+                    "load_growth": 0.0, "maintenance_rate": 0.04},
+        "load": {"b": [[60, 40], [50, 30]], "c": [[20, 30], [10, 20]]},
+    }))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("reactances", [(0.002, 0.002, 0.002), (0.002, 0.003, 0.005)],
+                         ids=["equal", "unequal"])
+def test_the_crash_drops_a_pair_of_a_singular_island(variant, reactances):
+    # in the switching variants the line r-a is gated, so its flow law
+    # leaves the = rows and the ring's three balance rows hold its full
+    # Laplacian in the three angles, singular with equal reactances and
+    # singular but for rounding with unequal ones.  The crash keeps two of
+    # those three pairs per interval; in static the ring reaches the fixed
+    # reference angle through r-a, and all three stay
+    model, _index = build_milp(_island(reactances), variant)
+    dense, _postsolve = presolve(model)
+    n = dense.a.shape[1]
+    simplex = _Simplex(dense, dense.lo, dense.up)
+    simplex.basis = dense.crash_basis.columns.copy()
+    assert simplex._refresh()
+    crashed = dense.crash_basis.columns != dense.slack_basis.columns
+    assert np.all(dense.crash_basis.columns[crashed] < n)
+    # four intervals of four balance rows (r, a, b, c), then each line's rows
+    per_interval = model.n_constraints // 4
+    ring = crashed.reshape(4, per_interval)[:, 1:4].sum(axis=1)
+    assert list(ring) == [3 if variant == Variant.STATIC else 2] * 4
+    with _starts() as starts:
+        out = solve_milp(model)
+    assert out.status == OPTIMAL
+    assert out.objective == pytest.approx(1_423_500.0, rel=1e-9)
+    assert starts and all(start is not lp.slack_basis for lp, start in starts)
+
+
+def _crash_models(bundled):
+    """The presolved LP of every bundled pair and of the 10-bus probe grid."""
+    probe = parse_case((DATA / "probe_10x2x2x2x3_s1.json").read_text())
+    for case in [bundled(name) for name in ALL_CASES] + [probe]:
+        for variant in Variant:
+            yield presolve(build_milp(case, variant)[0])[0]
+
+
+def test_the_crash_start_has_the_slack_basis_reduced_costs(bundled):
+    # every crash column costs 0, so the duals stay 0 and the start is dual
+    # feasible with the slack basis's reduced costs and nonbasic placement
+    for dense in _crash_models(bundled):
+        n = dense.a.shape[1]
+        assert dense.crash_basis is not dense.slack_basis
+        assert np.all(dense.c[dense.crash_basis.columns[dense.crash_basis.columns < n]] == 0.0)
+        placed = []
+        for start in (dense.slack_basis, dense.crash_basis):
+            simplex = _Simplex(dense, dense.lo, dense.up)
+            simplex.basis = start.columns.copy()
+            assert simplex._refresh()
+            y, d = simplex._exact_duals()
+            assert not y.any()
+            simplex._start_round(d, start.status, 1e6)
+            placed.append((d, simplex.status, simplex.x))
+        (d_slack, status_slack, x_slack), (d_crash, status_crash, x_crash) = placed
+        assert np.array_equal(d_crash, d_slack)
+        nonbasic = (status_crash != _BASIC) & (status_slack != _BASIC)
+        assert np.array_equal(status_crash[nonbasic], status_slack[nonbasic])
+        assert np.array_equal(x_crash[nonbasic], x_slack[nonbasic])
+
+
+def test_the_crash_cuts_the_root_pivots_of_the_probe_grid():
+    # the presolved roots of the 10-bus grid take 130, 166 and 186 pivots
+    # from the slack basis, 58, 101 and 97 from the crash basis
+    case = parse_case((DATA / "probe_10x2x2x2x3_s1.json").read_text())
+    slack_pivots = crash_pivots = 0
+    for variant in Variant:
+        dense, _postsolve = presolve(build_milp(case, variant)[0])
+        slack = _Simplex(dense, dense.lo, dense.up).run(dense.slack_basis)
+        with _starts() as starts:
+            crash = dense.solve()
+        assert starts == [(dense, dense.crash_basis)]
+        assert slack.status == crash.status == OPTIMAL
+        assert abs(crash.objective - slack.objective) <= 1e-9 * abs(slack.objective)
+        slack_pivots += slack.iterations
+        crash_pivots += crash.iterations
+    assert 5 * crash_pivots <= 3 * slack_pivots, (crash_pivots, slack_pivots)
 
 
 # -- zero-cost columns start free at zero ----------------------------------------
@@ -1278,8 +1402,9 @@ def test_a_failed_certificate_is_retried_on_a_refactor_with_fresh_duals(bundled,
 
 def test_a_certificate_that_always_fails_retries_from_the_slack_basis(bundled,
                                                                       monkeypatch):
-    # both attempts pivot to an optimum that no duals certify; the caller's
-    # basis is tried first, and the iterations of both are reported
+    # every attempt pivots to an optimum that no duals certify; the caller's
+    # basis is tried first, then the crash basis, then B = I, and the
+    # iterations of all three are reported
     dense, root, (lo, up) = _eight_bus_child(bundled)
     _answering(monkeypatch, "_dual_bound", lambda call, real: -np.inf)
     attempts = []
@@ -1292,7 +1417,8 @@ def test_a_certificate_that_always_fails_retries_from_the_slack_basis(bundled,
 
     monkeypatch.setattr(_Simplex, "run", recorded)
     out = dense.solve(lo, up, basis=root.basis)
-    assert [start for start, _out, _its in attempts] == [root.basis, dense.slack_basis]
+    assert ([start for start, _out, _its in attempts]
+            == [root.basis, dense.crash_basis, dense.slack_basis])
     for _start, attempt, iterations in attempts:
         assert attempt.status == FAILURE and iterations > 0
         assert attempt.message == "weak duality check failed (gap inf)"
