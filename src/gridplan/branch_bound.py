@@ -60,7 +60,6 @@ from .simplex import DenseLp, presolve
 OPTIMAL = "optimal"
 GAP_LIMIT = "gap_limit"
 TIME_LIMIT = "time_limit"
-NODE_LIMIT = "node_limit"
 INFEASIBLE = "infeasible"
 LP_FAILURE = "lp_failure"
 
@@ -75,7 +74,6 @@ class SolveParams:
 
     mip_gap: float = 1e-5
     time_limit: float = 3000.0
-    node_limit: int | None = None
 
     def __post_init__(self):
         # NaN fails every cutoff comparison, so it would prune nothing
@@ -83,8 +81,6 @@ class SolveParams:
             raise ValueError(f"mip_gap must be nonnegative, got {self.mip_gap}")
         if not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node_limit must be at least 1, got {self.node_limit}")
 
 
 @dataclass
@@ -216,8 +212,6 @@ class _Search:
         while self.open:
             if time.monotonic() - self.started > self.params.time_limit:
                 return self._outcome(TIME_LIMIT, "time limit reached")
-            if self.params.node_limit is not None and self.nodes >= self.params.node_limit:
-                return self._outcome(NODE_LIMIT, "node limit reached")
             if self.incumbent is not None:
                 gap = _relative_gap(self.incumbent_obj, self._global_bound())
                 if gap <= self.params.mip_gap:

@@ -593,9 +593,9 @@ def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list
 
     Blank lines and lines whose first token starts with ``#`` are skipped,
     unless that token is a column name: such a line is an error, not a
-    comment.  A name absent from ``name_table``, a repeated name or a value
-    that is not a finite number is an error; columns never mentioned
-    default to 0.
+    comment.  A name absent from ``name_table``, a name whose column lies
+    outside ``[0, n_columns)``, a repeated name or a value that is not a
+    finite number is an error; columns never mentioned default to 0.
     """
     text = _one_break(text)
     end = _end_token(text)
@@ -613,8 +613,10 @@ def read_solution(text: str, name_table: dict[str, int], n_columns: int) -> list
         first = first[count == 2]
         names, spellings = tokens[first].tolist(), tokens[first + 1].tolist()
         cols = np.fromiter(map(name_table.get, names, repeat(-1)), np.int64, len(names))
-        failures += [(first[p], 1, f"unknown variable '{names[p]}'")
-                     for p in np.flatnonzero(cols < 0)[:1]]
+        failures += [(first[p], 1, f"variable '{names[p]}' has column {cols[p]}, not in "
+                      f"[0, {n_columns})" if names[p] in name_table
+                      else f"unknown variable '{names[p]}'")
+                     for p in np.flatnonzero((cols < 0) | (cols >= n_columns))[:1]]
         p = _first_repeat(names, seen)
         if p is not None:
             failures.append((first[p], 2, f"duplicate variable '{names[p]}'"))

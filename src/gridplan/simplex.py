@@ -53,9 +53,7 @@ tableau simplex over general variable bounds:
   one-sided or free column) gets an artificial bound a fixed width from
   its finite bound, or from 0 when free, so every start is dual feasible
   (Koberstein, "The dual simplex method", PhD thesis, Paderborn 2005, for
-  both rules).  Outcomes are checked against the true bounds, and a
-  verdict that the artificial bounds may have caused is retried with
-  wider ones;
+  both rules).  Outcomes are checked against the true bounds;
 * a row that no column can repair proves the LP infeasible: that row of
   ``B^-1``, signed by the direction its basic value must move, is a Farkas
   ray.  An optimum resting on artificial bounds proves the LP unbounded
@@ -90,17 +88,19 @@ tableau simplex over general variable bounds:
   the basis columns and ``A`` alone, so the copy is exactly the refactor
   it saves;
 * before any outcome is reported, it is checked against the original data
-  with the tableau's duals: optimal claims carry a weak-duality bound that
-  must match the primal objective, and infeasible claims carry a row
-  combination whose implied bound contradicts the variable box.  Both
-  checks hold for any duals, so their strength does not depend on where the
-  duals come from.  An optimum is certified with the duals and residuals
-  its optimality test just computed.  A check that fails is retried once
-  after a refactor, on fresh ones; anything that still fails is reported
-  as ``failure``, never as a wrong ``optimal``.
+  with the tableau's duals: optimal claims must be dual feasible, meet
+  every row and bound within half ``_FEAS_TOL``, and carry a weak-duality
+  bound that matches the primal objective, and infeasible claims carry a
+  row combination whose implied bound contradicts the variable box.  Both
+  bounds hold for any duals, so their strength does not depend on where
+  the duals come from.  One rule retries every verdict that is not
+  certified, an optimum the artificial bounds may have caused included:
+  refactor, then another round with wider artificial bounds.  A verdict
+  still uncertified after ``_MAX_ROUNDS`` rounds is reported as
+  ``failure``, never as a wrong ``optimal``.
 
-The tableau is dense, and it is refactored from original data whenever drift
-is detected and every ``_REFRESH_EVERY`` pivots.
+The tableau is dense, and it is refactored from original data whenever a
+verdict fails its certificate and every ``_REFRESH_EVERY`` pivots.
 """
 
 from __future__ import annotations
@@ -664,8 +664,7 @@ class _Simplex:
         infinite bound gets an artificial one ``width`` from its finite bound
         (from 0 when free), and equal bounds make it fixed.  A tie (``|d|``
         within ``_OPT_TOL``) whose box holds 0 strictly inside sits free at 0
-        instead when its side is ``_FREE`` or it has no finite bound.
-        Returns whether any bound is artificial."""
+        instead when its side is ``_FREE`` or it has no finite bound."""
         lo, up = self.lo, self.up
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
         wants_up = d < -_OPT_TOL
@@ -684,7 +683,6 @@ class _Simplex:
         self.status[self.basis] = _BASIC
         self._basic_values()
         self.drow = d[self.nonbasic]
-        return bool(art_up.any() or art_lo.any())
 
     def _improving_ray(self, step, d):
         """Whether moving the nonbasic columns by ``step`` is a ray of the
@@ -706,14 +704,13 @@ class _Simplex:
         Each round starts dual feasible: every nonbasic column sits at the
         bound its exact reduced cost calls for (boxed ties keep their side),
         an artificial one where that bound is infinite.  Its verdict is then
-        checked against the true bounds.  An infeasible row must certify a
+        certified against the true bounds.  An infeasible row must certify a
         Farkas ray.  An optimum with columns resting on artificial bounds is
         ``unbounded`` if moving them further out is an improving ray.  Any
-        other optimum must be dual feasible within ``10 * _OPT_TOL`` with
-        basic values that have not drifted, and those duals and residuals
-        certify it.  A verdict the artificial bounds may have caused is
-        retried with bounds ``_ART_GROWTH`` times wider, and a drifted optimum
-        after a refactor.
+        other optimum must pass ``_finish_optimal``.  One rule retries every
+        verdict that is not certified: refactor, then another round with
+        artificial bounds ``_ART_GROWTH`` times wider.  After the last round
+        the attempt fails with the reason of its last failed check.
         """
         n, m = self.n, self.m
         cols = np.asarray(start.columns, dtype=np.int64)
@@ -737,7 +734,7 @@ class _Simplex:
         max_iter = 50 * (n + 2 * m) + 10_000
         side, width = start.status, _ART_WIDTH
         for _ in range(_MAX_ROUNDS):
-            artificial = self._start_round(self._exact_duals()[1] if d is None else d, side, width)
+            self._start_round(self._exact_duals()[1] if d is None else d, side, width)
             verdict, r, rise = self._dual_loop(max_iter)
             if verdict == FAILURE:
                 return LpOutcome(FAILURE, iterations=self.iterations,
@@ -746,61 +743,48 @@ class _Simplex:
                 # Farkas ray: row r of B^-1, negated when its value must rise
                 unit = np.zeros(m)
                 unit[r] = -1.0 if rise else 1.0
-                outcome = self._certified(
-                    lambda: self._certify_infeasible(self._times_binv(unit)))
-                if outcome.status != FAILURE or not artificial:
-                    return outcome
+                outcome = self._certify_infeasible(self._times_binv(unit))
             else:
                 y, d = self._exact_duals()
                 # the columns resting on artificial bounds, moved further out
                 step = np.where(
                     (self.status == _AT_UP) & (self.work_up != self.up), 1.0,
-                    np.where((self.status == _AT_LO) & (self.work_lo != self.lo), -1.0, 0.0),
-                ) if artificial else None
-                if step is not None and step.any():
-                    if self._improving_ray(step, d):
-                        return LpOutcome(UNBOUNDED, iterations=self.iterations)
+                    np.where((self.status == _AT_LO) & (self.work_lo != self.lo), -1.0, 0.0))
+                if not step.any():
+                    outcome = self._finish_optimal(y, d)
+                elif self._improving_ray(step, d):
+                    return LpOutcome(UNBOUNDED, iterations=self.iterations)
                 else:
-                    opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
-                    errors = self._primal_error()
-                    drift = max(errors) > 0.5 * _FEAS_TOL
-                    if opt_viol <= 10 * _OPT_TOL and not drift:
-                        return self._certified(self._finish_optimal, y, d, errors)
-                    if not self._refresh():
-                        return LpOutcome(FAILURE, iterations=self.iterations,
-                                         message="singular basis during refresh")
+                    outcome = LpOutcome(FAILURE, iterations=self.iterations,
+                                        message="optimum rests on artificial bounds")
+            if outcome.status != FAILURE:
+                return outcome
+            if not self._refresh():
+                return LpOutcome(FAILURE, iterations=self.iterations,
+                                 message="singular basis during refresh")
             side, width, d = self.status, width * _ART_GROWTH, None
-        return LpOutcome(FAILURE, iterations=self.iterations,
-                         message=f"no certified outcome in {_MAX_ROUNDS} rounds")
-
-    def _certified(self, check, *known) -> LpOutcome:
-        """Run a certificate ``check`` on the tableau's duals, passing it the
-        figures in ``known`` the caller already has; if it fails, refactor
-        once, recompute the basic values and run it again from scratch.  A
-        second failure is final."""
-        outcome = check(*known)
-        if outcome.status == FAILURE and self._refresh():
-            self._basic_values()
-            outcome = check()
         return outcome
 
-    def _finish_optimal(self, y=None, d=None, errors=None) -> LpOutcome:
-        """Certify the optimum: duals ``y``, reduced costs ``d`` and primal
-        ``errors`` are those of the current tableau and ``x``, computed here
-        when not given."""
-        if y is None:
-            y, d = self._exact_duals()
-            errors = self._primal_error()
+    def _finish_optimal(self, y, d) -> LpOutcome:
+        """Certify the optimum with duals ``y`` and reduced costs ``d`` of the
+        current tableau, the optimum's only certificate: ``d`` must be dual
+        feasible within ``10 * _OPT_TOL``, the primal residuals within
+        ``0.5 * _FEAS_TOL``, and the weak-duality bound must match the
+        objective."""
+        opt_viol = float(self._dual_infeasibility(d).max(initial=0.0))
+        if opt_viol > 10 * _OPT_TOL:
+            return LpOutcome(FAILURE, iterations=self.iterations,
+                             message=f"reduced costs not dual feasible ({opt_viol:.3e})")
+        row_err, bound_err = self._primal_error()
+        if max(row_err, bound_err) > 0.5 * _FEAS_TOL:
+            return LpOutcome(FAILURE, iterations=self.iterations, message=(
+                f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})"))
         obj_scaled = float(self.cost @ self.x)
         bound_scaled = self._dual_bound(y, d)
         gap = abs(obj_scaled - bound_scaled)
         if not np.isfinite(bound_scaled) or gap > 1e-6 * (1.0 + abs(obj_scaled)):
             return LpOutcome(FAILURE, iterations=self.iterations,
                              message=f"weak duality check failed (gap {gap:.3e})")
-        row_err, bound_err = errors
-        if max(row_err, bound_err) > _FEAS_TOL:
-            return LpOutcome(FAILURE, iterations=self.iterations, message=(
-                f"primal residuals too large ({row_err:.3e}, {bound_err:.3e})"))
         objective = obj_scaled * self.problem.sigma + self.problem.c0
         basis = Basis(self.basis.copy(), self.status.copy())
         # read-only, so the kept tableau stays the factor of this basis

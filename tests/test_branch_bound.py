@@ -13,7 +13,6 @@ from gridplan.branch_bound import (
     GAP_LIMIT,
     INFEASIBLE,
     LP_FAILURE,
-    NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
     SolveParams,
@@ -36,8 +35,6 @@ def test_params_validation():
         SolveParams(mip_gap=float("nan"))
     with pytest.raises(ValueError, match="time_limit"):
         SolveParams(time_limit=0.0)
-    with pytest.raises(ValueError, match="node_limit"):
-        SolveParams(node_limit=0)
     assert SolveParams().mip_gap == 1e-5
     assert SolveParams().time_limit == 3000.0
 
@@ -107,14 +104,6 @@ def test_unbounded_relaxation_refused():
     m.set_objective_coefficient(x, -1.0)
     with pytest.raises(RuntimeError, match="unbounded"):
         solve_milp(m, EXACT)
-
-
-def test_node_limit_reports_deterministic_stop():
-    m = _knapsack(range(1, 13), [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25], 40)
-    out = solve_milp(m, SolveParams(mip_gap=0.0, node_limit=1))
-    assert out.status == NODE_LIMIT
-    assert "node" in out.message
-    assert out.nondeterministic is False
 
 
 def test_time_limit_marks_nondeterminism():

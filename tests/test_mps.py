@@ -544,6 +544,14 @@ def test_read_solution_rules():
         read_solution("# c\n\n  # d\n\t\nz 1.0", table, 3)
 
 
+@pytest.mark.parametrize("column", [3, 5, -1])
+def test_read_solution_refuses_a_column_outside_the_model(column):
+    # the name is known, but its column is not one of the n_columns
+    with pytest.raises(MpsError, match=rf"^solution line 2: variable 'a' has column "
+                                       rf"{column}, not in \[0, 3\)$"):
+        read_solution("b 1.0\na 1.0\n", {"a": column, "b": 0}, 3)
+
+
 def test_read_solution_refuses_a_comment_that_names_a_column():
     # a '#' line is a comment, unless its first token is a column: parse_mps
     # reads such names, and skipping the line would decode the column as 0

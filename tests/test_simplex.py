@@ -701,17 +701,23 @@ def test_warm_children_match_cold_on_bundle(bundled):
     assert warm_stacks == 0
 
 
-def test_warm_start_into_infeasible_child_is_certified():
-    # min 2x + y  s.t.  x + y >= 1.5,  x, y in [0, 1]: the root has x = 0.5,
-    # and the child x <= 0 cannot reach the row
+def _infeasible_child():
+    """min 2x + y  s.t.  x + y >= 1.5,  x, y in [0, 1]: its ``DenseLp``, the
+    root, which has x = 0.5, and the upper bounds of the child x <= 0, which
+    cannot reach the row."""
     m = _model([(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.5)],
                [(0, 2.0), (1, 1.0)])
     dense = DenseLp.from_milp(m)
     root = dense.solve()
-    assert root.status == OPTIMAL
-    assert root.x[0] == pytest.approx(0.5, abs=1e-9)
     up = dense.up.copy()
     up[0] = 0.0
+    return dense, root, up
+
+
+def test_warm_start_into_infeasible_child_is_certified():
+    dense, root, up = _infeasible_child()
+    assert root.status == OPTIMAL
+    assert root.x[0] == pytest.approx(0.5, abs=1e-9)
     with _attempts() as attempts:
         child = dense.solve(dense.lo, up, basis=root.basis)
     assert attempts.call_count == 1
@@ -761,13 +767,8 @@ def test_no_tableau_is_kept_past_an_unsolved_lp(ending):
     # infeasible, and a certificate forced to fail makes a re-solve of the
     # root end in failure.  Either solve starts from the root's basis and
     # takes its tableau, so the child x >= 1 from that basis factors afresh
-    m = _model([(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.5)],
-               [(0, 2.0), (1, 1.0)])
-    dense = DenseLp.from_milp(m)
-    root = dense.solve()
+    dense, root, up = _infeasible_child()
     assert root.status == OPTIMAL
-    up = dense.up.copy()
-    up[0] = 0.0
     if ending == INFEASIBLE:
         unsolved = dense.solve(dense.lo, up, basis=root.basis)
     else:
@@ -1358,14 +1359,15 @@ def test_a_bound_no_model_admits_is_refused(lo, up):
 
 def _answering(monkeypatch, name, answer):
     """Replace ``_Simplex.<name>`` by ``answer(call, real)``, where ``call``
-    counts its calls from 1 and ``real()`` returns the real answer; returns
-    the list of calls, one entry each."""
+    counts its calls from 1 and ``real()`` returns the real answer, or
+    ``real(*args)`` the real answer to other arguments; returns the list of
+    calls, one entry each."""
     method = getattr(_Simplex, name)
     calls = []
 
     def patched(self, *args):
         calls.append(name)
-        return answer(len(calls), lambda: method(self, *args))
+        return answer(len(calls), lambda *given: method(self, *(given or args)))
 
     monkeypatch.setattr(_Simplex, name, patched)
     return calls
@@ -1378,7 +1380,7 @@ def _real(call, real):
 def test_a_failed_certificate_is_retried_on_a_refactor_with_fresh_duals(bundled,
                                                                         monkeypatch):
     # the optimality test's duals fail weak duality once: the tableau is
-    # refactored, and the duals and residuals computed from it certify
+    # refactored, and the next round's optimum certifies
     dense, root, (lo, up) = _eight_bus_child(bundled)
     ref_dense, ref_root, _bounds = _eight_bus_child(bundled)
     ref = ref_dense.solve(lo, up, basis=ref_root.basis)
@@ -1392,8 +1394,9 @@ def test_a_failed_certificate_is_retried_on_a_refactor_with_fresh_duals(bundled,
     assert attempts.call_count == 1
     assert warm.status == OPTIMAL
     # a start from the kept tableau refactors nothing and takes its reduced
-    # costs from the slot, so each of these is the certificate's retry
-    assert (len(bound), len(refresh), len(duals), len(errors)) == (2, 1, 2, 2)
+    # costs from the slot, so the one refactor is the retry's, and the retry
+    # round computes duals at its start and at its optimum
+    assert (len(bound), len(refresh), len(duals), len(errors)) == (2, 1, 3, 2)
     # the same optimum as the run whose first certificate holds
     assert np.array_equal(warm.basis.columns, ref.basis.columns)
     assert abs(warm.objective - ref.objective) <= 1e-9 * abs(ref.objective)
@@ -1442,7 +1445,7 @@ def test_residuals_that_grow_after_the_refactor_fail_the_retry(bundled, monkeypa
 
 def test_an_optimum_that_drifts_every_round_ends_after_the_round_cap(bundled, monkeypatch):
     # every round's optimum reads as drifted, so each refactors and starts
-    # another round, until no round is left
+    # another round, until no round is left and the last reason is reported
     dense, _root, (lo, up) = _eight_bus_child(bundled)
     _answering(monkeypatch, "_primal_error", lambda call, real: (1.0, 0.0))
     refresh = _answering(monkeypatch, "_refresh", _real)
@@ -1453,8 +1456,74 @@ def test_an_optimum_that_drifts_every_round_ends_after_the_round_cap(bundled, mo
     assert verdicts == [OPTIMAL] * _MAX_ROUNDS
     assert len(refresh) == 1 + _MAX_ROUNDS  # the start's factor, then one a round
     assert out.status == FAILURE
-    assert out.message == f"no certified outcome in {_MAX_ROUNDS} rounds"
+    assert out.message == "primal residuals too large (1.000e+00, 0.000e+00)"
     assert out.iterations == simplex.iterations > 0
+
+
+def _zero_ray(call, real):
+    # a zero combination of the child's one row bounds nothing, so the real
+    # Farkas check fails on it
+    return real(np.zeros(1))
+
+
+def test_a_farkas_check_that_fails_once_certifies_on_the_next_round(monkeypatch):
+    dense, root, up = _infeasible_child()
+    check = _answering(monkeypatch, "_certify_infeasible",
+                       lambda call, real: _zero_ray(call, real) if call == 1 else real())
+    refresh = _answering(monkeypatch, "_refresh", _real)
+    spy, verdicts = _dual_verdicts()
+    with spy, _attempts() as attempts:
+        child = dense.solve(dense.lo, up, basis=root.basis)
+    assert attempts.call_count == 1
+    # the start takes the root's kept tableau, so the one refactor is the retry's
+    assert verdicts == [INFEASIBLE, INFEASIBLE]
+    assert (len(check), len(refresh)) == (2, 1)
+    assert child.status == INFEASIBLE
+    assert child.message.startswith("certified infeasible")
+
+
+def test_a_farkas_check_that_always_fails_ends_at_the_round_cap(monkeypatch):
+    dense, root, up = _infeasible_child()
+    _answering(monkeypatch, "_certify_infeasible", _zero_ray)
+    refresh = _answering(monkeypatch, "_refresh", _real)
+    spy, verdicts = _dual_verdicts()
+    simplex = _Simplex(dense, dense.lo, up)
+    with spy:
+        out = simplex.run(root.basis)
+    assert verdicts == [INFEASIBLE] * _MAX_ROUNDS
+    assert len(refresh) == _MAX_ROUNDS
+    assert out.status == FAILURE
+    assert out.message == "infeasibility could not be certified"
+    assert out.iterations == simplex.iterations
+
+
+def test_an_optimum_that_is_never_dual_feasible_ends_after_the_round_cap(bundled,
+                                                                       monkeypatch):
+    # dual feasibility is checked first, so no residual is computed
+    dense, _root, (lo, up) = _eight_bus_child(bundled)
+    _answering(monkeypatch, "_dual_infeasibility", lambda call, real: np.ones(1))
+    errors = _answering(monkeypatch, "_primal_error", _real)
+    spy, verdicts = _dual_verdicts()
+    with spy:
+        out = _Simplex(dense, lo, up).run(dense.slack_basis)
+    assert verdicts == [OPTIMAL] * _MAX_ROUNDS
+    assert errors == []
+    assert out.status == FAILURE
+    assert out.message == "reduced costs not dual feasible (1.000e+00)"
+
+
+def test_an_optimum_on_artificial_bounds_that_is_no_ray_ends_after_the_round_cap(monkeypatch):
+    # x1 = x2 rise together without end, but the ray test is made to refuse
+    # it: every round rests on wider artificial bounds until none is left
+    model = _model([(0.0, math.inf), (0.0, math.inf)], [([(0, 1.0), (1, -1.0)], EQ, 0.0)],
+                   [(0, -1.0), (1, -1.0)])
+    _answering(monkeypatch, "_improving_ray", lambda call, real: False)
+    spy, verdicts = _dual_verdicts()
+    with spy:
+        out = solve_lp(model)
+    assert verdicts == [OPTIMAL] * _MAX_ROUNDS
+    assert out.status == FAILURE
+    assert out.message == "optimum rests on artificial bounds"
 
 
 def test_a_singular_refactor_between_rounds_fails_the_attempt(bundled, monkeypatch):
