@@ -25,9 +25,10 @@ as usual, but a search that runs out of nodes returns ``lp_failure``, never
 warm from its node's basis, with its binaries pinned to the rounded values;
 one whose binaries already are exactly 0/1 is kept as solved, since it
 already solves that pinned LP.
-Every incumbent must pass the model evaluator before it is accepted, so
-reported solutions are integral to machine precision, not merely within the
-rounding tolerance.
+Every incumbent must pass the model evaluator before it is accepted, so a
+reported solution's binaries lie within ``FEASIBILITY_TOL`` (1e-6) of 0/1.
+They are exactly 0/1 after a polish LP that ends ``optimal``; when it does
+not, the node LP's own x is the candidate.
 
 ``enumerate_exact`` solves the LP for every binary assignment and keeps the
 best feasible one.  It exists to check ``solve_milp``; the two share only

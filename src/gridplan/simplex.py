@@ -74,12 +74,12 @@ tableau simplex over general variable bounds:
   ``B^-1`` is never formed: since the slack columns are the identity, its
   column for a row is the tableau column of that row's slack when the slack
   is nonbasic, and a unit vector when it is basic.  Duals, basic values and
-  Farkas rows are read off it that way.  A refactor leaves the basic values
-  to its caller, which recomputes them or starts a round that does;
-* a ``DenseLp`` keeps two tableaux, and no work is repeated for either.
-  One is that of its last certified optimum, with its reduced costs: a
-  solve that starts from that very ``Basis`` (a plunge child, a polish LP)
-  pivots on from it with no refactor and no new duals.  The refactor
+  Farkas rows are read off it that way.  Only ``_Simplex.run`` refactors,
+  and each refactor starts a round, which recomputes the basic values;
+* a ``DenseLp`` keeps two tableaux, and no factor is repeated for either.
+  One is that of its last certified optimum: a solve that starts from that
+  very ``Basis`` (a plunge child, a polish LP) pivots on from it with no
+  refactor, once its round has computed its reduced costs.  The refactor
   cadence counts pivots since the tableau was factored, across solves.
   The other is the fresh factor of the last start a solve refactored,
   the slack basis excepted, whose factor is free: a later start from the
@@ -99,8 +99,9 @@ tableau simplex over general variable bounds:
   still uncertified after ``_MAX_ROUNDS`` rounds is reported as
   ``failure``, never as a wrong ``optimal``.
 
-The tableau is dense, and it is refactored from original data whenever a
-verdict fails its certificate and every ``_REFRESH_EVERY`` pivots.
+The tableau is dense.  It is refactored from original data only between
+rounds: after a verdict that fails its certificate, and after
+``_REFRESH_EVERY`` pivots on one factor, which ends a round.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ _AT_LO = 1
 _AT_UP = 2
 _FREE = 3
 _FIXED = 4
-# per marker, the way a nonbasic column may leave its bound (_track_positions)
+# per marker, the way a nonbasic column may leave its bound (_dual_loop)
 _LEAN = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
 _LEAN.flags.writeable = False
 
@@ -191,10 +192,10 @@ class DenseLp:
 
     A solve writes two fields.  ``_slot`` holds the ``Basis`` of the last
     solve that ended certified optimal, the column at each position of its
-    m x n tableau, that tableau, the pivots made since it was factored, and
-    the reduced costs of every column.  The next solve takes it and reuses
-    the tableau only if it starts from that very ``Basis`` object; any other
-    start, an equal copy included, drops it.  So a warm solve's rounding
+    m x n tableau, that tableau and the pivots made since it was factored.
+    The next solve takes it and reuses the tableau only if it starts from
+    that very ``Basis`` object; any other start, an equal copy included,
+    drops it.  So a warm solve's rounding
     depends on whether it starts from the last basis returned.
     ``_factor`` holds the basis columns, the nonbasic columns and the
     tableau of the last start other than the slack basis that a solve
@@ -572,22 +573,15 @@ class _Simplex:
         self.status[q] = _BASIC
         return col
 
-    def _track_positions(self):
-        """Per tableau position, the way its column may leave its bound: 1 at
-        a lower bound, -1 at an upper one, else 0 (``lean``), and either way
-        when free (``free``).  ``_dual_loop`` updates both pivot by pivot."""
-        stat = self.status[self.nonbasic]
-        self.lean = _LEAN[stat]
-        self.free = stat == _FREE
-
     def _dual_loop(self, max_iter):
         """Bounded dual simplex in the working bounds from a dual feasible basis.
 
         Returns ``(verdict, r, rise)``: ``OPTIMAL`` once the basic values
-        are within their working bounds, ``FAILURE`` at the iteration limit,
-        a singular refactor or a NaN ratio, and ``INFEASIBLE`` for a row
-        ``r`` (no column can repair it), whose basic value must move up when
-        ``rise`` and down otherwise.
+        are within their working bounds, ``FAILURE`` at the iteration limit
+        or a NaN ratio, ``INFEASIBLE`` for a row ``r`` (no column can repair
+        it), whose basic value must move up when ``rise`` and down
+        otherwise, and no verdict, ``None``, once the factor is
+        ``_REFRESH_EVERY`` pivots old.  It only pivots: the caller refactors.
         """
         if not self.m:
             return OPTIMAL, None, None
@@ -595,8 +589,10 @@ class _Simplex:
         # per row: the basic value and its working bounds
         xb, blo, bup = self.x[self.basis], lo[self.basis], up[self.basis]
         below, above, infeas = np.empty((3, self.m))
-        self._track_positions()
-        any_free = self.free.any()
+        # per position: the way its column may leave its bound, or either way
+        stat = self.status[self.nonbasic]
+        lean, free = _LEAN[stat], stat == _FREE
+        any_free = free.any()
         try:
             while True:
                 np.subtract(blo, xb, out=below)
@@ -613,10 +609,10 @@ class _Simplex:
                 tol = _PIV_TOL * max(1.0, mag.item(mag.argmax()) if self.n else 0.0)
                 # entering moves the leaving value toward its violated bound:
                 # alpha * lean < 0 when it must rise, > 0 when it must fall
-                lean = alpha * self.lean
-                cand = lean < -tol if rise else lean > tol
+                slope = alpha * lean
+                cand = slope < -tol if rise else slope > tol
                 if any_free:
-                    cand |= self.free & (mag > tol)
+                    cand |= free & (mag > tol)
                 cand = cand.nonzero()[0]
                 if cand.size == 0:
                     return INFEASIBLE, r, rise
@@ -644,26 +640,21 @@ class _Simplex:
                 xb -= col
                 xb[r] = self.x[q] + theta
                 blo[r], bup[r] = lo[q], up[q]
-                self.lean[p], self.free[p] = _LEAN[rest], False
+                lean[p], free[p] = _LEAN[rest], False
                 self.iterations += 1
                 self.factor_age += 1
                 if self.factor_age >= _REFRESH_EVERY:
-                    if not self._refresh():
-                        return FAILURE, None, None
-                    self._basic_values()
-                    xb = self.x[self.basis]
-                    self.drow = (self.cost[self.nonbasic]
-                                 - self.cost[self.basis] @ self.tableau)
-                    self._track_positions()
+                    return None, None, None
         finally:
             self.x[self.basis] = xb
 
     def _start_round(self, d, side, width):
-        """Put every nonbasic column at the working bound reduced costs ``d``
-        call for, boxed ties on their ``side``; a column pulled toward an
-        infinite bound gets an artificial one ``width`` from its finite bound
-        (from 0 when free), and equal bounds make it fixed.  A tie (``|d|``
-        within ``_OPT_TOL``) whose box holds 0 strictly inside sits free at 0
+        """Start a round: put every nonbasic column at the working bound
+        reduced costs ``d`` call for, boxed ties on their ``side``, then
+        compute the basic values.  A column pulled toward an infinite bound
+        gets an artificial one ``width`` from its finite bound (from 0 when
+        free), and equal bounds make it fixed.  A tie (``|d|`` within
+        ``_OPT_TOL``) whose box holds 0 strictly inside sits free at 0
         instead when its side is ``_FREE`` or it has no finite bound."""
         lo, up = self.lo, self.up
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
@@ -696,21 +687,23 @@ class _Simplex:
     # -- orchestration -------------------------------------------------------
 
     def run(self, start: Basis) -> LpOutcome:
-        """Solve from ``start`` in rounds of the dual simplex, at most
-        ``_MAX_ROUNDS``: on the problem's kept tableau and reduced costs when
-        ``start`` is its basis, on a copy of its kept factor when ``start``
-        has those columns, and on a fresh factor otherwise.
+        """Solve from ``start`` in rounds of the dual simplex: on the
+        problem's kept tableau when ``start`` is its basis, on a copy of its
+        kept factor when ``start`` has those columns, and on a fresh factor
+        otherwise.  Only this method refactors and starts rounds.
 
-        Each round starts dual feasible: every nonbasic column sits at the
-        bound its exact reduced cost calls for (boxed ties keep their side),
-        an artificial one where that bound is infinite.  Its verdict is then
-        certified against the true bounds.  An infeasible row must certify a
-        Farkas ray.  An optimum with columns resting on artificial bounds is
-        ``unbounded`` if moving them further out is an improving ray.  Any
-        other optimum must pass ``_finish_optimal``.  One rule retries every
-        verdict that is not certified: refactor, then another round with
-        artificial bounds ``_ART_GROWTH`` times wider.  After the last round
-        the attempt fails with the reason of its last failed check.
+        Each round starts dual feasible through ``_start_round``, with the
+        reduced costs of ``_exact_duals``.  A round cut at the refactor
+        cadence has no verdict: refactor, and the next round keeps the
+        artificial bounds and takes its sides from the current statuses.
+        A verdict is certified against the true bounds: an infeasible row
+        must certify a Farkas ray, an optimum with columns resting on
+        artificial bounds is ``unbounded`` if moving them further out is an
+        improving ray, and any other optimum must pass ``_finish_optimal``.
+        One rule retries every verdict that is not certified: refactor,
+        then another round with artificial bounds ``_ART_GROWTH`` times
+        wider.  After ``_MAX_ROUNDS`` verdicts the attempt fails with the
+        reason of its last failed check; ``max_iter`` bounds all rounds.
         """
         n, m = self.n, self.m
         cols = np.asarray(start.columns, dtype=np.int64)
@@ -718,11 +711,11 @@ class _Simplex:
                 or np.any((cols < 0) | (cols >= n + m))):
             return LpOutcome(FAILURE, message="start basis does not fit the model")
         self.basis = cols.copy()
-        problem, d = self.problem, None
+        problem = self.problem
         # the slot is taken whatever the start: a tableau is reused at most once
         slot, problem._slot = problem._slot, None
         if slot is not None and slot[0] is start:
-            _basis, self.nonbasic, self.tableau, self.factor_age, d = slot
+            _basis, self.nonbasic, self.tableau, self.factor_age = slot
         elif problem._factor is not None and np.array_equal(problem._factor[0], cols):
             self.nonbasic, self.tableau = (a.copy() for a in problem._factor[1:])
             self.factor_age = 0
@@ -732,19 +725,19 @@ class _Simplex:
             problem._factor = (self.basis.copy(), self.nonbasic.copy(), self.tableau.copy())
 
         max_iter = 50 * (n + 2 * m) + 10_000
-        side, width = start.status, _ART_WIDTH
-        for _ in range(_MAX_ROUNDS):
-            self._start_round(self._exact_duals()[1] if d is None else d, side, width)
+        side, width, rounds = start.status, _ART_WIDTH, 0
+        while True:
+            self._start_round(self._exact_duals()[1], side, width)
             verdict, r, rise = self._dual_loop(max_iter)
             if verdict == FAILURE:
                 return LpOutcome(FAILURE, iterations=self.iterations,
-                                 message="dual: iteration limit or singular basis")
+                                 message="dual: iteration limit or NaN ratio")
             if verdict == INFEASIBLE:
                 # Farkas ray: row r of B^-1, negated when its value must rise
                 unit = np.zeros(m)
                 unit[r] = -1.0 if rise else 1.0
                 outcome = self._certify_infeasible(self._times_binv(unit))
-            else:
+            elif verdict == OPTIMAL:
                 y, d = self._exact_duals()
                 # the columns resting on artificial bounds, moved further out
                 step = np.where(
@@ -757,13 +750,17 @@ class _Simplex:
                 else:
                     outcome = LpOutcome(FAILURE, iterations=self.iterations,
                                         message="optimum rests on artificial bounds")
-            if outcome.status != FAILURE:
-                return outcome
+            # a round cut by the refactor cadence is no retry
+            if verdict is not None:
+                if outcome.status != FAILURE:
+                    return outcome
+                rounds, width = rounds + 1, width * _ART_GROWTH
             if not self._refresh():
                 return LpOutcome(FAILURE, iterations=self.iterations,
                                  message="singular basis during refresh")
-            side, width, d = self.status, width * _ART_GROWTH, None
-        return outcome
+            if rounds == _MAX_ROUNDS:
+                return outcome
+            side = self.status
 
     def _finish_optimal(self, y, d) -> LpOutcome:
         """Certify the optimum with duals ``y`` and reduced costs ``d`` of the
@@ -789,7 +786,7 @@ class _Simplex:
         basis = Basis(self.basis.copy(), self.status.copy())
         # read-only, so the kept tableau stays the factor of this basis
         basis.columns.flags.writeable = basis.status.flags.writeable = False
-        self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age, d)
+        self.problem._slot = (basis, self.nonbasic, self.tableau, self.factor_age)
         return LpOutcome(OPTIMAL, x=self.x[:self.n].copy(), objective=objective,
                          dual_bound=bound_scaled * self.problem.sigma + self.problem.c0,
                          iterations=self.iterations, basis=basis)

@@ -23,6 +23,7 @@ from conftest import ALL_CASES
 from gridplan.builder import Variant, build_milp
 from gridplan.milp import BINARY, CONTINUOUS, EQ, GE, LE, Milp, evaluate_assignment
 from gridplan.simplex import FAILURE, DenseLp, LpOutcome
+from gridplan.simplex import INFEASIBLE as LP_INFEASIBLE
 
 EXACT = SolveParams(mip_gap=0.0)
 
@@ -578,6 +579,40 @@ def test_polish_and_plunge_lps_reuse_the_last_tableau(bundled, monkeypatch):
     assert all(n == 0 for _reuse, _polish, n, cached in calls if cached)
     assert all(n >= 1 for reuse, _polish, n, cached in calls if not (reuse or cached))
     assert any(cached for _reuse, _polish, _factors, cached in calls)
+
+
+@pytest.mark.parametrize("status", [FAILURE, LP_INFEASIBLE])
+def test_a_polish_lp_that_is_not_optimal_keeps_the_node_lp_x(bundled, monkeypatch, status):
+    # the one polish LP of this search is refused: the incumbent is then the
+    # node LP's own x, whose binaries are within the evaluator's tolerance
+    # of 0/1 but not exactly 0/1, and it is accepted as it is
+    model, _index = build_milp(bundled("defer_build"), Variant.STATIC)
+    expected = solve_milp(model)
+    polishing, refused = [], []
+    try_incumbent = branch_bound._Search._try_incumbent
+
+    def flagged(self, *args):
+        polishing.append(True)
+        try:
+            return try_incumbent(self, *args)
+        finally:
+            polishing.pop()
+
+    solve = DenseLp.solve
+
+    def refusing(self, *args, **kwargs):
+        if polishing:
+            refused.append(status)
+            return LpOutcome(status, message="injected")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(branch_bound._Search, "_try_incumbent", flagged)
+    monkeypatch.setattr(DenseLp, "solve", refusing)
+    out = solve_milp(model)
+    assert refused == [status]
+    assert out.status == expected.status == OPTIMAL
+    assert evaluate_assignment(model, out.assignment).feasible
+    assert abs(out.objective - expected.objective) <= 1e-9 * abs(expected.objective)
 
 
 def test_solve_milp_twice_on_one_model_is_identical(bundled):

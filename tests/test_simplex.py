@@ -329,11 +329,19 @@ def _tally_against_scipy(rng, trials, free):
     return statuses
 
 
-def test_random_lps_agree_with_scipy():
+@pytest.mark.parametrize("cadence", [700, 1, 2])
+def test_random_lps_agree_with_scipy(cadence, monkeypatch):
+    # a refactor cadence of a pivot or two cuts nearly every round, on
+    # instances with artificial bounds and every outcome
+    monkeypatch.setattr("gridplan.simplex._REFRESH_EVERY", cadence)
+    spy, verdicts = _dual_verdicts()
     for seed, free in ((20260814, False), (20261018, True)):
-        statuses = _tally_against_scipy(np.random.default_rng(seed), 80, free)
+        with spy:
+            statuses = _tally_against_scipy(np.random.default_rng(seed), 80, free)
         # the seed must exercise every outcome, or the test is weaker than it looks
         assert min(statuses[OPTIMAL], statuses[INFEASIBLE], statuses[UNBOUNDED]) >= 3, free
+    # a round the cadence cuts ends with no verdict
+    assert (None in verdicts) == (cadence < 700)
 
 
 def test_probe_grid_root_lps_match_highs():
@@ -527,6 +535,24 @@ def test_the_crash_drops_a_pair_of_a_singular_island(variant, reactances):
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(1_423_500.0, rel=1e-9)
     assert starts and all(start is not lp.slack_basis for lp, start in starts)
+
+
+def test_the_crash_is_the_slack_basis_when_no_block_inverts(bundled, monkeypatch):
+    # the mutual pairs' block is refused, then the block of the pairs that
+    # the elimination keeps: the crash falls back to the slack basis itself,
+    # and the solve starts there alone
+    model, _index = build_milp(bundled("eight_bus"), Variant.SWITCH_ALL)
+    ref = presolve(model)[0]
+    assert ref.crash_basis is not ref.slack_basis
+    expected = ref.solve()
+    monkeypatch.setattr("gridplan.simplex._invertible", lambda block: False)
+    dense = presolve(model)[0]
+    assert dense.crash_basis is dense.slack_basis
+    with _starts() as starts:
+        out = dense.solve()
+    assert starts == [(dense, dense.slack_basis)]
+    assert out.status == expected.status == OPTIMAL
+    assert abs(out.objective - expected.objective) <= 1e-9 * abs(expected.objective)
 
 
 def _crash_models(bundled):
@@ -822,12 +848,10 @@ def test_refactor_cadence_counts_pivots_across_reused_tableaus(bundled, monkeypa
 
 def _kept_age(dense):
     """Pivots since the kept tableau was factored; the slot also holds that
-    m x n tableau, the column at each of its positions and the reduced costs
-    of every column."""
-    basis, nonbasic, tableau, age, d = dense._slot
+    m x n tableau and the column at each of its positions."""
+    basis, nonbasic, tableau, age = dense._slot
     m, n = dense.a.shape
     assert tableau.shape == (m, n)
-    assert d.shape == (n + m,)
     assert np.array_equal(np.sort(np.concatenate([basis.columns, nonbasic])),
                           np.arange(n + m))
     return age
@@ -932,24 +956,10 @@ def test_interleaved_solves_of_two_problems_match_separate_ones(bundled):
     assert all(len(seq) == 4 and all(bits[0] == OPTIMAL for bits in seq) for seq in alone)
 
 
-def test_kept_reduced_costs_are_the_exact_duals_of_the_kept_tableau(bundled):
-    # a start from the kept tableau reads the reduced costs kept with it;
-    # they are bit for bit what _exact_duals computes on that tableau
-    dense, root, (lo, up) = _eight_bus_child(bundled)
-    for start in (None, root.basis):
-        out = dense.solve(lo, up, basis=start)
-        assert out.status == OPTIMAL
-        basis, nonbasic, tableau, _age, d = dense._slot
-        assert basis is out.basis
-        simplex = _Simplex(dense, lo, up)
-        simplex.basis, simplex.nonbasic, simplex.tableau = basis.columns.copy(), nonbasic, tableau
-        assert _same_bits(simplex._exact_duals()[1], d)
-
-
 def test_a_certified_optimum_computes_its_duals_once_after_the_last_pivot(bundled, monkeypatch):
-    # the optimality check's duals and residuals certify the optimum, and a
-    # start from the kept tableau takes its reduced costs from the slot, so
-    # a one-round warm solve computes duals once in all
+    # the optimality check's duals and residuals certify the optimum, so a
+    # one-round warm solve computes duals twice in all: at the start of its
+    # round, before its first pivot, and once after its last pivot
     events = []
 
     def logged(name):
@@ -970,7 +980,9 @@ def test_a_certified_optimum_computes_its_duals_once_after_the_last_pivot(bundle
         last_pivot = len(solve_events) - solve_events[::-1].index("_exchange")
         tail = solve_events[last_pivot:]
         assert tail.count("_exact_duals") == 1 and tail.count("_primal_error") == 1
-    assert events[warm_start:].count("_exact_duals") == 1
+    warm_events = events[warm_start:]
+    assert warm_events.count("_exact_duals") == 2
+    assert warm_events.index("_exact_duals") < warm_events.index("_exchange")
 
 
 def _dense_by_rows(model):
@@ -1393,10 +1405,10 @@ def test_a_failed_certificate_is_retried_on_a_refactor_with_fresh_duals(bundled,
         warm = dense.solve(lo, up, basis=root.basis)
     assert attempts.call_count == 1
     assert warm.status == OPTIMAL
-    # a start from the kept tableau refactors nothing and takes its reduced
-    # costs from the slot, so the one refactor is the retry's, and the retry
-    # round computes duals at its start and at its optimum
-    assert (len(bound), len(refresh), len(duals), len(errors)) == (2, 1, 3, 2)
+    # a start from the kept tableau refactors nothing, so the one refactor
+    # is the retry's, and each round computes duals at its start and at its
+    # optimum
+    assert (len(bound), len(refresh), len(duals), len(errors)) == (2, 1, 4, 2)
     # the same optimum as the run whose first certificate holds
     assert np.array_equal(warm.basis.columns, ref.basis.columns)
     assert abs(warm.objective - ref.objective) <= 1e-9 * abs(ref.objective)
@@ -1544,5 +1556,5 @@ def test_a_round_that_hits_the_iteration_limit_fails_the_attempt(bundled, monkey
     monkeypatch.setattr(_Simplex, "_dual_loop", lambda self, max_iter: dual_loop(self, 0))
     out = _Simplex(dense, lo, up).run(dense.slack_basis)
     assert out.status == FAILURE
-    assert out.message == "dual: iteration limit or singular basis"
+    assert out.message == "dual: iteration limit or NaN ratio"
     assert out.iterations == 0
